@@ -7,7 +7,6 @@ import os
 import random
 import sys
 import time
-from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
@@ -27,8 +26,7 @@ def check(instance, rng):
     assert validate(instance, bal).ok, "balanced decomposition invalid"
     assert bal.is_binary()
 
-    mode = rng.choice(["dinkelbach", "dinkelbach", "grid"])
-    rs = ratio_search(instance, bal, mode=mode)
+    rs = ratio_search(instance, bal)
     assert rs.solution.validate() == [], "solution fails consistency"
 
     cut, pot = derandomize(instance, rs.solution, bal, rs.alpha, rs.lp_value)

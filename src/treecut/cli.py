@@ -19,7 +19,7 @@ from .decomposition import (balance, exact_decomposition, format_decomposition,
 from .errors import BudgetError, InputError, InvariantError, TreecutError
 from .generators import (MaxCutInstance, UlcInstance, building_block, power,
                          random_delta_nice_ulc, ug_gadget, ulc_to_json_dict)
-from .instance import evaluate_cut, format_instance, parse_instance
+from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment, GapReport
 from .oracle import audit_cuts, exact_maxcut, exact_sparsest_cut
 from .relaxation import build_sparsestcut_lp, format_lp, ratio_search
@@ -54,8 +54,11 @@ def _write(path, text: str):
     if path in (None, "-"):
         sys.stdout.write(text)
     else:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise InputError(f"cannot write {path}: {exc}") from exc
 
 
 def _emit(args, payload: dict, text_lines):
@@ -83,7 +86,7 @@ def _load_instance_and_decomposition(args):
 
 def _solve_pipeline(args):
     inst, dec = _load_instance_and_decomposition(args)
-    rs = ratio_search(inst, dec, mode=args.alpha_mode, arith=args.arith)
+    rs = ratio_search(inst, dec)
     if args.dump_lp:
         built = build_sparsestcut_lp(inst, dec, rs.alpha)
         _write(args.dump_lp, format_lp(built.program))
@@ -214,7 +217,7 @@ def cmd_gen(args) -> int:
             ulc = _ulc_from_json(_read(args.ulc))
         else:
             ulc = triangle_ulc(args.labels)
-        gadget = ug_gadget(ulc, Fraction(args.alpha))
+        gadget = ug_gadget(ulc, as_weight(args.alpha))
         inst, dec = gadget.instance, gadget.decomposition
         sidecar = {"kind": "gadget", "alpha": str(gadget.alpha), **gadget.predicted()}
     elif args.what == "ulc":
@@ -261,7 +264,7 @@ def cmd_verify(args) -> int:
     inst, dec = _load_instance_and_decomposition(args)
     checks = {}
     checks["decomposition_valid"] = bool(validate(inst, dec))
-    rs = ratio_search(inst, dec, mode=args.alpha_mode, arith=args.arith)
+    rs = ratio_search(inst, dec)
     checks["solution_consistent"] = not rs.solution.validate()
     cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
     sp = evaluate_cut(inst, cut)
@@ -292,9 +295,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="PACE-style tree decomposition file")
             sp.add_argument("--root", type=int, default=1,
                             help="1-based root bag index for supplied decompositions")
-            sp.add_argument("--alpha-mode", choices=["dinkelbach", "grid"],
-                            default="dinkelbach")
-            sp.add_argument("--arith", choices=["rational", "float"], default="rational")
             sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--dump-lp", default=None)
 

@@ -1,7 +1,7 @@
 """Tree decompositions: validation, exact width, balancing, root-path unions.
 
 The balanced transform rebuilds a decomposition into a binary tree of
-logarithmic depth whose bags grow by at most a factor of three, by
+depth O(log n) whose bags grow by at most a factor of three, by
 recursively splitting the bag tree at separator nodes while carrying a
 boundary of at most two original-bag slices.  The depth/width
 postconditions are asserted on every output.
@@ -473,7 +473,7 @@ class _Balancer:
 
 
 def balance(dec: TreeDecomposition) -> TreeDecomposition:
-    """Rebuild into a binary decomposition of logarithmic depth.
+    """Rebuild into a binary decomposition of depth O(log n).
 
     Output satisfies: valid, binary, depth <= 2*ceil(log_{5/4}(2n)), and
     max bag size <= 3 * (input max bag size).  If the input is already
@@ -513,6 +513,18 @@ def root_path_unions(dec: TreeDecomposition) -> list:
     return out
 
 
+def least_bags(dec: TreeDecomposition, vertices) -> dict:
+    """Per vertex, the shallowest bag holding it (ties to the lowest index)."""
+    depths = dec.depths
+    least = {}
+    for v in vertices:
+        holders = [i for i, b in enumerate(dec.bags) if v in b]
+        if not holders:
+            raise InputError(f"decomposition misses vertex {v}")
+        least[v] = min(holders, key=lambda i: (depths[i], i))
+    return least
+
+
 # ---------------------------------------------------------------------------
 # PACE-style text format:
 #   s td <numbags> <maxbagsize> <n>
@@ -546,8 +558,10 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
             if parts[0] == "s":
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "b":
-                bags[int(parts[1]) - 1] = frozenset(
-                    instance.vertices[int(p) - 1] for p in parts[2:])
+                ids = [int(p) for p in parts[2:]]
+                if any(not 1 <= i <= instance.n for i in ids):
+                    raise InputError(f"line {lineno}: vertex ids run 1..{instance.n}: {raw!r}")
+                bags[int(parts[1]) - 1] = frozenset(instance.vertices[i - 1] for i in ids)
             else:
                 edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
         except (IndexError, ValueError) as exc:
@@ -557,4 +571,6 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
     nb = header[0]
     if set(bags) != set(range(nb)):
         raise InputError(f"expected bags 1..{nb}")
+    if not 0 <= root < nb:
+        raise InputError(f"root bag {root + 1} is not among bags 1..{nb}")
     return TreeDecomposition.build([bags[i] for i in range(nb)], edges, root=root)

@@ -1,4 +1,4 @@
-"""Sparsest-cut instances, cuts, and exact sparsity arithmetic.
+"""Sparsest-cut instances, cuts, and exact sparsity values.
 
 An instance couples a capacitated *supply* graph with a weighted *demand*
 pair set over the same vertices.  All weights are ``fractions.Fraction``;

@@ -24,7 +24,7 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .decomposition import TreeDecomposition, root_path_unions
+from .decomposition import TreeDecomposition, least_bags, root_path_unions
 from .errors import BudgetError, InputError, InvariantError
 from .instance import SparsestCutInstance, as_weight
 from . import simplex
@@ -197,6 +197,8 @@ def _pair_expression(family: SetFamily, parent_idx: int, u, v) -> dict:
 def build_maxcut_lp(graph, r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpProgram:
     """Maximize the total y over the graph's edges subject to the full
     r-round system."""
+    if r < 2:
+        raise InputError(f"the MaxCut LP needs rounds r >= 2 to see edges, got r={r}")
     n = len(graph.vertices)
     family, constraints = build_full_sa(n, r, budget)
     relabel = {v: i + 1 for i, v in enumerate(graph.vertices)}
@@ -344,13 +346,7 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
     endpoint-bag augmentations, and the joint union per demand pair."""
     unions = root_path_unions(dec)
     order = instance.vertices
-    depths = dec.depths
-    least_bag = {}
-    for v in order:
-        holders = [i for i, b in enumerate(dec.bags) if v in b]
-        if not holders:
-            raise InputError(f"decomposition misses vertex {v}")
-        least_bag[v] = min(holders, key=lambda i: (depths[i], i))
+    least_bag = least_bags(dec, order)
 
     sets = [()]
     sets += [tuple(u.union_set) for u in unions]
@@ -378,7 +374,7 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
     family = SetFamily.build(order, sets)
     bag_set_index = {i: family.sets.index(family.canonical(unions[i].union_set))
                      for i in range(dec.n_bags)}
-    return family, bag_set_index, least_bag
+    return family, bag_set_index
 
 
 def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
@@ -394,7 +390,7 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     (Lemma-style) equalities for every nested family pair.
     """
     alpha = as_weight(alpha)
-    family, bag_set_index, least_bag = pared_family(instance, dec, set_cap, extra_sets)
+    family, bag_set_index = pared_family(instance, dec, set_cap, extra_sets)
     fsets = family.frozensets()
     maximal = family.maximal_indices()
     nvars = sum(1 << len(family.sets[i]) for i in maximal)
@@ -518,90 +514,57 @@ class RatioSearchResult:
 
 
 def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
-                 mode: str = "dinkelbach", arith: str = "rational",
-                 grid_step: Fraction = Fraction(1, 2), grid_floor: Fraction = Fraction(1, 2**24),
                  max_iterations: int = 60, set_cap: int = DEFAULT_SET_CAP,
                  variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> RatioSearchResult:
     """Minimize (capacity value)/(demand value) over the pared polytope.
 
-    dinkelbach: exact parametric iteration lambda <- cap(y)/dem(y) on the
-    unconstrained-ratio objective, warm-restarting the tableau; finitely
-    convergent in rational mode (each iterate is a strictly better vertex).
-
-    grid: geometric scan of the demand target alpha; the best ratio over
-    the grid is reported.  Retained for cross-validation.
+    Dinkelbach's exact parametric iteration: lambda <- cap(y)/dem(y) on the
+    objective cap - lambda*dem, warm-restarting the tableau.  Each iterate
+    is a strictly better vertex, so the search ends, exactly, when that
+    objective's minimum reaches 0.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
-    if mode == "dinkelbach":
-        built = build_sparsestcut_lp(instance, dec, 0, set_cap, variable_budget,
-                                     include_demand_constraint=False)
-        solver = simplex.Simplex(built.program, mode=arith)
-        base = solver.solve()
-        if not base.optimal:
-            raise InvariantError(f"feasibility solve failed: {base.status}")
-        res = solver.reoptimize(dict(built.dem_expr), sense="max")
+    built = build_sparsestcut_lp(instance, dec, 0, set_cap, variable_budget,
+                                 include_demand_constraint=False)
+    solver = simplex.Simplex(built.program)
+    base = solver.solve()
+    if not base.optimal:
+        raise InvariantError(f"feasibility solve failed: {base.status}")
+    res = solver.reoptimize(dict(built.dem_expr), sense="max")
+    if not res.optimal:
+        raise InvariantError(f"max-demand solve failed: {res.status}")
+
+    def values_of(res):
+        cap = sum((c * res.values[k] for k, c in built.cap_expr.items()), Fraction(0))
+        dem = sum((c * res.values[k] for k, c in built.dem_expr.items()), Fraction(0))
+        return cap, dem
+
+    cap, dem = values_of(res)
+    if dem <= 0:
+        raise InputError("no cut distribution separates any demand")
+    lam = cap / dem
+    best = (res.values, cap, dem)
+    trace = [(lam, cap, dem)]
+    for it in range(max_iterations):
+        obj = dict(built.cap_expr)
+        for k, c in built.dem_expr.items():
+            obj[k] = obj.get(k, Fraction(0)) - lam * c
+        res = solver.reoptimize(obj, sense="min")
         if not res.optimal:
-            raise InvariantError(f"max-demand solve failed: {res.status}")
-
-        def values_of(res):
-            cap = sum((c * res.values[k] for k, c in built.cap_expr.items()), Fraction(0)) \
-                if arith == "rational" else sum(float(c) * res.values[k] for k, c in built.cap_expr.items())
-            dem = sum((c * res.values[k] for k, c in built.dem_expr.items()), Fraction(0)) \
-                if arith == "rational" else sum(float(c) * res.values[k] for k, c in built.dem_expr.items())
-            return cap, dem
-
+            raise InvariantError(f"dinkelbach solve failed: {res.status}")
+        if res.objective == 0:
+            sol = built.solution_from(best[0])
+            return RatioSearchResult(best[2], sol, best[1], lam, it + 1, trace)
         cap, dem = values_of(res)
-        if dem <= 0:
-            raise InputError("no cut distribution separates any demand")
-        lam = cap / dem
+        lam_new = cap / dem
+        if lam_new >= lam:
+            raise InvariantError("dinkelbach ratio failed to decrease")
+        lam = lam_new
         best = (res.values, cap, dem)
-        trace = [(lam, cap, dem)]
-        tol = 0 if arith == "rational" else 1e-9
-        for it in range(max_iterations):
-            obj = dict(built.cap_expr)
-            for k, c in built.dem_expr.items():
-                obj[k] = obj.get(k, Fraction(0)) - lam * c
-            res = solver.reoptimize(obj, sense="min")
-            if not res.optimal:
-                raise InvariantError(f"dinkelbach solve failed: {res.status}")
-            f = res.objective
-            if f >= -tol if arith == "float" else f == 0:
-                sol = built.solution_from(best[0])
-                return RatioSearchResult(best[2], sol, best[1], lam, it + 1, trace)
-            cap, dem = values_of(res)
-            lam_new = cap / dem
-            if lam_new >= lam:
-                raise InvariantError("dinkelbach ratio failed to decrease")
-            lam = lam_new
-            best = (res.values, cap, dem)
-            trace.append((lam, cap, dem))
-        raise InvariantError(f"dinkelbach did not converge in {max_iterations} "
-                             f"iterations; trace: {trace}")
-
-    if mode != "grid":
-        raise InputError(f"unknown ratio search mode {mode!r}")
-    grid_step = as_weight(grid_step)
-    grid_floor = as_weight(grid_floor)
-    alpha = instance.total_demand
-    best_entry = None
-    trace = []
-    it = 0
-    while alpha >= instance.total_demand * grid_floor and it < max_iterations * 4:
-        built = build_sparsestcut_lp(instance, dec, alpha, set_cap, variable_budget)
-        res = simplex.solve(built.program, mode=arith)
-        it += 1
-        if res.optimal:
-            ratio = res.objective / alpha
-            trace.append((alpha, ratio))
-            if best_entry is None or ratio < best_entry[3]:
-                best_entry = (alpha, built, res, ratio)
-        alpha = alpha / (1 + grid_step)
-    if best_entry is None:
-        raise InputError("grid search found no feasible demand target")
-    alpha, built, res, ratio = best_entry
-    return RatioSearchResult(alpha, built.solution_from(res.values),
-                             res.objective, ratio, it, trace)
+        trace.append((lam, cap, dem))
+    raise InvariantError(f"dinkelbach did not converge in {max_iterations} "
+                         f"iterations; trace: {trace}")
 
 
 # ---------------------------------------------------------------------------

@@ -7,8 +7,8 @@ the conditional potential
 
     W = (capacity cut)/lp_star - 2 (demand cut)/alpha
 
-nonpositive; every conditional expectation is evaluated in exact rational
-arithmetic so greedy comparisons can never be flipped by roundoff.
+nonpositive; every conditional expectation is evaluated as an exact Fraction,
+so greedy comparisons can never be flipped by roundoff.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decomposition import TreeDecomposition, root_path_unions
+from .decomposition import TreeDecomposition, least_bags, root_path_unions
 from .errors import InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
 from .relaxation import SaSolution
@@ -26,17 +26,6 @@ from .relaxation import SaSolution
 
 def _bag_order(dec: TreeDecomposition) -> list:
     return sorted(range(dec.n_bags), key=lambda i: (dec.depths[i], i))
-
-
-def _least_bags(instance, dec) -> dict:
-    depths = dec.depths
-    least = {}
-    for v in instance.vertices:
-        holders = [i for i, b in enumerate(dec.bags) if v in b]
-        if not holders:
-            raise InputError(f"decomposition misses vertex {v}")
-        least[v] = min(holders, key=lambda i: (depths[i], i))
-    return least
 
 
 def _ancestor_path(dec: TreeDecomposition, a: int) -> list:
@@ -187,7 +176,7 @@ class _Derandomizer:
         self.dec = dec
         self.unions = root_path_unions(dec)
         self.order = _bag_order(dec)
-        self.least = _least_bags(instance, dec)
+        self.least = least_bags(dec, instance.vertices)
         self.paths = {a: _ancestor_path(dec, a) for a in range(dec.n_bags)}
         self.pairs = []
         for u, v, w in instance.supply_edges:

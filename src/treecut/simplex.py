@@ -1,11 +1,13 @@
-"""Bundled LP solver: exact rational simplex plus a floating-point mode.
+"""Bundled LP solver: an exact rational simplex.
 
-The rational mode runs a dense two-phase primal simplex on an integer
-tableau with a single running denominator (integer pivoting), so every
-intermediate quantity is exact and sign tests are integer sign tests.
-Bland's rule guarantees termination; the default "auto" rule uses
-Dantzig pricing and falls back to Bland during degenerate stalls, which
-keeps pivot counts low on the highly degenerate lifted-cut polytopes.
+A dense two-phase primal simplex runs on an integer tableau with a
+single running denominator (integer pivoting), so every intermediate
+quantity is exact and sign tests are integer sign tests.  Bland's rule
+("bland") guarantees termination; the default "auto" rule uses
+most-negative (Dantzig) pricing and falls back to Bland during
+degenerate stalls, which keeps pivot counts low on the highly degenerate
+lifted-cut polytopes.  Every optimal result carries exact duals and its
+duality gap.
 
 Objectives can be swapped on a solved tableau (`reoptimize`), which is
 what makes exact Dinkelbach ratio searches cheap.
@@ -21,16 +23,15 @@ from typing import Optional
 from .errors import InputError
 
 STALL_LIMIT = 40  # consecutive degenerate pivots before switching to Bland
-FLOAT_TOL = 1e-9
 
 
 @dataclass
 class LpResult:
     status: str  # optimal | infeasible | unbounded | iteration-limit
-    objective: Optional[object]
+    objective: Optional[Fraction]
     values: dict
     pivots: int = 0
-    duals: Optional[list] = None  # one per original constraint, exact mode only
+    duals: Optional[list] = None  # one per original constraint, optimal only
     duality_gap: Optional[Fraction] = None
 
     @property
@@ -46,20 +47,19 @@ class Simplex:
     without a natural basic column.  All variables are nonnegative.
     """
 
-    def __init__(self, program, mode: str = "rational", pivot_rule: str = "auto",
-                 max_iters: int = 200_000):
-        if mode not in ("rational", "float"):
-            raise InputError(f"unknown mode {mode!r}")
-        if pivot_rule not in ("auto", "bland", "dantzig"):
+    # Exact rationals are the only number type.  Kept as an attribute
+    # because bench/tracer.py reads it before checking the duality gap.
+    mode = "rational"
+
+    def __init__(self, program, pivot_rule: str = "auto", max_iters: int = 200_000):
+        if pivot_rule not in ("auto", "bland"):
             raise InputError(f"unknown pivot rule {pivot_rule!r}")
-        self.mode = mode
         self.rule = pivot_rule
         self.max_iters = max_iters
         self.program = program
         self.variables = list(program.variables)
         self.var_pos = {v: j for j, v in enumerate(self.variables)}
         self.pivots = 0
-        self.tol = FLOAT_TOL if mode == "float" else 0
         self._build_tableau()
 
     # -- construction -----------------------------------------------------
@@ -141,12 +141,8 @@ class Simplex:
             prow[c] = 0
         T.append(prow)
 
-        if self.mode == "float":
-            self.T = [[float(x) for x in row] for row in T]
-            self.den = 1.0
-        else:
-            self.T = T
-            self.den = 1
+        self.T = T
+        self.den = 1
         self.basis = basis
         self.barred = set()
         # Unit columns survive row drops, so dual extraction keeps its own
@@ -159,38 +155,24 @@ class Simplex:
         T = self.T
         prow = T[r]
         p = prow[c]
-        if self.mode == "float":
-            inv = 1.0 / p
-            prow = T[r] = [x * inv for x in prow]
-            for i in range(len(T)):
-                if i == r:
-                    continue
-                f = T[i][c]
-                if f != 0.0:
-                    row = T[i]
-                    new = [a - f * b for a, b in zip(row, prow)]
-                    new[c] = 0.0
-                    T[i] = new
-        else:
-            d = self.den
-            for i in range(len(T)):
-                if i == r:
-                    continue
-                row = T[i]
-                f = row[c]
-                if f:
-                    T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-                else:
-                    T[i] = [(a * p) // d for a in row]
-            self.den = p
+        d = self.den
+        for i in range(len(T)):
+            if i == r:
+                continue
+            row = T[i]
+            f = row[c]
+            if f:
+                T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+            else:
+                T[i] = [(a * p) // d for a in row]
+        self.den = p
         self.basis[r] = c
         self.pivots += 1
 
     def _choose_entering(self, cost_row: int, bland: bool) -> int:
         row = self.T[cost_row]
         barred = self.barred
-        tol = -self.tol
-        best, best_j = tol, -1
+        best, best_j = 0, -1
         for j in range(self.width - 1):
             v = row[j]
             if v < best and j not in barred:
@@ -203,12 +185,11 @@ class Simplex:
         """Min-ratio row; ties go to the smallest basis index (Bland-safe)."""
         T = self.T
         rhs = self.rhs_col
-        tol = self.tol
         best_num = best_den = None
         best_i = -1
         for i in range(self.m):
             a = T[i][c]
-            if a > tol:
+            if a > 0:
                 num = T[i][rhs]
                 if best_i < 0:
                     take = True
@@ -248,7 +229,7 @@ class Simplex:
             return self._result(status)
         infeas = sum(self.T[i][self.rhs_col] for i in range(self.m)
                      if self.basis[i] in self.art_cols)
-        if infeas > (1e-7 if self.mode == "float" else 0):
+        if infeas > 0:
             return self._result("infeasible")
         self._clear_artificials()
         self._feasible_basis = True
@@ -263,10 +244,10 @@ class Simplex:
             pos, neg = -1, -1
             for j in range(self.nv + self.n_slack):
                 x = self.T[i][j]
-                if x > self.tol:
+                if x > 0:
                     pos = j
                     break
-                if neg < 0 and x < -self.tol:
+                if neg < 0 and x < 0:
                     neg = j
             if pos >= 0:
                 self._pivot(i, pos)
@@ -296,52 +277,33 @@ class Simplex:
         cost = [Fraction(0)] * self.nv
         for var, c in new_objective.items():
             cost[self.var_pos[var]] += self.obj_factor * Fraction(c)
-        if self.mode == "float":
-            crow = [float(c) for c in cost] + [0.0] * (self.width - self.nv)
-            for i in range(self.m):
-                b = self.basis[i]
-                cb = float(cost[b]) if b < self.nv else 0.0
-                if cb != 0.0:
-                    row = self.T[i]
-                    crow = [a - cb * x for a, x in zip(crow, row)]
-            self.cost_scale = 1
-        else:
-            scale = lcm(1, *(c.denominator for c in cost))
-            self.cost_scale = scale
-            d = self.den
-            crow = [int(c * scale) * d for c in cost] + [0] * (self.width - self.nv)
-            for i in range(self.m):
-                b = self.basis[i]
-                cb = int(cost[b] * scale) if b < self.nv else 0
-                if cb:
-                    row = self.T[i]
-                    crow = [a - cb * x for a, x in zip(crow, row)]
+        scale = lcm(1, *(c.denominator for c in cost))
+        self.cost_scale = scale
+        crow = [int(c * scale) * self.den for c in cost] + [0] * (self.width - self.nv)
+        for i in range(self.m):
+            b = self.basis[i]
+            cb = int(cost[b] * scale) if b < self.nv else 0
+            if cb:
+                row = self.T[i]
+                crow = [a - cb * x for a, x in zip(crow, row)]
         self.T[self.m] = crow
         return self._result(self._run(self.m), objective_override=self.current_objective)
 
     # -- results ----------------------------------------------------------
 
-    def _value(self, raw):
-        return raw if self.mode == "float" else Fraction(raw, self.den)
-
     def _result(self, status: str, objective_override: Optional[dict] = None) -> LpResult:
-        zero = 0.0 if self.mode == "float" else Fraction(0)
-        values = {v: zero for v in self.variables}
+        values = {v: Fraction(0) for v in self.variables}
         for i in range(self.m):
             b = self.basis[i]
             if b < self.nv:
-                values[self.variables[b]] = self._value(self.T[i][self.rhs_col])
+                values[self.variables[b]] = Fraction(self.T[i][self.rhs_col], self.den)
         obj_coeffs = objective_override if objective_override is not None \
             else self.program.objective
         obj = None
         if status in ("optimal", "iteration-limit"):
-            if self.mode == "float":
-                obj = sum(float(c) * values[v] for v, c in obj_coeffs.items())
-            else:
-                obj = sum((Fraction(c) * values[v] for v, c in obj_coeffs.items()),
-                          Fraction(0))
+            obj = sum((Fraction(c) * values[v] for v, c in obj_coeffs.items()), Fraction(0))
         duals = gap = None
-        if status == "optimal" and self.mode == "rational":
+        if status == "optimal":
             duals, gap = self._certificate(obj)
         return LpResult(status=status, objective=obj, values=values,
                         pivots=self.pivots, duals=duals, duality_gap=gap)
@@ -361,69 +323,6 @@ class Simplex:
         return duals, gap
 
 
-def solve(program, mode: str = "rational", pivot_rule: str = "auto",
-          max_iters: int = 200_000) -> LpResult:
+def solve(program, pivot_rule: str = "auto", max_iters: int = 200_000) -> LpResult:
     """Solve an LpProgram; deterministic for a fixed pivot rule."""
-    return Simplex(program, mode=mode, pivot_rule=pivot_rule, max_iters=max_iters).solve()
-
-
-# ---------------------------------------------------------------------------
-# External solver seam.  The bundled simplex stays the reference; adapters
-# registered here can be picked with solve_with(engine=...), e.g. for
-# cross-checking against an installed LP library.
-# ---------------------------------------------------------------------------
-
-_ENGINES = {}
-
-
-def register_engine(name: str, solver_fn):
-    """solver_fn(program) -> LpResult (float-precision is acceptable)."""
-    _ENGINES[name] = solver_fn
-
-
-def solve_with(program, engine: str = "bundled", **kwargs) -> LpResult:
-    if engine == "bundled":
-        return solve(program, **kwargs)
-    if engine in _ENGINES:
-        return _ENGINES[engine](program)
-    if engine == "scipy":
-        return _scipy_solve(program)
-    raise InputError(f"unknown LP engine {engine!r}")
-
-
-def _scipy_solve(program) -> LpResult:
-    try:
-        from scipy.optimize import linprog
-    except ImportError as exc:  # pragma: no cover
-        raise InputError("scipy engine requested but scipy is not installed") from exc
-    variables = list(program.variables)
-    pos = {v: j for j, v in enumerate(variables)}
-    factor = -1.0 if program.sense == "max" else 1.0
-    c = [0.0] * len(variables)
-    for v, coef in program.objective.items():
-        c[pos[v]] += factor * float(coef)
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for coeffs, sense, rhs in program.constraints:
-        row = [0.0] * len(variables)
-        for v, coef in coeffs.items():
-            row[pos[v]] += float(coef)
-        if sense == "<=":
-            a_ub.append(row)
-            b_ub.append(float(rhs))
-        elif sense == ">=":
-            a_ub.append([-x for x in row])
-            b_ub.append(-float(rhs))
-        else:
-            a_eq.append(row)
-            b_eq.append(float(rhs))
-    res = linprog(c, A_ub=a_ub or None, b_ub=b_ub or None,
-                  A_eq=a_eq or None, b_eq=b_eq or None,
-                  bounds=[(0, None)] * len(variables), method="highs")
-    status = {0: "optimal", 2: "infeasible", 3: "unbounded"}.get(res.status,
-                                                                 "iteration-limit")
-    values = {v: (float(res.x[pos[v]]) if res.x is not None else 0.0)
-              for v in variables}
-    obj = None
-    if status == "optimal":
-        obj = sum(float(coef) * values[v] for v, coef in program.objective.items())
-    return LpResult(status=status, objective=obj, values=values)
+    return Simplex(program, pivot_rule=pivot_rule, max_iters=max_iters).solve()

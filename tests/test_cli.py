@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+
+import pytest
 
 from treecut.cli import main
 from treecut.instance import parse_instance
@@ -151,26 +156,40 @@ def test_round_subcommand(tmp_path, capsys):
     assert payload["cut_sparsity"] is not None
 
 
-def test_solve_float_mode_agrees_with_rational(tmp_path, capsys):
-    from fractions import Fraction
+# Each case exits 2 (input error) without a traceback: an unwritable
+# output path, a malformed rational, too few SA rounds, a `.td` bag member
+# or root bag outside the 1-based range, and the removed LP-mode flags.
+BAD_INPUTS = {
+    "unwritable_output": ["solve", "{inst}", "-o", "{tmp}/missing/x.json"],
+    "bad_alpha": ["gen", "gadget", "--alpha", "abc"],
+    "zero_rounds": ["gap", "--base", "k2", "--rounds", "0"],
+    "td_member_zero": ["solve", "{inst}", "--decomposition", "{tmp}/zero.td"],
+    "td_root_out_of_range": ["solve", "{inst}", "--decomposition", "{tmp}/ok.td",
+                             "--root", "9"],
+    "removed_arith_flag": ["solve", "{inst}", "--arith", "float"],
+    "removed_alpha_mode_flag": ["solve", "{inst}", "--alpha-mode", "grid"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     inst = tmp_path / "in.ssc"
-    run(capsys, "gen", "block", "--maxcut", "k4", "--st-demand", "-o", str(inst))
-    code, out_f, _ = run(capsys, "solve", str(inst), "--arith", "float",
-                         "--format", "json")
-    assert code == 0
-    code, out_q, _ = run(capsys, "solve", str(inst), "--format", "json")
-    assert code == 0
-    approx, exact = json.loads(out_f), json.loads(out_q)
-    assert abs(float(approx["lp_ratio"]) - float(Fraction(exact["lp_ratio"]))) <= 1e-9
-    assert approx["within_factor_two"] and exact["within_factor_two"]
+    run(capsys, "gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst))
+    # a valid decomposition of the K_3 block; "0" in place of its vertex 5
+    td = "s td 3 3 5\nb 1 1 2 {}\nb 2 1 2 4\nb 3 1 2 3\n1 2\n1 3\n"
+    (tmp_path / "ok.td").write_text(td.format(5))
+    (tmp_path / "zero.td").write_text(td.format(0))
+    argv = [a.format(inst=inst, tmp=tmp_path) for a in BAD_INPUTS[case]]
+    env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
+    res = subprocess.run([sys.executable, "-m", "treecut.cli", *argv],
+                         env=env, capture_output=True, text=True)
+    assert res.returncode == 2, res.stderr
+    assert "Traceback" not in res.stderr
 
 
 def test_byte_identical_across_hash_seeds(tmp_path):
     # set iteration order of str-keyed sets varies with PYTHONHASHSEED;
     # none of it may leak into emitted artifacts
-    import os
-    import subprocess
-    import sys
     env_base = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
     inst = tmp_path / "in.ssc"
     outs = []

@@ -28,3 +28,9 @@ def test_gap_table_runs():
     lines = [l for l in res.stdout.strip().split("\n") if not l.startswith("#")]
     assert len(lines) == 10  # header + 9 configurations
     assert any(",5/4," in l for l in lines)  # the K_5 r=2 l=2 gap
+
+
+def test_soak_runs():
+    res = run_script("soak.py", "4", "1")
+    assert res.returncode == 0, res.stdout + res.stderr
+    assert "soak clean: 4 instances" in res.stdout
