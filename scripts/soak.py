@@ -34,14 +34,14 @@ def check(instance, rng):
     assert sp.ratio is not None and sp.ratio <= 2 * rs.ratio, "factor-2 violated"
     assert pot.nonincreasing() and pot.trace[-1] <= 0, "potential trace broken"
 
-    _, phi = exact_sparsest_cut(instance)
+    best, phi = exact_sparsest_cut(instance)
     assert rs.ratio <= phi.ratio, "relaxation above optimum"
     assert sp.ratio <= 2 * phi.ratio
 
     state = sample_state(rs.solution, bal, seed=rng.randrange(1 << 30))
     assert state.check_extension(bal)
 
-    refined = connected_refinement(instance, phi and exact_sparsest_cut(instance)[0])
+    refined = connected_refinement(instance, best)
     assert evaluate_cut(instance, refined).ratio == phi.ratio, "optimum not connected-stable"
     return rs.ratio == phi.ratio
 

@@ -15,11 +15,13 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 from typing import Optional
 
 from .decomposition import TreeDecomposition
 from .errors import BudgetError, InputError, InvariantError
 from .instance import Cut, SparsestCutInstance, as_weight
+from .oracle import exact_maxcut
 
 DEFAULT_POWER_EDGE_BUDGET = 250_000
 DEFAULT_GADGET_DIM_BOUND = 6
@@ -334,6 +336,8 @@ class UlcInstance:
     cliques: Optional[tuple] = None
 
     def __post_init__(self):
+        if self.d < 1:
+            raise InputError(f"label count must be at least 1, got {self.d}")
         vs = set(self.vertices)
         for u, v, sigma in self.edges:
             if u not in vs or v not in vs or u == v:
@@ -368,36 +372,16 @@ class UlcInstance:
 
     def delta_niceness(self):
         """(delta, None) when the witness checks out, else (None, reason)."""
-        if self.cliques is None:
-            return None, "no clique partition witness"
-        if len(self.cliques) != len(self.vertices):
+        if self.cliques is not None and len(self.cliques) != len(self.vertices):
             return None, (f"{len(self.cliques)} cliques != {len(self.vertices)} vertices")
-        seen = set()
-        sizes = set()
+        try:
+            delta = self.clique_union_delta()
+        except InputError as exc:
+            return None, str(exc)
         membership = {v: 0 for v in self.vertices}
         for edge_indices in self.cliques:
-            members = set()
-            for i in edge_indices:
-                if i in seen:
-                    return None, f"edge {i} appears in two cliques"
-                seen.add(i)
-                u, v, _ = self.edges[i]
-                members.add(u)
-                members.add(v)
-            k = len(members)
-            sizes.add(k)
-            if len(edge_indices) != k * (k - 1) // 2:
-                return None, f"clique on {sorted(map(str, members))} is not complete"
-            pairs = {frozenset((self.edges[i][0], self.edges[i][1])) for i in edge_indices}
-            if len(pairs) != len(edge_indices):
-                return None, "clique repeats a pair"
-            for v in members:
+            for v in {x for i in edge_indices for x in self.edges[i][:2]}:
                 membership[v] += 1
-        if len(seen) != len(self.edges):
-            return None, "cliques do not cover every edge"
-        if len(sizes) != 1:
-            return None, f"clique sizes differ: {sorted(sizes)}"
-        delta = sizes.pop()
         bad = {v: c for v, c in membership.items() if c != delta}
         if bad:
             return None, f"vertices not in exactly {delta} cliques: {bad}"
@@ -411,7 +395,10 @@ class UlcInstance:
 
     def clique_union_delta(self) -> int:
         """Uniform clique size of the edge partition witness (weaker than
-        delta-niceness: vertex membership counts are not constrained)."""
+        delta-niceness: vertex membership counts are not constrained).
+
+        Each clique must be complete on distinct pairs, and the cliques
+        must cover every edge exactly once."""
         if self.cliques is None:
             raise InputError("no clique partition witness")
         seen = set()
@@ -427,6 +414,8 @@ class UlcInstance:
             k = len(members)
             if len(edge_indices) != k * (k - 1) // 2:
                 raise InputError(f"clique on {sorted(map(str, members))} is not complete")
+            if len({frozenset(self.edges[i][:2]) for i in edge_indices}) != len(edge_indices):
+                raise InputError("clique repeats a pair")
             sizes.add(k)
         if len(seen) != len(self.edges):
             raise InputError("cliques do not cover every edge")
@@ -598,34 +587,19 @@ def clique_product_maxcut_bound(ulc: UlcInstance, copies: int,
     """
     delta = ulc.clique_union_delta()
     verts = [(v, i) for v in ulc.vertices for i in range(copies)]
-    if len(verts) > budget:
-        raise BudgetError(f"product on {len(verts)} vertices exceeds bound {budget}",
-                          limit=budget, requested=len(verts))
-    pairs = []
-    for u, v, _ in ulc.edges:
-        for i in range(copies):
-            for j in range(copies):
-                pairs.append((verts.index((u, i)), verts.index((v, j))))
-    total = len(pairs)
+    pairs = [((u, i), (v, j)) for u, v, _ in ulc.edges
+             for i in range(copies) for j in range(copies)]
+    side, cut = exact_maxcut(SimpleNamespace(vertices=verts, edges=pairs), bound=budget)
+    worst = Fraction(cut, len(pairs))
     bound = Fraction(1, 2) + Fraction(1, 2 * (delta - 1))
-    worst = Fraction(0)
-    worst_mask = 0
-    nv = len(verts)
-    for mask in range(1 << (nv - 1)):
-        cut = 0
-        for iu, iv in pairs:
-            cut += ((mask >> iu) ^ (mask >> iv)) & 1
-        frac = Fraction(cut, total)
-        if frac > worst:
-            worst, worst_mask = frac, mask
     return {
         "delta": delta,
         "copies": copies,
-        "edges": total,
+        "edges": len(pairs),
         "max_cut_fraction": worst,
         "bound": bound,
         "holds": worst <= bound,
-        "witness": sorted(str(verts[i]) for i in range(nv) if (worst_mask >> i) & 1),
+        "witness": sorted(map(str, side)),
     }
 
 
@@ -640,6 +614,8 @@ def random_delta_nice_ulc(n: int, delta: int, d: int, seed: int = 0,
     """
     if not (2 <= delta <= n):
         raise InputError(f"need 2 <= delta <= n, got delta={delta}, n={n}")
+    if d < 1:
+        raise InputError(f"label count must be at least 1, got {d}")
     rng = random.Random(seed)
     left = tuple(f"L{i}" for i in range(n))
     right = tuple(range(1, n + 1))

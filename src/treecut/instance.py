@@ -143,9 +143,6 @@ class Sparsity:
     ratio: Optional[Fraction]  # None when cut_demand == 0 (undefined flag)
     degenerate: bool = False
 
-    def defined(self) -> bool:
-        return self.ratio is not None
-
 
 def evaluate_cut(instance: SparsestCutInstance, cut: Cut) -> Sparsity:
     """Exact capacity, demand, and ratio of a cut.

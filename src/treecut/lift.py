@@ -1,12 +1,13 @@
 """Lifting MaxCut LP solutions onto powered instances.
 
 An r-round solution is the same thing as a family of marginally
-consistent local distributions, one per small vertex set.  This module
-converts between the two views and pushes a base MaxCut family through
-the powering construction: terminals are pinned to opposite sides, the
-base draw is symmetrized with a fair coin, and cut copies recurse while
-uncut copies ride along with their terminals.  Distributions are computed
-exactly by dynamic programming over the recursion tree, never sampled.
+consistent local distributions, one per small vertex set: D_S(T) = x(S,T).
+This module reads the base MaxCut distributions off a validated solution
+and pushes them through the powering construction: terminals are pinned
+to opposite sides, the base draw is symmetrized with a fair coin, and cut
+copies recurse while uncut copies ride along with their terminals.
+Distributions are computed exactly by dynamic programming over the
+recursion tree, never sampled.
 """
 
 from __future__ import annotations
@@ -25,78 +26,6 @@ from . import simplex
 
 
 # ---------------------------------------------------------------------------
-# Local distribution families.
-# ---------------------------------------------------------------------------
-
-@dataclass
-class LocalDistributionFamily:
-    """Per-set distributions over subsets, marginally consistent."""
-
-    family: SetFamily
-    dists: dict  # frozenset S -> {frozenset T: Fraction}
-
-    def dist(self, S) -> dict:
-        return self.dists[frozenset(S)]
-
-    def validate(self) -> list:
-        problems = []
-        fsets = self.family.frozensets()
-        for s in fsets:
-            d = self.dists[s]
-            total = sum(d.values(), Fraction(0))
-            if total != 1:
-                problems.append(("normalization", s, None, total))
-            for t, p in d.items():
-                if p < 0:
-                    problems.append(("negative", s, t, p))
-        for q in fsets:
-            for s in fsets:
-                if not q < s:
-                    continue
-                marg: dict = {}
-                for b, p in self.dists[s].items():
-                    key = b & q
-                    marg[key] = marg.get(key, Fraction(0)) + p
-                for a, p in self.dists[q].items():
-                    if marg.get(a, Fraction(0)) != p:
-                        problems.append(("consistency", q, (s, a),
-                                         marg.get(a, Fraction(0)) - p))
-        return problems
-
-
-def sa_to_distributions(solution: SaSolution, r: int) -> LocalDistributionFamily:
-    """D_S(T) := x(S,T) over the family sets of size at most r."""
-    problems = solution.validate()
-    if problems:
-        raise InputError(f"solution is infeasible: first violation {problems[0]}")
-    keep = [s for s in solution.family.sets if len(s) <= r]
-    family = SetFamily.build(solution.family.order, keep)
-    dists = {}
-    for elems in family.sets:
-        s = frozenset(elems)
-        d = {}
-        for t_size in range(len(elems) + 1):
-            for t in itertools.combinations(elems, t_size):
-                d[frozenset(t)] = solution.value(s, t)
-        dists[s] = d
-    return LocalDistributionFamily(family, dists)
-
-
-def distributions_to_sa(family: LocalDistributionFamily) -> SaSolution:
-    """x(S,T) := D_S(T); inverse of sa_to_distributions."""
-    problems = family.validate()
-    if problems:
-        kind, q, detail, _ = problems[0]
-        raise InputError(f"inconsistent distribution family: {kind} at {sorted(map(str, q))}"
-                         + (f" vs {detail}" if detail else ""))
-    values = {}
-    for s, d in family.dists.items():
-        for t, p in d.items():
-            values[(s, t)] = p
-    return SaSolution(family.family, values)
-
-
-# ---------------------------------------------------------------------------
 # The recursive lift.
 # ---------------------------------------------------------------------------
 
@@ -107,7 +36,7 @@ class LiftContext:
     base: MaxCutInstance
     rounds: int
     levels: int
-    base_dists: LocalDistributionFamily  # over subsets of the MaxCut vertices
+    base_dists: dict  # frozenset S -> {frozenset T: x(S,T)}, S over the MaxCut vertices
     powered: PoweredInstance
     base_value: Fraction  # total y over the base edges (c*m)
     _memo: dict = field(default_factory=dict, repr=False)
@@ -142,7 +71,15 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
         raise InvariantError(f"base MaxCut solve failed: {res.status}")
     family = full_family(range(1, H.n + 1), rounds_eff)
     solution = full_solution_from(family, res.values)
-    dists = sa_to_distributions(solution, rounds_eff)
+    problems = solution.validate()
+    if problems:
+        raise InputError(f"solution is infeasible: first violation {problems[0]}")
+    dists = {}
+    for elems in family.sets:
+        s = frozenset(elems)
+        dists[s] = {frozenset(t): solution.values[(s, frozenset(t))]
+                    for t_size in range(len(elems) + 1)
+                    for t in itertools.combinations(elems, t_size)}
     block, block_dec = building_block(H, include_st_demand=False)
     powered = power(block, levels, block_dec)
     return LiftContext(H, rounds, levels, dists, powered, res.objective)
@@ -214,7 +151,7 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
     R = frozenset(v for v in ext.top if v not in ("s", "t"))
     if R:
         try:
-            base_dist = ctx.base_dists.dist(R)
+            base_dist = ctx.base_dists[R]
         except KeyError:
             raise InputError(
                 f"base round budget too small: the lift needs the distribution "

@@ -60,9 +60,6 @@ class SetFamily:
         pos = self.pos
         return tuple(sorted(vs, key=pos.__getitem__))
 
-    def index_of(self, vs) -> int:
-        return self.sets.index(self.canonical(vs))
-
     def __contains__(self, vs) -> bool:
         return self.canonical(vs) in set(self.sets)
 

@@ -342,17 +342,17 @@ def test_criterion_7_total_capacity_as_pinned():
 
 def test_criterion_8_lift():
     t0 = time.monotonic()
-    from treecut.lift import distributions_to_sa, sa_to_distributions
     from treecut.relaxation import build_maxcut_lp, full_family, full_solution_from
 
     ok = True
-    # round-trip identity on solved solutions
+    # the base distributions are the solved x(S,T), D_S(T) = x(S,T)
     for name in ("k3", "p3"):
         H = MaxCutInstance.named(name)
         res = simplex.solve(build_maxcut_lp(H, 3))
         sol = full_solution_from(full_family(range(1, H.n + 1), 3), res.values)
-        fam = sa_to_distributions(sol, 3)
-        ok &= distributions_to_sa(fam).values == sol.values
+        ok &= sol.validate() == []
+        dists = make_lift_context(H, 3, 2).base_dists
+        ok &= all(dists[S][T] == x for (S, T), x in sol.values.items())
 
     # exhaustive consistency on G_2(P_3) for all |T| <= 3
     ctx = make_lift_context(MaxCutInstance.path(3), 3, 2)
@@ -386,7 +386,7 @@ def test_criterion_8_lift():
     ok &= values_ok
     elapsed = time.monotonic() - t0
     ok &= elapsed <= 1200
-    report("criterion 8 (lift: round trip, exhaustive consistency, exact values)",
+    report("criterion 8 (lift: base D_S(T) = x(S,T), exhaustive consistency, exact values)",
            ok, f"{checked} sets checked, {elapsed:.0f}s")
     assert ok
 

@@ -168,6 +168,11 @@ BAD_INPUTS = {
                              "--root", "9"],
     "removed_arith_flag": ["solve", "{inst}", "--arith", "float"],
     "removed_alpha_mode_flag": ["solve", "{inst}", "--alpha-mode", "grid"],
+    "gadget_zero_labels": ["gen", "gadget", "--labels", "0", "-o", "{tmp}/g.ssc"],
+    "gadget_negative_labels": ["gen", "gadget", "--labels", "-1", "-o", "{tmp}/g.ssc"],
+    "random_ulc_gadget_zero_labels": ["gen", "gadget", "--random-ulc", "--labels", "0",
+                                      "-o", "{tmp}/g.ssc"],
+    "ulc_zero_labels": ["gen", "ulc", "--labels", "0", "-o", "{tmp}/u.json"],
 }
 
 

@@ -10,7 +10,7 @@ from treecut.generators import (BipartiteUlc, MaxCutInstance, UlcInstance,
                                 apply_sigma, bipartite_to_cliques, building_block,
                                 clique_product_maxcut_bound, compose_sigma,
                                 cube_vertex, dictator_cut, lift_cut, power,
-                                ug_gadget)
+                                random_delta_nice_ulc, ug_gadget)
 from treecut.instance import Cut, evaluate_cut, is_admissible
 from treecut.oracle import audit_cuts, exact_maxcut, exact_sparsest_cut
 
@@ -272,13 +272,62 @@ def test_clique_product_bound_single_clique():
 
 
 def test_clique_product_bound_shared_vertex():
+    rep = clique_product_maxcut_bound(shared_vertex_ulc(), 1)
+    assert rep["holds"]
+
+
+def shared_vertex_ulc():
     ident = identity(2)
     edges = tuple((u, v, ident) for u, v in
                   list(itertools.combinations((1, 2, 3), 2)) +
                   list(itertools.combinations((3, 4, 5), 2)))
-    ulc = UlcInstance((1, 2, 3, 4, 5), edges, 2, ((0, 1, 2), (3, 4, 5)))
-    rep = clique_product_maxcut_bound(ulc, 1)
-    assert rep["holds"]
+    return UlcInstance((1, 2, 3, 4, 5), edges, 2, ((0, 1, 2), (3, 4, 5)))
+
+
+def naive_clique_product_bound(ulc, copies):
+    """Mask loop over the product graph's cut classes, last clone pinned;
+    the first strictly larger cut wins."""
+    delta = ulc.clique_union_delta()
+    verts = [(v, i) for v in ulc.vertices for i in range(copies)]
+    pairs = [(verts.index((u, i)), verts.index((v, j))) for u, v, _ in ulc.edges
+             for i in range(copies) for j in range(copies)]
+    worst, worst_mask = Fraction(0), 0
+    for mask in range(1 << (len(verts) - 1)):
+        frac = Fraction(sum(((mask >> a) ^ (mask >> b)) & 1 for a, b in pairs), len(pairs))
+        if frac > worst:
+            worst, worst_mask = frac, mask
+    bound = Fraction(1, 2) + Fraction(1, 2 * (delta - 1))
+    return {"delta": delta, "copies": copies, "edges": len(pairs),
+            "max_cut_fraction": worst, "bound": bound, "holds": worst <= bound,
+            "witness": sorted(str(verts[i]) for i in range(len(verts))
+                              if (worst_mask >> i) & 1)}
+
+
+# single_clique_ulc(3) is also criterion 7's delta-3 clique
+@pytest.mark.parametrize("ulc,copies", [
+    (single_clique_ulc(3), 1), (single_clique_ulc(3), 2), (single_clique_ulc(4), 2),
+    (shared_vertex_ulc(), 1), (shared_vertex_ulc(), 2)],
+    ids=["k3-1", "k3-2", "k4-2", "shared-1", "shared-2"])
+def test_clique_product_bound_matches_naive_mask_loop(ulc, copies):
+    assert clique_product_maxcut_bound(ulc, copies) == naive_clique_product_bound(ulc, copies)
+
+
+def test_clique_repeating_a_pair_is_rejected():
+    ident = identity(2)
+    ulc = UlcInstance((1, 2, 3), ((1, 2, ident), (1, 2, ident), (2, 3, ident)), 2,
+                      ((0, 1, 2),))
+    with pytest.raises(InputError, match="repeats a pair"):
+        ulc.clique_union_delta()
+    with pytest.raises(InputError, match="repeats a pair"):
+        clique_product_maxcut_bound(ulc, 1)
+
+
+@pytest.mark.parametrize("d", [0, -1])
+def test_label_count_below_one_is_rejected(d):
+    with pytest.raises(InputError):
+        UlcInstance((1, 2), ((1, 2, ()),), d)
+    with pytest.raises(InputError):
+        random_delta_nice_ulc(3, 2, d)
 
 
 def test_powered_gadget_parameter_plumbing():

@@ -1,15 +1,11 @@
 import random
 from fractions import Fraction
 
-import pytest
-
 from treecut.decomposition import balance
-from treecut.errors import InputError
 from treecut.generators import MaxCutInstance
-from treecut.lift import (distributions_to_sa, extend_set,
-                          gap_experiment, lift_distribution, lift_pair_value,
-                          lifted_family_solution, lifted_value, make_lift_context,
-                          sa_to_distributions)
+from treecut.lift import (extend_set, gap_experiment, lift_distribution,
+                          lift_pair_value, lifted_family_solution, lifted_value,
+                          make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp,
                                 build_sparsestcut_lp, full_family,
                                 full_solution_from, subset_from_mask, _var)
@@ -46,42 +42,33 @@ def uniform_solution(n, r):
 
 
 def test_integral_solution_gives_point_masses():
-    sol = integral_solution(3, frozenset({1, 3}))
-    fam = sa_to_distributions(sol, 3)
-    assert fam.validate() == []
-    for s, dist in fam.dists.items():
-        support = [t for t, p in dist.items() if p > 0]
-        assert support == [s & {1, 3}]
+    side = frozenset({1, 3})
+    sol = integral_solution(3, side)
+    assert sol.validate() == []
+    for s in sol.family.frozensets():
+        support = [t for (q, t), p in sol.values.items() if q == s and p > 0]
+        assert support == [s & side]
 
 
 def test_uniform_solution_gives_uniform_distributions():
-    fam = sa_to_distributions(uniform_solution(4, 2), 2)
-    assert fam.validate() == []
-    for s, dist in fam.dists.items():
-        assert set(dist.values()) == {Fraction(1, 1 << len(s))}
-
-
-def test_round_trip_identity():
-    for sol in (integral_solution(3, frozenset({2})), uniform_solution(4, 2),
-                solved_maxcut_solution(MaxCutInstance.complete(3), 3)):
-        fam = sa_to_distributions(sol, max(len(s) for s in sol.family.sets))
-        back = distributions_to_sa(fam)
-        assert back.values == {k: v for k, v in sol.values.items()}
+    sol = uniform_solution(4, 2)
+    assert sol.validate() == []
+    for s in sol.family.frozensets():
+        assert {p for (q, _), p in sol.values.items() if q == s} == {Fraction(1, 1 << len(s))}
 
 
 def test_solved_maxcut_family_passes_validator():
-    fam = sa_to_distributions(solved_maxcut_solution(MaxCutInstance.complete(3), 3), 3)
-    assert fam.validate() == []
+    assert solved_maxcut_solution(MaxCutInstance.complete(3), 3).validate() == []
 
 
 def test_inconsistent_family_rejected_with_witness():
-    fam = sa_to_distributions(uniform_solution(3, 2), 2)
+    sol = uniform_solution(3, 2)
     s = frozenset({1, 2})
-    fam.dists[s][frozenset({1})] += Fraction(1, 100)
-    fam.dists[s][frozenset({2})] -= Fraction(1, 100)
-    with pytest.raises(InputError) as err:
-        distributions_to_sa(fam)
-    assert "consistency" in str(err.value)
+    sol.values[(s, frozenset({1}))] += Fraction(1, 100)
+    sol.values[(s, frozenset({2}))] -= Fraction(1, 100)
+    problems = sol.validate()
+    assert problems and {kind for kind, *_ in problems} == {"consistency"}
+    assert all(big == s for _, _, (big, _), _ in problems)
 
 
 def p3_context(levels=2, rounds=3):
