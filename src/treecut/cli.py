@@ -14,6 +14,7 @@ import os
 import sys
 from fractions import Fraction
 
+from . import pipeline
 from .decomposition import (balance, exact_decomposition, format_decomposition,
                             parse_decomposition, validate)
 from .errors import BudgetError, InputError, InvariantError, TreecutError
@@ -22,8 +23,8 @@ from .generators import (MaxCutInstance, UlcInstance, building_block, power,
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment, GapReport
 from .oracle import audit_cuts, exact_maxcut, exact_sparsest_cut
-from .relaxation import build_sparsestcut_lp, format_lp, ratio_search
-from .rounding import derandomize, embed_l1, sample_cut
+from .relaxation import build_sparsestcut_lp, format_lp
+from .rounding import embed_l1, sample_cut
 
 DEFAULT_VERTEX_BUDGET = 26
 
@@ -72,25 +73,20 @@ def _emit(args, payload: dict, text_lines):
         _write(getattr(args, "output", None), "\n".join(text_lines) + "\n")
 
 
-def _load_instance_and_decomposition(args):
+def _solve_pipeline(args):
     inst = parse_instance(_read(args.instance))
-    if getattr(args, "decomposition", None):
+    if args.decomposition:
         dec = parse_decomposition(_read(args.decomposition), inst, root=args.root - 1)
         report = validate(inst, dec)
         if not report.ok:
             raise InputError(f"supplied decomposition invalid: {report.message}")
     else:
         dec = exact_decomposition(inst, bound=_budget(args, default=18))
-    return inst, balance(dec)
-
-
-def _solve_pipeline(args):
-    inst, dec = _load_instance_and_decomposition(args)
-    rs = ratio_search(inst, dec)
+    res = pipeline.solve(inst, dec)
     if args.dump_lp:
-        built = build_sparsestcut_lp(inst, dec, rs.alpha)
+        built = build_sparsestcut_lp(inst, res.dec, res.lp.alpha)
         _write(args.dump_lp, format_lp(built.program))
-    return inst, dec, rs
+    return inst, res
 
 
 def cmd_decompose(args) -> int:
@@ -102,9 +98,8 @@ def cmd_decompose(args) -> int:
 
 
 def cmd_solve(args) -> int:
-    inst, dec, rs = _solve_pipeline(args)
-    cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
-    sp = evaluate_cut(inst, cut)
+    _, res = _solve_pipeline(args)
+    rs, cut, sp, trace = res.lp, res.cut, res.sparsity, res.potential.trace
     payload = {
         "lp_ratio": str(rs.ratio),
         "alpha": str(rs.alpha),
@@ -113,8 +108,8 @@ def cmd_solve(args) -> int:
         "cut_capacity": str(sp.cut_capacity),
         "cut_demand": str(sp.cut_demand),
         "cut_sparsity": str(sp.ratio),
-        "within_factor_two": sp.ratio is not None and sp.ratio <= 2 * rs.ratio,
-        "final_potential": str(pot.trace[-1]) if pot.trace else None,
+        "within_factor_two": res.guarantees()["sparsity_within_2lp"],
+        "final_potential": str(trace[-1]) if trace else None,
     }
     _emit(args, payload, [
         f"lp ratio        {rs.ratio}",
@@ -127,8 +122,8 @@ def cmd_solve(args) -> int:
 
 
 def cmd_round(args) -> int:
-    inst, dec, rs = _solve_pipeline(args)
-    cut = sample_cut(rs.solution, dec, seed=args.seed)
+    inst, res = _solve_pipeline(args)
+    cut = sample_cut(res.lp.solution, res.dec, seed=args.seed)
     sp = evaluate_cut(inst, cut)
     payload = {
         "seed": args.seed,
@@ -136,7 +131,7 @@ def cmd_round(args) -> int:
         "cut_capacity": str(sp.cut_capacity),
         "cut_demand": str(sp.cut_demand),
         "cut_sparsity": str(sp.ratio),
-        "lp_ratio": str(rs.ratio),
+        "lp_ratio": str(res.lp.ratio),
     }
     _emit(args, payload, [f"cut {{{', '.join(sorted(map(str, cut.side_a)))}}}",
                           f"sparsity {sp.ratio}"])
@@ -167,7 +162,7 @@ def _ulc_from_json(text: str) -> UlcInstance:
         raw = json.loads(text)
         edges = tuple((u, v, tuple(sigma)) for u, v, sigma in raw["edges"])
         cliques = tuple(tuple(c) for c in raw["cliques"]) if raw.get("cliques") else None
-        return UlcInstance(tuple(raw["vertices"]), edges, int(raw["d"]), cliques)
+        return UlcInstance(tuple(raw["vertices"]), edges, raw["d"], cliques)
     except (KeyError, TypeError, ValueError) as exc:
         raise InputError(f"bad ULC json: {exc}") from exc
 
@@ -254,27 +249,23 @@ def cmd_gap(args) -> int:
 
 
 def cmd_embed(args) -> int:
-    inst, dec, rs = _solve_pipeline(args)
-    emb = embed_l1(rs.solution, dec, args.samples, seed=args.seed)
+    _, res = _solve_pipeline(args)
+    emb = embed_l1(res.lp.solution, res.dec, args.samples, seed=args.seed)
     _write(args.output, emb.to_csv())
     return 0
 
 
 def cmd_verify(args) -> int:
-    inst, dec = _load_instance_and_decomposition(args)
-    checks = {}
-    checks["decomposition_valid"] = bool(validate(inst, dec))
-    rs = ratio_search(inst, dec)
-    checks["solution_consistent"] = not rs.solution.validate()
-    cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
-    sp = evaluate_cut(inst, cut)
-    checks["potential_trace_monotone"] = pot.nonincreasing()
-    checks["final_potential_nonpositive"] = not pot.trace or pot.trace[-1] <= 0
-    checks["sparsity_within_2lp"] = sp.ratio is not None and sp.ratio <= 2 * rs.ratio
+    inst, res = _solve_pipeline(args)
+    checks = {
+        "decomposition_valid": bool(validate(inst, res.dec)),
+        "solution_consistent": not res.lp.solution.validate(),
+        **res.guarantees(),
+    }
     if inst.n <= _budget(args):
         _, phi = exact_sparsest_cut(inst, bound=_budget(args))
-        checks["lp_below_oracle"] = rs.ratio <= phi.ratio
-        checks["cut_within_2opt"] = sp.ratio <= 2 * phi.ratio
+        checks["lp_below_oracle"] = res.lp.ratio <= phi.ratio
+        checks["cut_within_2opt"] = res.sparsity.ratio <= 2 * phi.ratio
     ok = all(checks.values())
     payload = {"ok": ok, **{k: bool(v) for k, v in checks.items()}}
     _emit(args, payload, [f"{k:28} {'pass' if v else 'FAIL'}" for k, v in checks.items()])

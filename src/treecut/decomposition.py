@@ -563,14 +563,20 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
                     raise InputError(f"line {lineno}: vertex ids run 1..{instance.n}: {raw!r}")
                 bags[int(parts[1]) - 1] = frozenset(instance.vertices[i - 1] for i in ids)
             else:
-                edges.append((int(parts[0]) - 1, int(parts[1]) - 1))
+                if len(parts) != 2:
+                    raise InputError(f"line {lineno}: a tree edge names two bags: {raw!r}")
+                edges.append((lineno, raw, int(parts[0]) - 1, int(parts[1]) - 1))
         except (IndexError, ValueError) as exc:
             raise InputError(f"line {lineno}: {raw!r}") from exc
     if header is None:
         raise InputError("missing `s td ...` header")
     nb = header[0]
+    for lineno, raw, i, j in edges:
+        if not (0 <= i < nb and 0 <= j < nb):
+            raise InputError(f"line {lineno}: bag ids run 1..{nb}: {raw!r}")
     if set(bags) != set(range(nb)):
         raise InputError(f"expected bags 1..{nb}")
     if not 0 <= root < nb:
         raise InputError(f"root bag {root + 1} is not among bags 1..{nb}")
-    return TreeDecomposition.build([bags[i] for i in range(nb)], edges, root=root)
+    return TreeDecomposition.build([bags[i] for i in range(nb)],
+                                   [(i, j) for _, _, i, j in edges], root=root)

@@ -336,14 +336,19 @@ class UlcInstance:
     cliques: Optional[tuple] = None
 
     def __post_init__(self):
-        if self.d < 1:
-            raise InputError(f"label count must be at least 1, got {self.d}")
+        if type(self.d) is not int or self.d < 1:
+            raise InputError(f"label count must be an integer of at least 1, got {self.d!r}")
         vs = set(self.vertices)
         for u, v, sigma in self.edges:
             if u not in vs or v not in vs or u == v:
                 raise InputError(f"bad ULC edge ({u},{v})")
             if sorted(sigma) != list(range(self.d)):
                 raise InputError(f"constraint on ({u},{v}) is not a permutation")
+        for clique in self.cliques or ():
+            for i in clique:
+                if type(i) is not int or not 0 <= i < len(self.edges):
+                    raise InputError(f"clique entry {i!r} is not an edge index "
+                                     f"0..{len(self.edges) - 1}")
 
     def sigma(self, u, v, index: int) -> tuple:
         eu, ev, s = self.edges[index]

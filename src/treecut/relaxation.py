@@ -510,6 +510,15 @@ class RatioSearchResult:
     trace: list
 
 
+def _certified(res: simplex.LpResult, what: str) -> simplex.LpResult:
+    """res, once it is optimal with an exact duality gap of 0."""
+    if not res.optimal:
+        raise InvariantError(f"{what} solve failed: {res.status}")
+    if res.duality_gap != 0:
+        raise InvariantError(f"{what} solve has duality gap {res.duality_gap}")
+    return res
+
+
 def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
                  max_iterations: int = 60, set_cap: int = DEFAULT_SET_CAP,
                  variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> RatioSearchResult:
@@ -518,19 +527,16 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
     Dinkelbach's exact parametric iteration: lambda <- cap(y)/dem(y) on the
     objective cap - lambda*dem, warm-restarting the tableau.  Each iterate
     is a strictly better vertex, so the search ends, exactly, when that
-    objective's minimum reaches 0.
+    objective's minimum reaches 0.  Every solve must end optimal with an
+    exact duality gap of 0, or InvariantError is raised.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
     built = build_sparsestcut_lp(instance, dec, 0, set_cap, variable_budget,
                                  include_demand_constraint=False)
     solver = simplex.Simplex(built.program)
-    base = solver.solve()
-    if not base.optimal:
-        raise InvariantError(f"feasibility solve failed: {base.status}")
-    res = solver.reoptimize(dict(built.dem_expr), sense="max")
-    if not res.optimal:
-        raise InvariantError(f"max-demand solve failed: {res.status}")
+    _certified(solver.solve(), "feasibility")
+    res = _certified(solver.reoptimize(dict(built.dem_expr), sense="max"), "max-demand")
 
     def values_of(res):
         cap = sum((c * res.values[k] for k, c in built.cap_expr.items()), Fraction(0))
@@ -547,9 +553,7 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
         obj = dict(built.cap_expr)
         for k, c in built.dem_expr.items():
             obj[k] = obj.get(k, Fraction(0)) - lam * c
-        res = solver.reoptimize(obj, sense="min")
-        if not res.optimal:
-            raise InvariantError(f"dinkelbach solve failed: {res.status}")
+        res = _certified(solver.reoptimize(obj, sense="min"), "dinkelbach")
         if res.objective == 0:
             sol = built.solution_from(best[0])
             return RatioSearchResult(best[2], sol, best[1], lam, it + 1, trace)

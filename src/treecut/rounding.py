@@ -37,6 +37,41 @@ def _ancestor_path(dec: TreeDecomposition, a: int) -> list:
     return path
 
 
+def _remap(mask: int, from_elems, to_elems) -> int:
+    """mask over from_elems re-indexed onto to_elems; an element of
+    to_elems missing from from_elems gets a 0 bit."""
+    at = {v: i for i, v in enumerate(from_elems)}
+    m = 0
+    for i, v in enumerate(to_elems):
+        if v in at and (mask >> at[v]) & 1:
+            m |= 1 << i
+    return m
+
+
+def _members(elems, mask: int) -> frozenset:
+    return frozenset(v for bit, v in enumerate(elems) if (mask >> bit) & 1)
+
+
+def _extensions(elems, table, sub_elems, sub_mask: int):
+    """(mask, weight) for each positive-weight assignment of elems that
+    agrees with sub_mask on sub_elems, a subset of elems.
+
+    Free bits are enumerated in increasing order, so every caller sees the
+    same order and the exact tie-breaks that depend on it.
+    """
+    fixed = _remap(sub_mask, sub_elems, elems)
+    inside = set(sub_elems)
+    free = [i for i, v in enumerate(elems) if v not in inside]
+    for fm in range(1 << len(free)):
+        m = fixed
+        for bit, p in enumerate(free):
+            if (fm >> bit) & 1:
+                m |= 1 << p
+        w = table[m]
+        if w > 0:
+            yield m, w
+
+
 class PropagationSampler:
     """Draws cuts from the propagation distribution of an LP solution."""
 
@@ -58,26 +93,11 @@ class PropagationSampler:
             return cached
         elems, table = self._blocks[a]
         b = self.parent[a]
-        if b is None:
-            fixed, free = 0, list(range(len(elems)))
-        else:
-            pelems, _ = self._blocks[b]
-            ppos = {v: elems.index(v) for v in pelems}
-            fixed = 0
-            for bit, v in enumerate(pelems):
-                if (parent_mask_bits[0] >> bit) & 1:
-                    fixed |= 1 << ppos[v]
-            free = [i for i, v in enumerate(elems) if v not in ppos]
+        pelems = self._blocks[b][0] if b is not None else ()
         masks, weights = [], []
-        for fm in range(1 << len(free)):
-            m = fixed
-            for bit, p in enumerate(free):
-                if (fm >> bit) & 1:
-                    m |= 1 << p
-            w = table[m]
-            if w > 0:
-                masks.append(m)
-                weights.append(float(w))
+        for m, w in _extensions(elems, table, pelems, parent_mask_bits[0]):
+            masks.append(m)
+            weights.append(float(w))
         if not masks:
             raise InvariantError("conditioning event has probability zero")
         total = sum(weights)
@@ -106,13 +126,8 @@ class PropagationSampler:
 
     def sample(self, rng: random.Random) -> frozenset:
         chosen = self.sample_masks(rng)
-        side = set()
-        for a, mask in chosen.items():
-            elems, _ = self._blocks[a]
-            for bit, v in enumerate(elems):
-                if (mask >> bit) & 1:
-                    side.add(v)
-        return frozenset(side)
+        return frozenset().union(*(_members(self._blocks[a][0], mask)
+                                   for a, mask in chosen.items()))
 
 
 @dataclass(frozen=True)
@@ -139,14 +154,8 @@ def sample_state(solution: SaSolution, dec: TreeDecomposition, seed: int = 0) ->
     """One full propagation walk with its per-bag assignments kept."""
     sampler = PropagationSampler(solution, dec)
     masks = sampler.sample_masks(random.Random(seed))
-    assignments = {}
-    side = set()
-    for a, mask in masks.items():
-        elems, _ = sampler._blocks[a]
-        chosen = frozenset(v for bit, v in enumerate(elems) if (mask >> bit) & 1)
-        assignments[a] = chosen
-        side |= chosen
-    return RoundingState(assignments, Cut(frozenset(side)), seed)
+    assignments = {a: _members(sampler._blocks[a][0], mask) for a, mask in masks.items()}
+    return RoundingState(assignments, Cut(frozenset().union(*assignments.values())), seed)
 
 
 def sample_cut(solution: SaSolution, dec: TreeDecomposition, seed: int = 0) -> Cut:
@@ -171,7 +180,6 @@ class DerandPotential:
 class _Derandomizer:
     def __init__(self, instance: SparsestCutInstance, solution: SaSolution,
                  dec: TreeDecomposition, alpha: Fraction, lp_star: Fraction):
-        self.inst = instance
         self.sol = solution
         self.dec = dec
         self.unions = root_path_unions(dec)
@@ -183,7 +191,6 @@ class _Derandomizer:
             self.pairs.append((u, v, Fraction(w) / lp_star))
         for u, v, w in instance.demand_edges:
             self.pairs.append((u, v, Fraction(-2) * Fraction(w) / alpha))
-        self.labels: dict = {}  # bag -> chosen mask over its union tuple
         self._psep_memo: dict = {}
 
     # -- helpers ----------------------------------------------------------
@@ -212,20 +219,32 @@ class _Derandomizer:
 
     def _prob_in(self, v, ell: int, ell_mask: int) -> Fraction:
         """P[v in A | assignment of V_ell], via the chain block at b(v)."""
-        bv = self.least[v]
-        ell_elems = self._union_elems(ell)
-        at = {e: i for i, e in enumerate(ell_elems)}
         target = self.unions[ell].union_set | {v}
-        q_elems, agg = self.sol.aggregate(self.unions[bv].union_set, target)
+        q_elems, agg = self.sol.aggregate(self.unions[self.least[v]].union_set, target)
         vbit = 1 << q_elems.index(v)
-        m = 0
-        for i, e in enumerate(q_elems):
-            if e != v and (ell_mask >> at[e]) & 1:
-                m |= 1 << i
+        m = _remap(ell_mask, self._union_elems(ell), q_elems) & ~vbit
         denom = agg[m] + agg[m | vbit]
         if denom == 0:
             raise InvariantError("conditioning event has probability zero")
         return agg[m | vbit] / denom
+
+    def _psep_joint(self, u, v, deep: int, ell: int, ell_mask: int) -> Fraction:
+        """P[u, v separated | assignment of V_ell], u and v on deep's root path."""
+        target = self.unions[ell].union_set | {u, v}
+        q_elems, agg = self.sol.aggregate(self.unions[deep].union_set, target)
+        ubit, vbit = 1 << q_elems.index(u), 1 << q_elems.index(v)
+        m = _remap(ell_mask, self._union_elems(ell), q_elems) & ~(ubit | vbit)
+        denom = agg[m] + agg[m | ubit] + agg[m | vbit] + agg[m | ubit | vbit]
+        if denom == 0:
+            raise InvariantError("conditioning event has probability zero")
+        return (agg[m | ubit] + agg[m | vbit]) / denom
+
+    def _cached(self, fn, *args) -> Fraction:
+        key = (fn.__name__, *args)
+        hit = self._psep_memo.get(key)
+        if hit is None:
+            hit = self._psep_memo[key] = fn(*args)
+        return hit
 
     # -- separation probabilities ------------------------------------------
 
@@ -239,37 +258,14 @@ class _Derandomizer:
             return Fraction(1) if au != av else Fraction(0)
         if lab_u or lab_v:
             if lab_v:
-                u, v, bu, bv = v, u, bv, bu
-            ell = self._lowest_labeled(bv, labels)
-            key = ("one", v, ell, labels[ell])
-            hit = self._psep_memo.get(key)
-            if hit is None:
-                hit = (self._prob_in(v, ell, labels[ell]),)
-                self._psep_memo[key] = hit
-            p = hit[0]
+                u, v = v, u
+            p = self._prob_memo(v, labels)
             return (1 - p) if self._vertex_value(u, labels) else p
         # both unlabeled
         if self._on_common_path(bu, bv):
             deep = bv if len(self.paths[bv]) >= len(self.paths[bu]) else bu
             ell = self._lowest_labeled(deep, labels)
-            key = ("joint", u, v, ell, labels[ell])
-            hit = self._psep_memo.get(key)
-            if hit is None:
-                ell_elems = self._union_elems(ell)
-                at = {e: i for i, e in enumerate(ell_elems)}
-                target = self.unions[ell].union_set | {u, v}
-                q_elems, agg = self.sol.aggregate(self.unions[deep].union_set, target)
-                ubit, vbit = 1 << q_elems.index(u), 1 << q_elems.index(v)
-                m = 0
-                for i, e in enumerate(q_elems):
-                    if e != u and e != v and (labels[ell] >> at[e]) & 1:
-                        m |= 1 << i
-                denom = agg[m] + agg[m | ubit] + agg[m | vbit] + agg[m | ubit | vbit]
-                if denom == 0:
-                    raise InvariantError("conditioning event has probability zero")
-                hit = ((agg[m | ubit] + agg[m | vbit]) / denom,)
-                self._psep_memo[key] = hit
-            return hit[0]
+            return self._cached(self._psep_joint, u, v, deep, ell, labels[ell])
         anc = self._lca(bu, bv)
         if anc in labels:
             pu = self._prob_memo(u, labels)
@@ -277,33 +273,13 @@ class _Derandomizer:
             return pu * (1 - pv) + (1 - pu) * pv
         # lca unlabeled: condition on the full assignment of V_anc
         ell = self._lowest_labeled(anc, labels)
-        key = ("lca", u, v, anc, ell, labels[ell])
-        hit = self._psep_memo.get(key)
-        if hit is None:
-            hit = (self._psep_via_lca(u, v, anc, ell, labels[ell]),)
-            self._psep_memo[key] = hit
-        return hit[0]
+        return self._cached(self._psep_via_lca, u, v, anc, ell, labels[ell])
 
     def _psep_via_lca(self, u, v, anc: int, ell: int, ell_mask: int) -> Fraction:
         a_elems, a_table = self.sol.block_table(self.unions[anc].union_set)
-        ell_elems = self._union_elems(ell)
-        apos = {e: i for i, e in enumerate(a_elems)}
-        fixed = 0
-        for bit, e in enumerate(ell_elems):
-            if (ell_mask >> bit) & 1:
-                fixed |= 1 << apos[e]
-        inside = sum(1 << apos[e] for e in ell_elems)
-        free = [i for i in range(len(a_elems)) if not (inside >> i) & 1]
         total = Fraction(0)
         acc = Fraction(0)
-        for fm in range(1 << len(free)):
-            m = fixed
-            for bit, p in enumerate(free):
-                if (fm >> bit) & 1:
-                    m |= 1 << p
-            w = a_table[m]
-            if w == 0:
-                continue
+        for m, w in _extensions(a_elems, a_table, self._union_elems(ell), ell_mask):
             total += w
             pu = self._prob_in(u, anc, m)
             pv = self._prob_in(v, anc, m)
@@ -314,12 +290,7 @@ class _Derandomizer:
 
     def _prob_memo(self, v, labels: dict) -> Fraction:
         ell = self._lowest_labeled(self.least[v], labels)
-        key = ("in", v, ell, labels[ell])
-        hit = self._psep_memo.get(key)
-        if hit is None:
-            hit = (self._prob_in(v, ell, labels[ell]),)
-            self._psep_memo[key] = hit
-        return hit[0]
+        return self._cached(self._prob_in, v, ell, labels[ell])
 
     def _on_common_path(self, bu: int, bv: int) -> bool:
         pa, pb = self.paths[bu], self.paths[bv]
@@ -339,30 +310,15 @@ class _Derandomizer:
     def run(self):
         trace = []
         labels: dict = {}
-        unconditional = None
         for a in self.order:
             elems, table = self.sol.block_table(self.unions[a].union_set)
             parent = self.dec.parents[a]
-            if parent is None:
-                fixed, free = 0, list(range(len(elems)))
-            else:
-                pelems = self._union_elems(parent)
-                pmask = labels[parent]
-                fixed = self._expand(pelems, pmask, elems)
-                inside = {v for v in pelems}
-                free = [i for i, v in enumerate(elems) if v not in inside]
+            pelems = self._union_elems(parent) if parent is not None else ()
             best_mask = None
             best_val = None
             weighted = Fraction(0)
             weight_total = Fraction(0)
-            for fm in range(1 << len(free)):
-                m = fixed
-                for bit, p in enumerate(free):
-                    if (fm >> bit) & 1:
-                        m |= 1 << p
-                w = table[m]
-                if w == 0:
-                    continue
+            for m, w in _extensions(elems, table, pelems, labels.get(parent, 0)):
                 trial = dict(labels)
                 trial[a] = m
                 val = self.expected_w(trial)
@@ -372,26 +328,13 @@ class _Derandomizer:
                     best_val, best_mask = val, m
             if best_mask is None:
                 raise InvariantError("no extension with positive probability")
-            if parent is None and unconditional is None:
-                unconditional = weighted / weight_total
-                trace.append(unconditional)
+            if parent is None:
+                trace.append(weighted / weight_total)
             labels[a] = best_mask
             trace.append(best_val)
-        side = set()
-        for a, mask in labels.items():
-            elems = self._union_elems(a)
-            for bit, v in enumerate(elems):
-                if (mask >> bit) & 1:
-                    side.add(v)
-        return Cut(frozenset(side)), trace
-
-    def _expand(self, from_elems, mask: int, to_elems) -> int:
-        at = {v: i for i, v in enumerate(from_elems)}
-        m = 0
-        for i, v in enumerate(to_elems):
-            if v in at and (mask >> at[v]) & 1:
-                m |= 1 << i
-        return m
+        side = frozenset().union(*(_members(self._union_elems(a), mask)
+                                   for a, mask in labels.items()))
+        return Cut(side), trace
 
 
 def derandomize(instance: SparsestCutInstance, solution: SaSolution,

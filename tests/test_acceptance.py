@@ -26,7 +26,8 @@ from treecut.lift import (gap_experiment, lift_distribution, lifted_value,
                           make_lift_context)
 from treecut.oracle import audit_cuts, exact_maxcut, exact_sparsest_cut
 from treecut.relaxation import ratio_search
-from treecut.rounding import PropagationSampler, derandomize, embed_l1
+from treecut.pipeline import solve
+from treecut.rounding import PropagationSampler, embed_l1
 from treecut import simplex
 
 
@@ -47,14 +48,11 @@ def corpus_results():
     t0 = time.monotonic()
     results = []
     for inst in acceptance_corpus(seed=0, count=100):
-        dec = balance(exact_decomposition(inst))
-        rs = ratio_search(inst, dec)
-        cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
-        sparsity = evaluate_cut(inst, cut).ratio
+        res = solve(inst)
         _, phi = exact_sparsest_cut(inst)
         results.append({
-            "instance": inst, "ratio": rs.ratio, "alpha": rs.alpha,
-            "sparsity": sparsity, "phi": phi.ratio, "trace": pot.trace,
+            "instance": inst, "ratio": res.lp.ratio, "alpha": res.lp.alpha,
+            "sparsity": res.sparsity.ratio, "phi": phi.ratio, "trace": res.potential.trace,
         })
     return {"elapsed": time.monotonic() - t0, "runs": results}
 
@@ -441,10 +439,8 @@ def test_pipeline_on_powered_fractal():
     base, dec0 = building_block(MaxCutInstance.complete(3), include_st_demand=False)
     powered = power(base, 2, dec0)
     inst = powered.instance
-    dec = balance(powered.decomposition)
-    rs = ratio_search(inst, dec)
-    cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
-    sparsity = evaluate_cut(inst, cut).ratio
+    res = solve(inst, powered.decomposition)
+    rs, pot, sparsity = res.lp, res.potential, res.sparsity.ratio
     _, phi = exact_sparsest_cut(inst)
     ok = (rs.solution.validate() == [] and sparsity <= 2 * rs.ratio
           and rs.ratio <= phi.ratio and pot.trace[-1] <= 0)

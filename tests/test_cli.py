@@ -156,9 +156,32 @@ def test_round_subcommand(tmp_path, capsys):
     assert payload["cut_sparsity"] is not None
 
 
+def _triangle_ulc_json(d=2, cliques=([0], [1], [2])):
+    edges = [[1, 2, [0, 1]], [2, 3, [0, 1]], [1, 3, [0, 1]]]
+    return json.dumps({"vertices": [1, 2, 3], "d": d, "edges": edges,
+                       "cliques": list(cliques)})
+
+
+# A valid two-bag decomposition of the K_3 block has the tree-edge line "1 2".
+TWO_BAG_TD = "s td 2 4 5\nb 1 1 2 3 4\nb 2 1 2 5\n{}\n"
+BAD_FILES = {
+    "edge_out_of_range.td": TWO_BAG_TD.format("1 3"),
+    "edge_negative.td": TWO_BAG_TD.format("1 -5"),
+    "edge_zero.td": TWO_BAG_TD.format("1 0"),
+    "edge_three_ids.td": TWO_BAG_TD.format("1 2 3"),
+    "clique_out_of_range.json": _triangle_ulc_json(cliques=([0], [1], [5])),
+    "clique_negative.json": _triangle_ulc_json(cliques=([0], [1], [-1])),
+    "clique_string.json": _triangle_ulc_json(cliques=([0], [1], ["2"])),
+    "clique_float.json": _triangle_ulc_json(cliques=([0], [1], [2.0])),
+    "clique_bool.json": _triangle_ulc_json(cliques=([0], [True], [2])),
+    "fractional_d.json": _triangle_ulc_json(d=2.7),
+}
+
 # Each case exits 2 (input error) without a traceback: an unwritable
-# output path, a malformed rational, too few SA rounds, a `.td` bag member
-# or root bag outside the 1-based range, and the removed LP-mode flags.
+# output path, a malformed rational, too few SA rounds, a `.td` bag member,
+# tree edge or root bag outside the 1-based range, a ULC clique entry that
+# is not an edge index, a fractional label count, and the removed LP-mode
+# flags.
 BAD_INPUTS = {
     "unwritable_output": ["solve", "{inst}", "-o", "{tmp}/missing/x.json"],
     "bad_alpha": ["gen", "gadget", "--alpha", "abc"],
@@ -173,6 +196,10 @@ BAD_INPUTS = {
     "random_ulc_gadget_zero_labels": ["gen", "gadget", "--random-ulc", "--labels", "0",
                                       "-o", "{tmp}/g.ssc"],
     "ulc_zero_labels": ["gen", "ulc", "--labels", "0", "-o", "{tmp}/u.json"],
+    **{f"td_{name[:-3]}": ["solve", "{inst}", "--decomposition", "{tmp}/" + name]
+       for name in BAD_FILES if name.endswith(".td")},
+    **{f"ulc_{name[:-5]}": ["gen", "gadget", "--ulc", "{tmp}/" + name, "-o", "{tmp}/g.ssc"]
+       for name in BAD_FILES if name.endswith(".json")},
 }
 
 
@@ -184,6 +211,8 @@ def test_bad_input_exits_2_without_traceback(case, tmp_path, capsys):
     td = "s td 3 3 5\nb 1 1 2 {}\nb 2 1 2 4\nb 3 1 2 3\n1 2\n1 3\n"
     (tmp_path / "ok.td").write_text(td.format(5))
     (tmp_path / "zero.td").write_text(td.format(0))
+    for name, text in BAD_FILES.items():
+        (tmp_path / name).write_text(text)
     argv = [a.format(inst=inst, tmp=tmp_path) for a in BAD_INPUTS[case]]
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.dirname(__file__), "..", "src")}
     res = subprocess.run([sys.executable, "-m", "treecut.cli", *argv],

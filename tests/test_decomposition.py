@@ -7,7 +7,7 @@ from treecut.decomposition import (TreeDecomposition, balance, depth_bound,
                                    exact_decomposition, format_decomposition,
                                    parse_decomposition, root_path_unions,
                                    treewidth_by_search, validate)
-from treecut.errors import BudgetError
+from treecut.errors import BudgetError, InputError
 from treecut.instance import SparsestCutInstance
 
 
@@ -216,3 +216,11 @@ def test_exact_matches_search_oracle_at_ten():
     dec = exact_decomposition(inst)
     assert validate(inst, dec).ok
     assert dec.width == treewidth_by_search(inst, bound=10)
+
+
+@pytest.mark.parametrize("edge", ["1 3", "1 -5", "1 0", "1 2 3"])
+def test_bad_tree_edge_line_is_named(edge):
+    # two bags over the path 1-2-3; "1 0" once aliased the last bag
+    text = f"s td 2 2 3\nb 1 1 2\nb 2 2 3\n{edge}\n"
+    with pytest.raises(InputError, match="line 4"):
+        parse_decomposition(text, path_instance(3))

@@ -1,0 +1,95 @@
+"""treecut.pipeline.solve: the one production chain and its run-time checks."""
+
+from fractions import Fraction
+
+import pytest
+
+from treecut import pipeline, simplex
+from treecut.cli import main
+from treecut.decomposition import balance, exact_decomposition
+from treecut.errors import InvariantError
+from treecut.generators import MaxCutInstance, building_block
+from treecut.instance import Cut, evaluate_cut
+from treecut.relaxation import ratio_search
+from treecut.rounding import DerandPotential, derandomize
+
+
+def k3_block():
+    inst, _ = building_block(MaxCutInstance.complete(3), include_st_demand=True)
+    return inst
+
+
+def no_demand_cut(inst, solution, dec, alpha, lp_star):
+    _, pot = derandomize(inst, solution, dec, alpha, lp_star)
+    return Cut(frozenset()), pot
+
+
+def rising_trace(inst, solution, dec, alpha, lp_star):
+    cut, pot = derandomize(inst, solution, dec, alpha, lp_star)
+    trace = [pot.trace[0] - 1] + pot.trace  # one step up, still ending <= 0
+    return cut, DerandPotential(pot.lp_star, pot.alpha, trace)
+
+
+BROKEN = {
+    "no_demand_cut": (no_demand_cut, "sparsity_within_2lp"),
+    "rising_trace": (rising_trace, "potential_trace_monotone"),
+}
+
+
+def test_solve_matches_hand_chain_on_k3_block():
+    inst = k3_block()
+    dec = balance(exact_decomposition(inst))
+    rs = ratio_search(inst, dec)
+    cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
+    res = pipeline.solve(inst)
+    assert res.dec == dec
+    assert (res.lp.ratio, res.lp.alpha, res.lp.lp_value) == (rs.ratio, rs.alpha, rs.lp_value)
+    assert res.cut == cut
+    assert res.potential.trace == pot.trace
+    assert res.sparsity == evaluate_cut(inst, cut)
+    assert res.guarantees() == {"potential_trace_monotone": True,
+                                "final_potential_nonpositive": True,
+                                "sparsity_within_2lp": True}
+
+
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_solve_refuses_a_broken_guarantee(case, monkeypatch):
+    fake, failed = BROKEN[case]
+    monkeypatch.setattr(pipeline, "derandomize", fake)
+    with pytest.raises(InvariantError, match=failed):
+        pipeline.solve(k3_block())
+
+
+@pytest.mark.parametrize("command", ["solve", "round", "embed", "verify"])
+@pytest.mark.parametrize("case", sorted(BROKEN))
+def test_cli_exits_4_on_a_broken_guarantee(case, command, monkeypatch, tmp_path, capsys):
+    inst = tmp_path / "in.ssc"
+    assert main(["gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst)]) == 0
+    monkeypatch.setattr(pipeline, "derandomize", BROKEN[case][0])
+    code = main([command, str(inst), "--format", "json"])
+    out, err = capsys.readouterr()
+    assert code == 4
+    assert out == ""
+    assert "internal invariant violated" in err and "Traceback" not in err
+
+
+def test_ratio_search_refuses_a_nonzero_duality_gap(monkeypatch):
+    certificate = simplex.Simplex._certificate
+
+    def gap_of_one(self, primal_obj):
+        duals, _ = certificate(self, primal_obj)
+        return duals, Fraction(1)
+
+    monkeypatch.setattr(simplex.Simplex, "_certificate", gap_of_one)
+    inst = k3_block()
+    with pytest.raises(InvariantError, match="duality gap 1"):
+        ratio_search(inst, balance(exact_decomposition(inst)))
+
+
+def test_verify_dump_lp_matches_solve(tmp_path, capsys):
+    inst = tmp_path / "in.ssc"
+    assert main(["gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst)]) == 0
+    assert main(["solve", str(inst), "--dump-lp", str(tmp_path / "solve.lp")]) == 0
+    assert main(["verify", str(inst), "--dump-lp", str(tmp_path / "verify.lp")]) == 0
+    capsys.readouterr()
+    assert (tmp_path / "verify.lp").read_bytes() == (tmp_path / "solve.lp").read_bytes()
