@@ -530,7 +530,8 @@ def least_bags(dec: TreeDecomposition, vertices) -> dict:
 #   s td <numbags> <maxbagsize> <n>
 #   b <index> <v1> <v2> ...
 #   <i> <j>
-# Bag and vertex ids are 1-based.
+# Bag and vertex ids are 1-based.  The header comes once, each bag once,
+# and the header's <maxbagsize> and <n> must match the bags and instance.
 # ---------------------------------------------------------------------------
 
 def format_decomposition(dec: TreeDecomposition, instance: SparsestCutInstance) -> str:
@@ -556,12 +557,17 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
         parts = line.split()
         try:
             if parts[0] == "s":
+                if header is not None:
+                    raise InputError(f"line {lineno}: a second `s td` header: {raw!r}")
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "b":
                 ids = [int(p) for p in parts[2:]]
                 if any(not 1 <= i <= instance.n for i in ids):
                     raise InputError(f"line {lineno}: vertex ids run 1..{instance.n}: {raw!r}")
-                bags[int(parts[1]) - 1] = frozenset(instance.vertices[i - 1] for i in ids)
+                index = int(parts[1]) - 1
+                if index in bags:
+                    raise InputError(f"line {lineno}: bag {index + 1} is given twice: {raw!r}")
+                bags[index] = frozenset(instance.vertices[i - 1] for i in ids)
             else:
                 if len(parts) != 2:
                     raise InputError(f"line {lineno}: a tree edge names two bags: {raw!r}")
@@ -570,12 +576,18 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
             raise InputError(f"line {lineno}: {raw!r}") from exc
     if header is None:
         raise InputError("missing `s td ...` header")
-    nb = header[0]
+    nb, maxbag, n = header
+    if n != instance.n:
+        raise InputError(f"`s td` header gives {n} vertices; the instance has {instance.n}")
     for lineno, raw, i, j in edges:
         if not (0 <= i < nb and 0 <= j < nb):
             raise InputError(f"line {lineno}: bag ids run 1..{nb}: {raw!r}")
     if set(bags) != set(range(nb)):
         raise InputError(f"expected bags 1..{nb}")
+    largest = max((len(b) for b in bags.values()), default=0)
+    if maxbag != largest:
+        raise InputError(f"`s td` header gives largest bag size {maxbag}; "
+                         f"the largest bag has {largest}")
     if not 0 <= root < nb:
         raise InputError(f"root bag {root + 1} is not among bags 1..{nb}")
     return TreeDecomposition.build([bags[i] for i in range(nb)],

@@ -2,7 +2,13 @@
 
 A dense two-phase primal simplex runs on an integer tableau with a
 single running denominator (integer pivoting), so every intermediate
-quantity is exact and sign tests are integer sign tests.  Bland's rule
+quantity is exact and sign tests are integer sign tests.  The tableau is
+built from the program's sparse rows: only each row's nonzero
+coefficients are scaled and scattered into a zero integer row.  A pivot
+is a fraction-free (Bareiss) step with pivot entry p over running
+denominator d; a row with a zero in the pivot column is only rescaled by
+p/d, and that rescale is skipped when p == d, where it is the identity.
+On the pared sparsest-cut LPs d typically stays 1.  Bland's rule
 ("bland") guarantees termination; the default "auto" rule uses
 most-negative (Dantzig) pricing and falls back to Bland during
 degenerate stalls, which keeps pivot counts low on the highly degenerate
@@ -39,6 +45,14 @@ class LpResult:
         return self.status == "optimal"
 
 
+def _scatter(cols: dict, scale: int, width: int) -> list:
+    """An integer row of `width`: scale * cols[j] at each column j, 0 elsewhere."""
+    row = [0] * width
+    for j, c in cols.items():
+        row[j] = c.numerator * (scale // c.denominator)
+    return row
+
+
 class Simplex:
     """Two-phase primal simplex over a program's standardized rows.
 
@@ -64,22 +78,28 @@ class Simplex:
 
     # -- construction -----------------------------------------------------
 
+    def _columns(self, coeffs: dict, sign: int) -> dict:
+        """{tableau column: sign * coefficient} over the nonzero coefficients."""
+        cols = {}
+        for var, c in coeffs.items():
+            j = self.var_pos.get(var)
+            if j is None:
+                raise InputError(f"constraint references unknown variable {var!r}")
+            c = Fraction(c)
+            if c:
+                cols[j] = c if sign > 0 else -c
+        return cols
+
     def _build_tableau(self):
         nv = len(self.variables)
         rows = []
         for coeffs, sense, rhs in self.program.constraints:
-            vec = [Fraction(0)] * nv
-            for var, c in coeffs.items():
-                if var not in self.var_pos:
-                    raise InputError(f"constraint references unknown variable {var!r}")
-                vec[self.var_pos[var]] += Fraction(c)
             rhs = Fraction(rhs)
             sign = 1
             if rhs < 0:
-                vec = [-c for c in vec]
                 rhs, sign = -rhs, -1
                 sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            rows.append((vec, sense, rhs, sign))
+            rows.append((self._columns(coeffs, sign), sense, rhs, sign))
 
         self.n_slack = sum(1 for _, s, _, _ in rows if s in ("<=", ">="))
         self.n_art = sum(1 for _, s, _, _ in rows if s != "<=")
@@ -93,52 +113,40 @@ class Simplex:
         basis = []
         slack_at = nv
         art_at = nv + self.n_slack
+        prow = [0] * width  # phase-1 cost row: minimize the sum of artificials
         # per remaining row: (original constraint index, scale, sign, unit col, unit sign)
         self.row_meta = []
-        for orig, (vec, sense, rhs, sign) in enumerate(rows):
-            scale = lcm(rhs.denominator, *(c.denominator for c in vec)) if vec else rhs.denominator
-            irow = [int(c * scale) for c in vec]
-            irow += [0] * (self.n_slack + self.n_art)
-            irow.append(int(rhs * scale))
+        for orig, (cols, sense, rhs, sign) in enumerate(rows):
+            scale = lcm(rhs.denominator, *(c.denominator for c in cols.values()))
+            irow = _scatter(cols, scale, width)
+            irow[-1] = rhs.numerator * (scale // rhs.denominator)
             if sense == "<=":
                 irow[slack_at] = 1
                 basis.append(slack_at)
                 self.row_meta.append((orig, scale, sign, slack_at, 1))
                 slack_at += 1
-            elif sense == ">=":
-                irow[slack_at] = -1
-                unit = (slack_at, -1)
-                slack_at += 1
-                irow[art_at] = 1
-                basis.append(art_at)
-                self.art_cols.add(art_at)
-                self.row_meta.append((orig, scale, sign) + unit)
-                art_at += 1
             else:
+                if sense == ">=":
+                    irow[slack_at] = -1
+                    prow[slack_at] += 1
+                    self.row_meta.append((orig, scale, sign, slack_at, -1))
+                    slack_at += 1
+                else:
+                    self.row_meta.append((orig, scale, sign, art_at, 1))
                 irow[art_at] = 1
                 basis.append(art_at)
                 self.art_cols.add(art_at)
-                self.row_meta.append((orig, scale, sign, art_at, 1))
                 art_at += 1
+                for j in cols:
+                    prow[j] -= irow[j]
+                prow[-1] -= irow[-1]
             T.append(irow)
 
         # real cost row, scaled to integers
         self.obj_factor = -1 if self.program.sense == "max" else 1
-        cost = [Fraction(0)] * nv
-        for var, c in self.program.objective.items():
-            cost[self.var_pos[var]] += self.obj_factor * Fraction(c)
-        self.cost_scale = lcm(1, *(c.denominator for c in cost))
-        T.append([int(c * self.cost_scale) for c in cost] + [0] * (width - nv))
-
-        # phase-1 cost row: minimize the sum of artificials
-        prow = [0] * width
-        for i in range(m):
-            if basis[i] in self.art_cols:
-                row = T[i]
-                for j in range(width):
-                    prow[j] -= row[j]
-        for c in self.art_cols:
-            prow[c] = 0
+        cost = self._columns(self.program.objective, self.obj_factor)
+        self.cost_scale = lcm(1, *(c.denominator for c in cost.values()))
+        T.append(_scatter(cost, self.cost_scale, width))
         T.append(prow)
 
         self.T = T
@@ -163,7 +171,7 @@ class Simplex:
             f = row[c]
             if f:
                 T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-            else:
+            elif p != d:  # with p == d this rescale is the identity
                 T[i] = [(a * p) // d for a in row]
         self.den = p
         self.basis[r] = c
@@ -274,18 +282,15 @@ class Simplex:
         self.current_objective = dict(new_objective)
         sense = sense or self.program.sense
         self.obj_factor = -1 if sense == "max" else 1
-        cost = [Fraction(0)] * self.nv
-        for var, c in new_objective.items():
-            cost[self.var_pos[var]] += self.obj_factor * Fraction(c)
-        scale = lcm(1, *(c.denominator for c in cost))
+        cost = self._columns(new_objective, self.obj_factor)
+        scale = lcm(1, *(c.denominator for c in cost.values()))
         self.cost_scale = scale
-        crow = [int(c * scale) * self.den for c in cost] + [0] * (self.width - self.nv)
+        crow = _scatter(cost, scale * self.den, self.width)
         for i in range(self.m):
-            b = self.basis[i]
-            cb = int(cost[b] * scale) if b < self.nv else 0
-            if cb:
-                row = self.T[i]
-                crow = [a - cb * x for a, x in zip(crow, row)]
+            c = cost.get(self.basis[i])
+            if c:
+                cb = c.numerator * (scale // c.denominator)
+                crow = [a - cb * x for a, x in zip(crow, self.T[i])]
         self.T[self.m] = crow
         return self._result(self._run(self.m), objective_override=self.current_objective)
 

@@ -169,6 +169,10 @@ BAD_FILES = {
     "edge_negative.td": TWO_BAG_TD.format("1 -5"),
     "edge_zero.td": TWO_BAG_TD.format("1 0"),
     "edge_three_ids.td": TWO_BAG_TD.format("1 2 3"),
+    "bag_repeated.td": TWO_BAG_TD.format("b 2 1 2 5\n1 2"),
+    "header_repeated.td": "s td 2 4 5\n" + TWO_BAG_TD.format("1 2"),
+    "header_n_mismatch.td": TWO_BAG_TD.replace("s td 2 4 5", "s td 2 4 99").format("1 2"),
+    "header_maxbag_mismatch.td": TWO_BAG_TD.replace("s td 2 4 5", "s td 2 3 5").format("1 2"),
     "clique_out_of_range.json": _triangle_ulc_json(cliques=([0], [1], [5])),
     "clique_negative.json": _triangle_ulc_json(cliques=([0], [1], [-1])),
     "clique_string.json": _triangle_ulc_json(cliques=([0], [1], ["2"])),
@@ -179,9 +183,10 @@ BAD_FILES = {
 
 # Each case exits 2 (input error) without a traceback: an unwritable
 # output path, a malformed rational, too few SA rounds, a `.td` bag member,
-# tree edge or root bag outside the 1-based range, a ULC clique entry that
-# is not an edge index, a fractional label count, and the removed LP-mode
-# flags.
+# tree edge or root bag outside the 1-based range, a `.td` bag or header
+# given twice, a header whose largest-bag size or vertex count does not
+# match, a ULC clique entry that is not an edge index, a fractional label
+# count, and the removed LP-mode flags.
 BAD_INPUTS = {
     "unwritable_output": ["solve", "{inst}", "-o", "{tmp}/missing/x.json"],
     "bad_alpha": ["gen", "gadget", "--alpha", "abc"],

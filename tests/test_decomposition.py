@@ -224,3 +224,21 @@ def test_bad_tree_edge_line_is_named(edge):
     text = f"s td 2 2 3\nb 1 1 2\nb 2 2 3\n{edge}\n"
     with pytest.raises(InputError, match="line 4"):
         parse_decomposition(text, path_instance(3))
+
+
+@pytest.mark.parametrize("text, match", [
+    # a second bag 2 once silently replaced the first
+    pytest.param("s td 2 2 3\nb 1 1 2\nb 2 2 3\nb 2 1 3\n1 2\n",
+                 "line 4: bag 2 is given twice", id="bag"),
+    pytest.param("s td 2 2 3\nb 1 1 2\ns td 2 2 3\nb 2 2 3\n1 2\n",
+                 "line 3: a second `s td` header", id="header"),
+])
+def test_repeated_bag_or_header_line_is_named(text, match):
+    with pytest.raises(InputError, match=match):
+        parse_decomposition(text, path_instance(3))
+
+
+@pytest.mark.parametrize("header", ["s td 2 2 99", "s td 2 2 2", "s td 2 3 3", "s td 2 1 3"])
+def test_header_must_match_bags_and_instance(header):
+    with pytest.raises(InputError, match="`s td` header gives"):
+        parse_decomposition(f"{header}\nb 1 1 2\nb 2 2 3\n1 2\n", path_instance(3))

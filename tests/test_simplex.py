@@ -1,14 +1,17 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from treecut.decomposition import balance, exact_decomposition
 from treecut.errors import InputError
 from treecut.generators import MaxCutInstance
-from treecut.relaxation import LpProgram, build_maxcut_lp
+from treecut.relaxation import LpProgram, build_maxcut_lp, build_sparsestcut_lp
 from treecut.simplex import Simplex, solve
 
 from _reference_simplex import reference_solve
+from corpus import acceptance_corpus
 
 
 def lp(variables, constraints, objective, sense="min"):
@@ -155,3 +158,156 @@ def test_agrees_with_reference_on_random_lps(prog):
                 assert lhs >= Fraction(rhs)
             else:
                 assert lhs == Fraction(rhs)
+
+
+def dense_tableau(prog):
+    """(T, basis, row_meta, cost_scale) built the plain way, from dense Fraction rows."""
+    pos = {v: j for j, v in enumerate(prog.variables)}
+    nv = len(prog.variables)
+    rows = []
+    for coeffs, sense, rhs in prog.constraints:
+        vec = [Fraction(0)] * nv
+        for v, c in coeffs.items():
+            vec[pos[v]] += Fraction(c)
+        rhs, sign = Fraction(rhs), 1
+        if rhs < 0:
+            vec = [-c for c in vec]
+            rhs, sign = -rhs, -1
+            sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
+        rows.append((vec, sense, rhs, sign))
+    n_slack = sum(1 for _, s, _, _ in rows if s != "==")
+    n_art = sum(1 for _, s, _, _ in rows if s != "<=")
+    width = nv + n_slack + n_art + 1
+    T, basis, meta = [], [], []
+    slack_at, art_at = nv, nv + n_slack
+    for orig, (vec, sense, rhs, sign) in enumerate(rows):
+        scale = lcm(rhs.denominator, *(c.denominator for c in vec))
+        row = [int(c * scale) for c in vec] + [0] * (n_slack + n_art) + [int(rhs * scale)]
+        if sense != "==":
+            row[slack_at] = 1 if sense == "<=" else -1
+            unit = (slack_at, row[slack_at])
+            slack_at += 1
+        if sense == "<=":
+            basis.append(unit[0])
+        else:
+            row[art_at] = 1
+            basis.append(art_at)
+            if sense == "==":
+                unit = (art_at, 1)
+            art_at += 1
+        meta.append((orig, scale, sign) + unit)
+        T.append(row)
+    factor = -1 if prog.sense == "max" else 1
+    cost = [Fraction(0)] * nv
+    for v, c in prog.objective.items():
+        cost[pos[v]] += factor * Fraction(c)
+    cost_scale = lcm(1, *(c.denominator for c in cost))
+    T.append([int(c * cost_scale) for c in cost] + [0] * (width - nv))
+    art = range(nv + n_slack, width - 1)
+    phase1 = [0] * width
+    for i, b in enumerate(basis):
+        if b in art:
+            phase1 = [p - a for p, a in zip(phase1, T[i])]
+    for c in art:
+        phase1[c] = 0
+    T.append(phase1)
+    return T, basis, meta, cost_scale
+
+
+def assert_same_tableau(prog):
+    solver = Simplex(prog)
+    T, basis, meta, cost_scale = dense_tableau(prog)
+    assert solver.T == T
+    assert solver.basis == basis
+    assert solver.row_meta == solver.dual_meta == meta
+    assert solver.cost_scale == cost_scale
+    assert solver.den == 1
+
+
+@pytest.fixture(scope="module")
+def corpus_programs():
+    """(program, objective to reoptimize for, its sense) over production-shaped LPs.
+
+    The ratio search's program (no demand row) over the first 20 corpus
+    instances, re-solved for maximum separated demand as the search does,
+    plus the full Sherali-Adams MaxCut LP of C_5, whose running
+    denominator leaves 1.
+    """
+    out = []
+    for inst in acceptance_corpus(0, 20):
+        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)), 0,
+                                     include_demand_constraint=False)
+        out.append((built.program, dict(built.dem_expr), "max"))
+    sa = build_maxcut_lp(MaxCutInstance.named("c5"), 2)
+    weighted = {v: (k % 3 + 1) * Fraction(c) for k, (v, c) in enumerate(sa.objective.items())}
+    out.append((sa, weighted, "max"))
+    return out
+
+
+def test_tableau_matches_dense_construction(corpus_programs):
+    for prog, _, _ in corpus_programs:
+        assert_same_tableau(prog)
+    # the same instances with the demand row (a fractional ">=" right-hand side)
+    for inst in acceptance_corpus(0, 20):
+        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
+                                     inst.total_demand / 3)
+        assert_same_tableau(built.program)
+
+
+@given(random_lp())
+@settings(max_examples=60, deadline=None)
+def test_tableau_matches_dense_construction_on_random_lps(prog):
+    # negative right-hand sides, fractional rows and all three senses
+    assert_same_tableau(prog)
+
+
+def assert_certified(solver, res, prog, objective, sense):
+    """res is the reference optimum, with exact primal and dual witnesses."""
+    status, ref = reference_solve(prog.variables, prog.constraints, objective, sense)
+    assert res.status == status == "optimal"
+    assert res.objective == ref
+    values = res.values
+    assert all(x >= 0 for x in values.values())
+    assert sum(Fraction(c) * values[v] for v, c in objective.items()) == ref
+    for coeffs, s, rhs in prog.constraints:
+        lhs = sum(Fraction(c) * values[v] for v, c in coeffs.items())
+        assert {"<=": lhs <= rhs, ">=": lhs >= rhs, "==": lhs == rhs}[s]
+    # dual feasibility in the program's sense, then strong duality
+    flip = 1 if sense == "max" else -1
+    colsum = {v: Fraction(0) for v in prog.variables}
+    for (coeffs, s, rhs), y in zip(prog.constraints, res.duals):
+        assert {"<=": flip * y >= 0, ">=": flip * y <= 0, "==": True}[s]
+        for v, c in coeffs.items():
+            colsum[v] += Fraction(c) * y
+    for v in prog.variables:
+        assert flip * colsum[v] >= flip * Fraction(objective.get(v, 0))
+    assert res.duality_gap == 0
+    assert sum(y * Fraction(rhs) for (_, _, rhs), y in zip(prog.constraints, res.duals)) == ref
+    # integer pivoting keeps den times the identity in the basic columns
+    T, den = solver.T, solver.den
+    assert den > 0
+    for i, b in enumerate(solver.basis):
+        assert [T[k][b] for k in range(solver.m)] == [den if k == i else 0
+                                                      for k in range(solver.m)]
+        assert T[solver.m][b] == T[solver.m + 1][b] == 0
+
+
+def test_solve_and_reoptimize_match_reference(corpus_programs):
+    for prog, objective, sense in corpus_programs:
+        solver = Simplex(prog)
+        assert_certified(solver, solver.solve(), prog, prog.objective, prog.sense)
+        assert_certified(solver, solver.reoptimize(objective, sense=sense),
+                         prog, objective, sense)
+
+
+@given(random_lp(), st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       st.sampled_from(["min", "max"]))
+@settings(max_examples=60, deadline=None)
+def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
+    # fractional rows move the running denominator off 1 before the swap
+    solver = Simplex(prog)
+    if not solver.solve().optimal:
+        return
+    objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
+    # every variable is bounded, so a feasible program stays optimal
+    assert_certified(solver, solver.reoptimize(objective, sense=sense), prog, objective, sense)
