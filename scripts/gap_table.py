@@ -1,8 +1,10 @@
 #!/usr/bin/env python3
 """Gap experiments over small bases: lifted LP value vs the exact optimum.
 
-Writes one CSV row per (base, rounds, levels) configuration.  Bases whose
-powered instance stays enumerable get an exact sparsest-cut column.
+Writes one CSV row per (base, rounds, levels) configuration.  Powered
+instances of at most 24 vertices get an exact sparsest-cut column from the
+elimination oracle (phi_source "oracle"); larger ones report the formula
+bound.
 """
 
 import os

@@ -15,7 +15,8 @@ from .relaxation import (LpProgram, SaSolution, SetFamily, build_full_sa,
 from .simplex import LpResult, Simplex, solve
 from .rounding import (DerandPotential, Embedding, RoundingState, derandomize,
                        embed_l1, sample_cut, sample_state)
-from .oracle import CutAudit, audit_cuts, exact_maxcut, exact_sparsest_cut
+from .oracle import (CutAudit, audit_cuts, exact_maxcut, exact_sparsest_cut,
+                     sparsest_cut_by_elimination)
 from .generators import (BipartiteUlc, MaxCutInstance, PoweredInstance, UlcInstance,
                          UgGadget, bipartite_to_cliques, building_block,
                          clique_product_maxcut_bound, dictator_cut, lift_cut,

@@ -20,7 +20,7 @@ from typing import Optional
 from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
-from .oracle import exact_maxcut, exact_sparsest_cut
+from .oracle import exact_maxcut, sparsest_cut_by_elimination
 from .relaxation import SaSolution, SetFamily, build_maxcut_lp, full_solution_from, full_family
 from . import simplex
 
@@ -40,6 +40,9 @@ class LiftContext:
     powered: PoweredInstance
     base_value: Fraction  # total y over the base edges (c*m)
     _memo: dict = field(default_factory=dict, repr=False)
+    # one shared object per distinct selection set and probability across
+    # the memoised distributions, which keeps the memo's memory down
+    _share: dict = field(default_factory=dict, repr=False)
 
     @property
     def block(self) -> SparsestCutInstance:
@@ -191,6 +194,10 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
                 result = _convolve(result, part)
             for sel, q in result.items():
                 out[sel] = out.get(sel, Fraction(0)) + weight * q
+    # probabilities are shared by (numerator, denominator): hashing a
+    # Fraction itself costs a modular inverse per call
+    intern = ctx._share.setdefault
+    out = {intern(k, k): intern((p.numerator, p.denominator), p) for k, p in out.items()}
     ctx._memo[memo_key] = out
     return out
 
@@ -295,7 +302,8 @@ def gap_experiment(H: MaxCutInstance, rounds: int, levels: int,
     The lifted route (exact DP demand value over the oracle soundness
     bound) and the closed-form route (levels*c over the same bound) are
     computed independently; they agree exactly when the lift's value
-    bookkeeping is right.
+    bookkeeping is right.  Powered instances of at most `enumerate_bound`
+    vertices also get their exact optimum phi from the elimination oracle.
     """
     ctx = make_lift_context(H, rounds, levels)
     _, mc = exact_maxcut(H)
@@ -307,7 +315,7 @@ def gap_experiment(H: MaxCutInstance, rounds: int, levels: int,
     phi_source = "formula-bound"
     bound = 1 / (1 + (levels - 1) * s)
     if len(ctx.powered.instance.vertices) <= enumerate_bound:
-        _, sp = exact_sparsest_cut(ctx.powered.instance, bound=enumerate_bound)
+        _, sp = sparsest_cut_by_elimination(ctx.powered.instance)
         phi = sp.ratio
         phi_source = "oracle"
     gap_via_lift = lifted.demand_value / (1 + (levels - 1) * s)

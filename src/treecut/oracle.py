@@ -1,9 +1,18 @@
-"""Brute-force ground truth: exact sparsest cut, exact MaxCut, cut audits.
+"""Exact ground truth: sparsest cut, MaxCut, cut audits.
 
 Enumeration walks all 2^(n-1) cut classes (first vertex pinned) with a
 Gray code, updating cut capacity and demand incrementally as scaled
-integers.  This keeps the 23-vertex audits of the powered instances at
-desk scale.  No branch and bound: enumeration only.
+integers.  It backs the cut audits and `exact_sparsest_cut`, whose
+witness is the lexicographically smallest optimal side.
+
+`sparsest_cut_by_elimination` gets the optimal ratio without enumerating:
+Dinkelbach's iteration (Dinkelbach 1967) turns the ratio into a few
+problems min cap - lambda*dem, each a pairwise min-sum problem solved
+exactly by variable elimination (nonserial dynamic programming, Bertele
+and Brioschi 1972) in greedy min-degree order over the supply and demand
+pairs.  Its cost is exponential only in the elimination width, which
+stays small on the powered instances; scopes above MAX_ELIMINATION_SCOPE
+are refused.
 """
 
 from __future__ import annotations
@@ -13,19 +22,25 @@ from fractions import Fraction
 from math import lcm
 from typing import Optional
 
-from .errors import BudgetError, InputError
+from .errors import BudgetError, InputError, InvariantError
 from .instance import Cut, SparsestCutInstance, Sparsity, evaluate_cut
 
 DEFAULT_ENUM_BOUND = 26
+MAX_ELIMINATION_SCOPE = 16
+
+
+def _scaled_edges(instance, edges):
+    """(index u, index v, integer weight) triples; returns (triples, scale)."""
+    scale = lcm(*(w.denominator for _, _, w in edges)) if edges else 1
+    return [(instance.vertex_index(u), instance.vertex_index(v), int(w * scale))
+            for u, v, w in edges], scale
 
 
 def _scaled_incidence(instance, edges):
     """Per-vertex incidence lists with integer weights; returns (inc, scale)."""
-    scale = lcm(*(w.denominator for _, _, w in edges)) if edges else 1
+    scaled, scale = _scaled_edges(instance, edges)
     inc = [[] for _ in instance.vertices]
-    for u, v, w in edges:
-        iu, iv = instance.vertex_index(u), instance.vertex_index(v)
-        iw = int(w * scale)
+    for iu, iv, iw in scaled:
         inc[iu].append((iv, iw))
         inc[iv].append((iu, iw))
     return inc, scale
@@ -205,6 +220,118 @@ def exact_sparsest_cut(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_
     if audit.sparsest is None:
         raise InputError("no cut separates any demand")
     return audit.sparsest
+
+
+def _elimination_plan(n: int, pairs) -> tuple:
+    """Greedy min-degree elimination of vertices 1..n-1 (vertex 0 is pinned).
+
+    Returns the order as [(v, scope)], scope being v's uneliminated
+    neighbours when v goes, and per v its bucket: the factors (pairs, and
+    the tables left by eliminated vertices) whose first-eliminated
+    variable is v, each with the map from (v, *scope) masks into it.
+    """
+    adj = {v: set() for v in range(1, n)}
+    for u, v in pairs:
+        if u:
+            adj[u].add(v)
+            adj[v].add(u)
+    order = []
+    while adj:
+        v = min(adj, key=lambda u: (len(adj[u]), u))
+        scope = adj.pop(v)
+        if len(scope) > MAX_ELIMINATION_SCOPE:
+            raise BudgetError(f"variable elimination needs a scope of {len(scope)} "
+                              f"vertices, bound is {MAX_ELIMINATION_SCOPE}",
+                              limit=MAX_ELIMINATION_SCOPE, requested=len(scope))
+        for u in scope:
+            adj[u] |= scope
+            adj[u] -= {u, v}
+        order.append((v, tuple(sorted(scope))))
+    scopes = dict(order)
+    pos = {v: i for i, (v, _) in enumerate(order)}
+    buckets = {v: [] for v in scopes}
+
+    def place(key, fvars):
+        v = min(fvars, key=pos.__getitem__)
+        bits = [((v,) + scopes[v]).index(u) for u in fvars]
+        buckets[v].append((key, [sum(((m >> b) & 1) << i for i, b in enumerate(bits))
+                                 for m in range(2 << len(scopes[v]))]))
+
+    for u, v in pairs:
+        place((u, v), (u, v) if u else (v,))
+    for v, scope in order:
+        if scope:
+            place(v, scope)
+    return order, buckets
+
+
+def _eliminate(n: int, plan, pairs, p: int, q: int) -> tuple:
+    """min over sides x (x_0 = 0) of q*cap - p*dem summed over the pairs x
+    separates, by bucket elimination; returns (minimum, argmin x)."""
+    order, buckets = plan
+    tables = {}
+    for (u, v), (c, d) in pairs.items():
+        w = q * c - p * d
+        tables[u, v] = [0, w, w, 0] if u else [0, w]
+    total, argmin = 0, {}
+    for v, scope in order:
+        full = [0] * (2 << len(scope))
+        for key, index in buckets[v]:
+            table = tables.pop(key)
+            full = [a + table[i] for a, i in zip(full, index)]
+        low = [min(a, b) for a, b in zip(full[::2], full[1::2])]
+        argmin[v] = [int(b < a) for a, b in zip(full[::2], full[1::2])]
+        if scope:
+            tables[v] = low
+        else:
+            total += low[0]
+    x = [0] * n
+    for v, scope in reversed(order):
+        x[v] = argmin[v][sum(x[u] << j for j, u in enumerate(scope))]
+    return total, x
+
+
+def sparsest_cut_by_elimination(instance: SparsestCutInstance):
+    """Global sparsest cut by Dinkelbach's iteration over variable elimination.
+
+    From the ratio p/q of a cut that separates demand, each step minimizes
+    q*cap - p*dem exactly over all cuts and moves to the minimizer's
+    ratio, until the minimum is 0.  Cost is exponential only in the
+    elimination width.  The witness has no tie-break guarantee.
+    """
+    if instance.total_demand <= 0:
+        raise InputError("instance has zero total demand")
+    n = instance.n
+    pairs, scales = {}, []
+    for k, edges in enumerate((instance.supply_edges, instance.demand_edges)):
+        scaled, scale = _scaled_edges(instance, edges)
+        scales.append(scale)
+        for u, v, w in scaled:
+            pairs.setdefault((min(u, v), max(u, v)), [0, 0])[k] += w
+
+    def weights(y):
+        cut = [cd for (u, v), cd in pairs.items() if y[u] != y[v]]
+        return sum(c for c, _ in cut), sum(d for _, d in cut)
+
+    plan = _elimination_plan(n, pairs)
+    x = [0] * n
+    x[next(v for (_, v), (_, d) in pairs.items() if d)] = 1
+    lam = Fraction(*weights(x))
+    while True:
+        value, y = _eliminate(n, plan, pairs, lam.numerator, lam.denominator)
+        if value == 0:
+            break
+        cap, dem = weights(y)
+        if value > 0 or lam.denominator * cap - lam.numerator * dem != value:
+            raise InvariantError(f"elimination minimum {value} at ratio {lam} "
+                                 f"is not attained by its witness")
+        x, lam = y, Fraction(cap, dem)
+    cut = Cut(frozenset(instance.vertices[j] for j in range(n) if not x[j]))
+    sparsity = evaluate_cut(instance, cut)
+    ratio = lam * scales[1] / scales[0]  # back from scaled integer units
+    if sparsity.ratio != ratio:
+        raise InvariantError(f"elimination ratio {ratio} != witness ratio {sparsity.ratio}")
+    return cut, sparsity
 
 
 def audit_cuts(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND,

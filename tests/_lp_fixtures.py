@@ -1,0 +1,93 @@
+"""LP helpers only the tests use: the reader for `--dump-lp` text and a
+distortion-embedding feasibility system built on the full r-round LP."""
+
+from fractions import Fraction
+
+from treecut.errors import InputError
+from treecut.instance import as_weight
+from treecut.relaxation import (DEFAULT_VARIABLE_BUDGET, LpProgram, _pair_expression,
+                                _var, build_full_sa)
+
+
+def build_distortion_lp(vertices, metric: dict, distortion, scale,
+                        r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpProgram:
+    """Feasibility system for a distortion-D cut embedding of a metric:
+    the full r-round system plus scale*d <= y <= D*scale*d per pair."""
+    verts = list(vertices)
+    n = len(verts)
+    family, constraints = build_full_sa(n, r, budget)
+    relabel = {v: i + 1 for i, v in enumerate(verts)}
+    sidx = {s: i for i, s in enumerate(family.sets)}
+    D = as_weight(distortion)
+    C = as_weight(scale)
+    for (u, v), d in metric.items():
+        d = as_weight(d)
+        pi = sidx[family.canonical((relabel[u], relabel[v]))]
+        expr = _pair_expression(family, pi, relabel[u], relabel[v])
+        constraints.append((dict(expr), ">=", C * d))
+        constraints.append((dict(expr), "<=", D * C * d))
+    variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]
+    return LpProgram(variables, constraints, {}, sense="min",
+                     name=f"distortion_{distortion}").check()
+
+
+def parse_lp(text: str) -> LpProgram:
+    sense = "min"
+    objective: dict = {}
+    constraints = []
+    variables: dict = {}
+    section = None
+    body_lines = []
+    for raw in text.splitlines():
+        line = raw.strip()
+        if not line or line.startswith("\\"):
+            continue
+        low = line.lower()
+        if low in ("minimize", "maximize"):
+            sense = "min" if low == "minimize" else "max"
+            section = "obj"
+            continue
+        if low == "subject to":
+            section = "cons"
+            continue
+        if low in ("bounds", "end"):
+            section = None
+            continue
+        if section:
+            body_lines.append((section, line))
+
+    def parse_terms(s: str) -> dict:
+        toks = s.replace("+", " + ").replace("-", " - ").split()
+        out: dict = {}
+        sign, coeff = 1, None
+        for tok in toks:
+            if tok == "+":
+                sign, coeff = 1, None
+            elif tok == "-":
+                sign, coeff = -1, None
+            else:
+                try:
+                    c = Fraction(tok)
+                    coeff = c
+                except ValueError:
+                    c = coeff if coeff is not None else Fraction(1)
+                    out[tok] = out.get(tok, Fraction(0)) + sign * c
+                    variables[tok] = True
+                    sign, coeff = 1, None
+        return out
+
+    for section, line in body_lines:
+        if ":" in line:
+            line = line.split(":", 1)[1].strip()
+        if section == "obj":
+            objective.update(parse_terms(line))
+        else:
+            for op, sense_tok in (("<=", "<="), (">=", ">="), ("=", "==")):
+                if op in line:
+                    lhs, rhs = line.rsplit(op, 1)
+                    constraints.append((parse_terms(lhs), sense_tok, Fraction(rhs.strip())))
+                    break
+            else:
+                raise InputError(f"constraint without relation: {line!r}")
+    return LpProgram(list(variables), constraints, objective, sense=sense,
+                     name="parsed").check()

@@ -140,7 +140,7 @@ def test_dump_lp(tmp_path, capsys):
     code, _, _ = run(capsys, "solve", str(inst), "--dump-lp", str(lp),
                      "--format", "json")
     assert code == 0
-    from treecut.relaxation import parse_lp
+    from _lp_fixtures import parse_lp
     from treecut import simplex
     prog = parse_lp(lp.read_text())
     assert simplex.solve(prog).optimal

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from treecut.decomposition import (TreeDecomposition, balance, depth_bound,
                                    exact_decomposition, format_decomposition,
-                                   parse_decomposition, root_path_unions,
-                                   treewidth_by_search, validate)
+                                   parse_decomposition, root_path_unions, validate)
 from treecut.errors import BudgetError, InputError
 from treecut.instance import SparsestCutInstance
+
+from _reference_treewidth import treewidth_by_search
 
 
 def path_instance(n):

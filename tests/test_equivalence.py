@@ -15,11 +15,12 @@ from fractions import Fraction
 
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition, root_path_unions
 from treecut.instance import SparsestCutInstance
-from treecut.relaxation import (build_distortion_lp, build_sparsestcut_lp,
-                                full_family, full_solution_from, ratio_search,
-                                subset_from_mask, LpProgram, _var)
+from treecut.relaxation import (build_sparsestcut_lp, full_family, full_solution_from,
+                                ratio_search, subset_from_mask, LpProgram, _var)
 from treecut.rounding import _Derandomizer
 from treecut import simplex
+
+from _lp_fixtures import build_distortion_lp
 
 
 def literal_program(built, alpha):

@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from treecut.decomposition import balance
 from treecut.generators import MaxCutInstance
 from treecut.lift import (extend_set, gap_experiment, lift_distribution,
@@ -171,6 +173,15 @@ def test_gap_experiment_p3():
     assert rep.phi == Fraction(1, 2)
     assert rep.lifted.sparsity == Fraction(1, 2)
     assert rep.gap_via_lift == rep.gap_formula == 1
+
+
+# gap_table.py's other enumerable rows (p3 r=2 is pinned above)
+@pytest.mark.parametrize("name, rounds, phi", [("k3", 2, Fraction(3, 5)),
+                                               ("k3", 3, Fraction(3, 5))])
+def test_gap_experiment_enumerable_rows_phi(name, rounds, phi):
+    rep = gap_experiment(MaxCutInstance.named(name), rounds, 2, name=name)
+    assert rep.phi_source == "oracle"
+    assert rep.phi == phi
 
 
 def test_gap_experiment_level_one_reduces_to_base_gap():

@@ -1,12 +1,17 @@
+import random
 from dataclasses import dataclass
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecut.errors import BudgetError
+from treecut.errors import BudgetError, InputError
+from treecut.generators import MaxCutInstance, building_block, power
 from treecut.instance import Cut, SparsestCutInstance, evaluate_cut
-from treecut.oracle import audit_cuts, exact_maxcut, exact_sparsest_cut
+from treecut.oracle import (audit_cuts, exact_maxcut, exact_sparsest_cut,
+                            sparsest_cut_by_elimination)
+
+from corpus import acceptance_corpus, random_rational
 
 
 @dataclass
@@ -125,3 +130,56 @@ def test_audit_with_separating_override():
     assert audit.min_admissible_capacity[1] == 1  # cut {3} pays only edge (2,3)
     audit2 = audit_cuts(inst, separating=(1, 2))
     assert audit2.min_admissible_capacity[1] == 2
+
+
+# ---------------------------------------------------------------------------
+# The elimination oracle against enumeration.
+# ---------------------------------------------------------------------------
+
+def assert_elimination_matches_enumeration(inst):
+    _, want = exact_sparsest_cut(inst)
+    cut, got = sparsest_cut_by_elimination(inst)
+    assert got.ratio == want.ratio
+    assert evaluate_cut(inst, cut).ratio == want.ratio
+
+
+def test_elimination_matches_enumeration_on_corpus():
+    for inst in acceptance_corpus(0, 100):
+        assert_elimination_matches_enumeration(inst)
+
+
+def test_elimination_matches_enumeration_reweighted():
+    # same graphs and demand pairs, weights redrawn (zero weights included)
+    rng = random.Random(5)
+    for inst in acceptance_corpus(1, 50):
+        def redraw(edges):
+            return [(u, v, random_rational(rng) if rng.random() < 0.9 else 0)
+                    for u, v, _ in edges]
+        inst = SparsestCutInstance.build(inst.vertices, redraw(inst.supply_edges),
+                                         redraw(inst.demand_edges) + [(1, 2, 1)])
+        assert_elimination_matches_enumeration(inst)
+
+
+# The 23-vertex powered instances behind gap_table.py's enumerable rows
+# (k3 r=2 and r=3 share one instance: rounds only change the base LP).
+@pytest.mark.parametrize("name", ["p3", "k3"])
+def test_elimination_matches_enumeration_on_gap_instances(name):
+    block, dec = building_block(MaxCutInstance.named(name), include_st_demand=False)
+    inst = power(block, 2, dec).instance
+    assert inst.n == 23
+    assert_elimination_matches_enumeration(inst)
+
+
+def test_elimination_zero_demand_is_input_error():
+    inst = SparsestCutInstance.build([1, 2, 3], [(1, 2, 1), (2, 3, 1)], [(1, 3, 0)])
+    with pytest.raises(InputError):
+        sparsest_cut_by_elimination(inst)
+
+
+def test_elimination_refuses_wide_instances():
+    n = 20
+    inst = SparsestCutInstance.build(
+        range(1, n + 1), [(i, j, 1) for i in range(1, n + 1) for j in range(i + 1, n + 1)],
+        [(1, n, 1)])
+    with pytest.raises(BudgetError):
+        sparsest_cut_by_elimination(inst)

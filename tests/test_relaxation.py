@@ -10,11 +10,11 @@ from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
 from treecut.relaxation import (LpProgram, build_full_sa, build_maxcut_lp,
-                                build_sparsestcut_lp, build_distortion_lp,
-                                format_lp, full_family, full_solution_from,
-                                parse_lp, ratio_search, subset_from_mask, _var)
+                                build_sparsestcut_lp, format_lp, full_family,
+                                full_solution_from, ratio_search, subset_from_mask, _var)
 from treecut import simplex
 
+from _lp_fixtures import build_distortion_lp, parse_lp
 from _reference_simplex import reference_solve
 
 

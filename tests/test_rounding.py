@@ -10,10 +10,11 @@ from treecut.errors import InputError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, evaluate_cut
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import (build_distortion_lp, full_family, full_solution_from,
-                                ratio_search)
+from treecut.relaxation import full_family, full_solution_from, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
+
+from _lp_fixtures import build_distortion_lp
 
 
 def solved_block(H=None):
