@@ -15,21 +15,20 @@ import sys
 from fractions import Fraction
 
 from . import pipeline
-from .decomposition import (balance, exact_decomposition, format_decomposition,
-                            parse_decomposition, validate)
+from .decomposition import (DEFAULT_EXACT_BOUND, balance, exact_decomposition,
+                            format_decomposition, parse_decomposition, validate)
 from .errors import BudgetError, InputError, InvariantError, TreecutError
 from .generators import (MaxCutInstance, UlcInstance, building_block, power,
                          random_delta_nice_ulc, ug_gadget, ulc_to_json_dict)
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment, GapReport
-from .oracle import audit_cuts, exact_maxcut, sparsest_cut_by_elimination
+from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, exact_maxcut,
+                     sparsest_cut_by_elimination)
 from .relaxation import build_sparsestcut_lp, format_lp
 from .rounding import embed_l1, sample_cut
 
-DEFAULT_VERTEX_BUDGET = 26
 
-
-def _budget(args, default: int = DEFAULT_VERTEX_BUDGET) -> int:
+def _budget(args, default: int = DEFAULT_ENUM_BOUND) -> int:
     env = os.environ.get("TREECUT_BUDGET")
     if args.budget_vertices is not None:
         return args.budget_vertices
@@ -81,7 +80,7 @@ def _solve_pipeline(args):
         if not report.ok:
             raise InputError(f"supplied decomposition invalid: {report.message}")
     else:
-        dec = exact_decomposition(inst, bound=_budget(args, default=18))
+        dec = exact_decomposition(inst, bound=_budget(args, default=DEFAULT_EXACT_BOUND))
     res = pipeline.solve(inst, dec)
     if args.dump_lp:
         built = build_sparsestcut_lp(inst, res.dec, res.lp.alpha)
@@ -91,7 +90,7 @@ def _solve_pipeline(args):
 
 def cmd_decompose(args) -> int:
     inst = parse_instance(_read(args.instance))
-    dec = exact_decomposition(inst, bound=_budget(args, default=18))
+    dec = exact_decomposition(inst, bound=_budget(args, default=DEFAULT_EXACT_BOUND))
     bal = balance(dec)
     _write(args.output, format_decomposition(bal, inst))
     return 0
@@ -262,10 +261,9 @@ def cmd_verify(args) -> int:
         "solution_consistent": not res.lp.solution.validate(),
         **res.guarantees(),
     }
-    if inst.n <= _budget(args):
-        _, phi = sparsest_cut_by_elimination(inst)
-        checks["lp_below_oracle"] = res.lp.ratio <= phi.ratio
-        checks["cut_within_2opt"] = res.sparsity.ratio <= 2 * phi.ratio
+    _, phi = sparsest_cut_by_elimination(inst)
+    checks["lp_below_oracle"] = res.lp.ratio <= phi.ratio
+    checks["cut_within_2opt"] = res.sparsity.ratio <= 2 * phi.ratio
     ok = all(checks.values())
     payload = {"ok": ok, **{k: bool(v) for k, v in checks.items()}}
     _emit(args, payload, [f"{k:28} {'pass' if v else 'FAIL'}" for k, v in checks.items()])

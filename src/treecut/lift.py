@@ -12,7 +12,6 @@ recursion tree, never sampled.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
@@ -21,7 +20,8 @@ from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
 from .oracle import exact_maxcut, sparsest_cut_by_elimination
-from .relaxation import SaSolution, SetFamily, build_maxcut_lp, full_solution_from, full_family
+from .relaxation import (SaSolution, SetFamily, build_maxcut_lp, full_family,
+                         full_solution_from, mask_of, subset_from_mask)
 from . import simplex
 
 
@@ -77,12 +77,8 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     problems = solution.validate()
     if problems:
         raise InputError(f"solution is infeasible: first violation {problems[0]}")
-    dists = {}
-    for elems in family.sets:
-        s = frozenset(elems)
-        dists[s] = {frozenset(t): solution.values[(s, frozenset(t))]
-                    for t_size in range(len(elems) + 1)
-                    for t in itertools.combinations(elems, t_size)}
+    dists = {s: {subset_from_mask(elems, m): x for m, x in enumerate(table)}
+             for s, (elems, table) in solution.tables.items()}
     block, block_dec = building_block(H, include_st_demand=False)
     powered = power(block, levels, block_dec)
     return LiftContext(H, rounds, levels, dists, powered, res.objective)
@@ -231,16 +227,13 @@ def lifted_value(ctx: LiftContext) -> LiftedValue:
 def lifted_family_solution(ctx: LiftContext, family: SetFamily) -> SaSolution:
     """Evaluate the lift on every set of an arbitrary family (for feeding
     the pared LP's feasibility check)."""
-    values = {}
+    tables = {}
     for elems in family.sets:
-        dist = lift_distribution(ctx, elems)
-        s = frozenset(elems)
-        for size in range(len(elems) + 1):
-            for t in itertools.combinations(elems, size):
-                values[(s, frozenset(t))] = Fraction(0)
-        for sel, p in dist.items():
-            values[(s, sel)] += p
-    return SaSolution(family, values)
+        table = [Fraction(0)] * (1 << len(elems))
+        for sel, p in lift_distribution(ctx, elems).items():
+            table[mask_of(elems, sel)] += p
+        tables[frozenset(elems)] = (elems, table)
+    return SaSolution(family, tables)
 
 
 # ---------------------------------------------------------------------------

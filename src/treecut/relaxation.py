@@ -1,7 +1,10 @@
 """Lifted cut relaxations: set families, LP builders, and the ratio search.
 
 Variables x(S,T) carry the intended meaning "the chosen side A satisfies
-A cap S = T".  Two builders exist:
+A cap S = T".  Both the LPs and their solutions index T by its bit mask
+over S, the members of S taken in family order; `restrictions` maps the
+masks over a set onto a subset, and every marginal and consistency row is
+built on it.  Two builders exist:
 
 * `build_full_sa` emits the complete r-round system (normalization,
   per-element consistency, nonnegativity) with one variable per (S,T).
@@ -60,9 +63,6 @@ class SetFamily:
         pos = self.pos
         return tuple(sorted(vs, key=pos.__getitem__))
 
-    def __contains__(self, vs) -> bool:
-        return self.canonical(vs) in set(self.sets)
-
     def frozensets(self) -> list:
         return [frozenset(s) for s in self.sets]
 
@@ -88,6 +88,26 @@ def mask_of(elems: tuple, subset) -> int:
     for v in subset:
         m |= 1 << at[v]
     return m
+
+
+def restrictions(elems: tuple, q_elems) -> list:
+    """For every mask over elems, its restriction to the subset q_elems,
+    as a mask over q_elems."""
+    at = {v: b for b, v in enumerate(q_elems)}
+    out = [0]
+    for v in elems:
+        bit = 1 << at[v] if v in at else 0
+        out += [m | bit for m in out]
+    return out
+
+
+def marginal(elems: tuple, table: list, q_elems) -> list:
+    """The table over elems summed onto the subset q_elems."""
+    out = [Fraction(0)] * (1 << len(q_elems))
+    for qm, val in zip(restrictions(elems, q_elems), table):
+        if val:
+            out[qm] += val
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -166,17 +186,10 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
                 continue
             big = family.canonical(s + (u,))
             j = sidx[big]
-            u_bit = 1 << big.index(u)
-            lift = [big.index(v) for v in s]
-            for m in range(1 << len(s)):
-                mbig = 0
-                for b, p in enumerate(lift):
-                    if (m >> b) & 1:
-                        mbig |= 1 << p
-                row = {_var(i, m): Fraction(1),
-                       _var(j, mbig): Fraction(-1),
-                       _var(j, mbig | u_bit): Fraction(-1)}
-                constraints.append((row, "==", Fraction(0)))
+            rows = [{_var(i, m): Fraction(1)} for m in range(1 << len(s))]
+            for bm, m in enumerate(restrictions(big, s)):
+                rows[m][_var(j, bm)] = Fraction(-1)
+            constraints.extend((row, "==", Fraction(0)) for row in rows)
     return family, constraints
 
 
@@ -230,110 +243,75 @@ class SparsestCutLp:
     alpha: Fraction
 
     def solution_from(self, values: dict) -> "SaSolution":
-        sol_values = {}
-        by_parent: dict = {}
-        for i in range(len(self.family.sets)):
-            by_parent.setdefault(self.parent_of[i], []).append(i)
-        for p, children in by_parent.items():
-            elems = self.family.sets[p]
-            proj = []
-            for i in children:
-                pm = mask_of(elems, self.family.sets[i])
-                proj.append((i, pm, frozenset(self.family.sets[i])))
-                for m in range(1 << len(self.family.sets[i])):
-                    sol_values[(frozenset(self.family.sets[i]),
-                                subset_from_mask(self.family.sets[i], m))] = Fraction(0)
-            for m in range(1 << len(elems)):
-                val = values[_var(p, m)]
-                if not val:
-                    continue
-                here = subset_from_mask(elems, m)
-                for i, pm, sfs in proj:
-                    sol_values[(sfs, here & sfs)] += val
-        return SaSolution(self.family, sol_values)
+        sets = self.family.sets
+        blocks = {p: [values[_var(p, m)] for m in range(1 << len(sets[p]))]
+                  for p in self.maximal}
+        tables = {}
+        for i, elems in enumerate(sets):
+            p = self.parent_of[i]
+            tables[frozenset(elems)] = (elems, marginal(sets[p], blocks[p], elems))
+        return SaSolution(self.family, tables)
 
 
 @dataclass
 class SaSolution:
-    """A valuation x(S,T) over a declared family, with derived pair values."""
+    """A valuation x(S,T) over a declared family, with derived pair values.
+
+    tables[frozenset(S)] = (elems, table): elems is S in family order and
+    table[m] = x(S, T) for the T that mask m picks out of elems.
+    """
 
     family: SetFamily
-    values: dict  # (frozenset S, frozenset T) -> Fraction
-    _tables: dict = field(default_factory=dict, repr=False)
+    tables: dict
+    _marginals: dict = field(default_factory=dict, repr=False)
 
     def value(self, S, T) -> Fraction:
-        return self.values[(frozenset(S), frozenset(T))]
-
-    @property
-    def y(self) -> dict:
-        out = {}
-        for s in self.family.sets:
-            if len(s) == 2:
-                u, v = s
-                out[frozenset(s)] = (self.values[(frozenset(s), frozenset((u,)))]
-                                     + self.values[(frozenset(s), frozenset((v,)))])
-        return out
+        elems, table = self.tables[frozenset(S)]
+        return table[mask_of(elems, T)]
 
     def y_value(self, u, v) -> Fraction:
-        return self.y[frozenset((u, v))]
+        table = self.tables[frozenset((u, v))][1]
+        return table[1] + table[2]
 
     def block_table(self, S) -> tuple:
         """(elements, list-of-values indexed by subset mask) for a family set."""
-        key = frozenset(S)
-        if key not in self._tables:
-            elems = self.family.canonical(S)
-            table = [self.values[(key, subset_from_mask(elems, m))]
-                     for m in range(1 << len(elems))]
-            self._tables[key] = (elems, table)
-        return self._tables[key]
+        return self.tables[frozenset(S)]
 
     def aggregate(self, S, Q) -> tuple:
         """Marginal of the S-block onto Q (a subset of S); cached.
 
         Returns (q_elems, list indexed by Q-subset mask).
         """
-        ck = (frozenset(S), frozenset(Q))
-        if ck in self._tables:
-            return self._tables[ck]
-        elems, table = self.block_table(S)
-        q_elems = self.family.canonical(Q)
-        qpos = [elems.index(v) for v in q_elems]
-        out = [Fraction(0)] * (1 << len(q_elems))
-        for m, val in enumerate(table):
-            if val:
-                qm = 0
-                for b, p in enumerate(qpos):
-                    if (m >> p) & 1:
-                        qm |= 1 << b
-                out[qm] += val
-        self._tables[ck] = (q_elems, out)
-        return self._tables[ck]
+        key = (frozenset(S), frozenset(Q))
+        hit = self._marginals.get(key)
+        if hit is None:
+            elems, table = self.tables[key[0]]
+            q_elems = self.family.canonical(Q)
+            hit = self._marginals[key] = (q_elems, marginal(elems, table, q_elems))
+        return hit
 
-    def validate(self, require_all_nested: bool = True) -> list:
+    def validate(self) -> list:
         """All violated conditions: normalization, nonnegativity, and the
         aggregated consistency between every nested family pair."""
         problems = []
         fsets = self.family.frozensets()
-        for s, elems in zip(fsets, self.family.sets):
-            total = Fraction(0)
-            for m in range(1 << len(elems)):
-                v = self.values[(s, subset_from_mask(elems, m))]
+        for s in fsets:
+            elems, table = self.tables[s]
+            for m, v in enumerate(table):
                 if v < 0:
                     problems.append(("negative", s, subset_from_mask(elems, m), v))
-                total += v
+            total = sum(table, Fraction(0))
             if total != 1:
                 problems.append(("normalization", s, None, total))
-        if require_all_nested:
-            for i, small in enumerate(fsets):
-                for j, big in enumerate(fsets):
-                    if i == j or not small < big:
-                        continue
-                    q_elems, agg = self.aggregate(big, small)
-                    for m in range(1 << len(q_elems)):
-                        t = subset_from_mask(q_elems, m)
-                        if agg[m] != self.values[(small, t)]:
-                            problems.append(("consistency", small, (big, t),
-                                             agg[m] - self.values[(small, t)]))
+        for small in fsets:
+            for big in fsets:
+                if not small < big:
+                    continue
+                q_elems, agg = self.aggregate(big, small)
+                for m, (a, x) in enumerate(zip(agg, self.tables[small][1])):
+                    if a != x:
+                        problems.append(("consistency", small,
+                                         (big, subset_from_mask(q_elems, m)), a - x))
         return problems
 
 
@@ -420,26 +398,11 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
         elems = family.sets[i]
         base = ps[0]
         for other in ps[1:]:
-            for m in range(1 << len(elems)):
-                t = subset_from_mask(elems, m)
-                row: dict = {}
-                for block, sign in ((base, 1), (other, -1)):
-                    belems = family.sets[block]
-                    bpos = [belems.index(v) for v in elems]
-                    fixed = 0
-                    for b, p in enumerate(bpos):
-                        if (m >> b) & 1:
-                            fixed |= 1 << p
-                    inside = sum(1 << p for p in bpos)
-                    free = [b for b in range(len(belems)) if not (inside >> b) & 1]
-                    for fm in range(1 << len(free)):
-                        bm = fixed
-                        for b, p in enumerate(free):
-                            if (fm >> b) & 1:
-                                bm |= 1 << p
-                        key = _var(block, bm)
-                        row[key] = row.get(key, Fraction(0)) + sign
-                constraints.append((row, "==", Fraction(0)))
+            rows = [{} for _ in range(1 << len(elems))]
+            for block, sign in ((base, Fraction(1)), (other, Fraction(-1))):
+                for bm, m in enumerate(restrictions(family.sets[block], elems)):
+                    rows[m][_var(block, bm)] = sign
+            constraints.extend((row, "==", Fraction(0)) for row in rows)
 
     def pair_expr(u, v, weight) -> dict:
         pi = parent_of[family.sets.index(family.canonical((u, v)))]
@@ -466,12 +429,9 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
 
 def full_solution_from(family: SetFamily, values: dict) -> SaSolution:
     """SaSolution for a full-system solve, where every set has variables."""
-    out = {}
-    for i, elems in enumerate(family.sets):
-        s = frozenset(elems)
-        for m in range(1 << len(elems)):
-            out[(s, subset_from_mask(elems, m))] = values[_var(i, m)]
-    return SaSolution(family, out)
+    return SaSolution(family, {
+        frozenset(elems): (elems, [values[_var(i, m)] for m in range(1 << len(elems))])
+        for i, elems in enumerate(family.sets)})
 
 
 # ---------------------------------------------------------------------------

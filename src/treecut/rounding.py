@@ -21,7 +21,7 @@ from typing import Optional
 from .decomposition import TreeDecomposition, least_bags, root_path_unions
 from .errors import InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
-from .relaxation import SaSolution
+from .relaxation import SaSolution, subset_from_mask
 
 
 def _bag_order(dec: TreeDecomposition) -> list:
@@ -46,10 +46,6 @@ def _remap(mask: int, from_elems, to_elems) -> int:
         if v in at and (mask >> at[v]) & 1:
             m |= 1 << i
     return m
-
-
-def _members(elems, mask: int) -> frozenset:
-    return frozenset(v for bit, v in enumerate(elems) if (mask >> bit) & 1)
 
 
 def _extensions(elems, table, sub_elems, sub_mask: int):
@@ -126,7 +122,7 @@ class PropagationSampler:
 
     def sample(self, rng: random.Random) -> frozenset:
         chosen = self.sample_masks(rng)
-        return frozenset().union(*(_members(self._blocks[a][0], mask)
+        return frozenset().union(*(subset_from_mask(self._blocks[a][0], mask)
                                    for a, mask in chosen.items()))
 
 
@@ -154,7 +150,7 @@ def sample_state(solution: SaSolution, dec: TreeDecomposition, seed: int = 0) ->
     """One full propagation walk with its per-bag assignments kept."""
     sampler = PropagationSampler(solution, dec)
     masks = sampler.sample_masks(random.Random(seed))
-    assignments = {a: _members(sampler._blocks[a][0], mask) for a, mask in masks.items()}
+    assignments = {a: subset_from_mask(sampler._blocks[a][0], mask) for a, mask in masks.items()}
     return RoundingState(assignments, Cut(frozenset().union(*assignments.values())), seed)
 
 
@@ -332,7 +328,7 @@ class _Derandomizer:
                 trace.append(weighted / weight_total)
             labels[a] = best_mask
             trace.append(best_val)
-        side = frozenset().union(*(_members(self._union_elems(a), mask)
+        side = frozenset().union(*(subset_from_mask(self._union_elems(a), mask)
                                    for a, mask in labels.items()))
         return Cut(side), trace
 

@@ -340,7 +340,8 @@ def test_criterion_7_total_capacity_as_pinned():
 
 def test_criterion_8_lift():
     t0 = time.monotonic()
-    from treecut.relaxation import build_maxcut_lp, full_family, full_solution_from
+    from treecut.relaxation import (build_maxcut_lp, full_family, full_solution_from,
+                                    subset_from_mask)
 
     ok = True
     # the base distributions are the solved x(S,T), D_S(T) = x(S,T)
@@ -350,7 +351,9 @@ def test_criterion_8_lift():
         sol = full_solution_from(full_family(range(1, H.n + 1), 3), res.values)
         ok &= sol.validate() == []
         dists = make_lift_context(H, 3, 2).base_dists
-        ok &= all(dists[S][T] == x for (S, T), x in sol.values.items())
+        ok &= all(dists[S][subset_from_mask(elems, m)] == x
+                  for S, (elems, table) in sol.tables.items()
+                  for m, x in enumerate(table))
 
     # exhaustive consistency on G_2(P_3) for all |T| <= 3
     ctx = make_lift_context(MaxCutInstance.path(3), 3, 2)

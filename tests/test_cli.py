@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -5,8 +6,9 @@ import sys
 
 import pytest
 
+from corpus import acceptance_corpus
 from treecut.cli import main
-from treecut.instance import parse_instance
+from treecut.instance import format_instance, parse_instance
 
 
 def run(capsys, *argv):
@@ -98,6 +100,55 @@ def test_verify_passes_on_generated_instance(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(inst), "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+# sha256 of each command's stdout over acceptance_corpus(0, 20), instance
+# after instance, recorded when the digests were introduced.
+RECORDED_DIGESTS = {
+    "solve": "a0e3a889c29e14746ecd074caea9ab6e1b849fa05729c115b358a01b26b947d1",
+    "verify": "da95543da7edecaf78273b3fa769d0bb2afe775eaebd7224871c8f850c1dbd82",
+    "round": "b5558d25cc49e03637b071b768e0a3cadd444557caf7d4f03758783586cbc17f",
+    "embed": "9e45be0ca74e9a46fd2036ec3ee837f01b5650a750e016f793c03e926cc656e0",
+}
+DIGEST_COMMANDS = {
+    "solve": ["--format", "json"],
+    "verify": ["--format", "json"],
+    "round": ["--seed", "3"],
+    "embed": ["--samples", "20"],
+}
+
+
+def test_outputs_match_recorded_digests(tmp_path, capsys):
+    """The pipeline's outputs stay byte-identical across refactors.
+
+    A digest may change only with a deliberate change of output that is
+    listed in CHANGES.md, together with the new digest.
+    """
+    digests = {name: hashlib.sha256() for name in DIGEST_COMMANDS}
+    for i, inst in enumerate(acceptance_corpus(0, 20)):
+        path = tmp_path / f"c{i}.ssc"
+        path.write_text(format_instance(inst))
+        for name, extra in DIGEST_COMMANDS.items():
+            code, out, err = run(capsys, name, str(path), *extra)
+            assert code == 0, (i, name, err)
+            digests[name].update(out.encode())
+    assert {name: h.hexdigest() for name, h in digests.items()} == RECORDED_DIGESTS
+
+
+def test_verify_checks_the_oracle_above_the_enumeration_bound(tmp_path, capsys):
+    # 38 vertices: beyond the Gray-code enumeration, within the
+    # elimination oracle's scope
+    inst = tmp_path / "k4.ssc"
+    td = tmp_path / "k4.td"
+    run(capsys, "gen", "power", "--maxcut", "k4", "--levels", "2",
+        "-o", str(inst), "--td-out", str(td))
+    assert parse_instance(inst.read_text()).n == 38
+    code, out, _ = run(capsys, "verify", str(inst), "--decomposition", str(td),
+                       "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["lp_below_oracle"] is True
+    assert payload["cut_within_2opt"] is True
 
 
 def test_exit_code_input_error(tmp_path, capsys):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition, root_path_unions
 from treecut.instance import SparsestCutInstance
 from treecut.relaxation import (build_sparsestcut_lp, full_family, full_solution_from,
-                                ratio_search, subset_from_mask, LpProgram, _var)
+                                ratio_search, LpProgram, _var)
 from treecut.rounding import _Derandomizer
 from treecut import simplex
 
@@ -101,9 +101,13 @@ def test_pared_lp_matches_literal_emission():
         sol = built.solution_from(reduced.values)
         lit_values = {}
         for i, elems in enumerate(built.family.sets):
-            s = frozenset(elems)
-            for m in range(1 << len(elems)):
-                lit_values[("f", i, m)] = sol.values[(s, subset_from_mask(elems, m))]
+            for m, x in enumerate(sol.tables[frozenset(elems)][1]):
+                lit_values[("f", i, m)] = x
+        # and every block's table is its LP variables, read back unchanged
+        for mi in built.maximal:
+            elems = built.family.sets[mi]
+            assert sol.tables[frozenset(elems)] == (
+                elems, [reduced.values[_var(mi, m)] for m in range(1 << len(elems))])
         prog = literal_program(built, alpha)
         for coeffs, sense, rhs in prog.constraints:
             lhs = sum(c * lit_values[k] for k, c in coeffs.items())

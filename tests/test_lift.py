@@ -10,7 +10,8 @@ from treecut.lift import (extend_set, gap_experiment, lift_distribution,
                           make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp,
                                 build_sparsestcut_lp, full_family,
-                                full_solution_from, subset_from_mask, _var)
+                                full_solution_from, mask_of, subset_from_mask,
+                                _var)
 from treecut import simplex
 
 
@@ -23,24 +24,20 @@ def solved_maxcut_solution(H, r):
 
 def integral_solution(n, side):
     family = full_family(range(1, n + 1), n)
-    values = {}
+    tables = {}
     for elems in family.sets:
-        s = frozenset(elems)
-        inter = s & side
-        for m in range(1 << len(elems)):
-            t = subset_from_mask(elems, m)
-            values[(s, t)] = Fraction(1 if t == inter else 0)
-    return SaSolution(family, values)
+        inter = frozenset(elems) & side
+        tables[frozenset(elems)] = (elems, [
+            Fraction(1 if subset_from_mask(elems, m) == inter else 0)
+            for m in range(1 << len(elems))])
+    return SaSolution(family, tables)
 
 
 def uniform_solution(n, r):
     family = full_family(range(1, n + 1), r)
-    values = {}
-    for elems in family.sets:
-        s = frozenset(elems)
-        for m in range(1 << len(elems)):
-            values[(s, subset_from_mask(elems, m))] = Fraction(1, 1 << len(elems))
-    return SaSolution(family, values)
+    return SaSolution(family, {
+        frozenset(elems): (elems, [Fraction(1, 1 << len(elems))] * (1 << len(elems)))
+        for elems in family.sets})
 
 
 def test_integral_solution_gives_point_masses():
@@ -48,7 +45,8 @@ def test_integral_solution_gives_point_masses():
     sol = integral_solution(3, side)
     assert sol.validate() == []
     for s in sol.family.frozensets():
-        support = [t for (q, t), p in sol.values.items() if q == s and p > 0]
+        elems, table = sol.tables[s]
+        support = [subset_from_mask(elems, m) for m, p in enumerate(table) if p > 0]
         assert support == [s & side]
 
 
@@ -56,7 +54,7 @@ def test_uniform_solution_gives_uniform_distributions():
     sol = uniform_solution(4, 2)
     assert sol.validate() == []
     for s in sol.family.frozensets():
-        assert {p for (q, _), p in sol.values.items() if q == s} == {Fraction(1, 1 << len(s))}
+        assert set(sol.tables[s][1]) == {Fraction(1, 1 << len(s))}
 
 
 def test_solved_maxcut_family_passes_validator():
@@ -66,11 +64,32 @@ def test_solved_maxcut_family_passes_validator():
 def test_inconsistent_family_rejected_with_witness():
     sol = uniform_solution(3, 2)
     s = frozenset({1, 2})
-    sol.values[(s, frozenset({1}))] += Fraction(1, 100)
-    sol.values[(s, frozenset({2}))] -= Fraction(1, 100)
+    elems, table = sol.tables[s]
+    table[mask_of(elems, {1})] += Fraction(1, 100)
+    table[mask_of(elems, {2})] -= Fraction(1, 100)
     problems = sol.validate()
     assert problems and {kind for kind, *_ in problems} == {"consistency"}
     assert all(big == s for _, _, (big, _), _ in problems)
+
+
+def test_validator_reports_each_problem_kind():
+    sol = uniform_solution(3, 2)
+    s = frozenset({1, 2})
+    elems, table = sol.tables[s]
+    # moving mass from T = {} to T = {1, 2} drives x(S, {}) negative but
+    # keeps the table's sum at 1
+    table[0] -= Fraction(1, 2)
+    table[mask_of(elems, {1, 2})] += Fraction(1, 2)
+    problems = sol.validate()
+    assert ("negative", s, frozenset(), Fraction(-1, 4)) in problems
+    assert "normalization" not in {kind for kind, *_ in problems}
+
+    sol = uniform_solution(3, 2)
+    table = sol.tables[frozenset({3})][1]
+    table[1] += Fraction(1, 3)
+    problems = sol.validate()
+    assert ("normalization", frozenset({3}), None, Fraction(4, 3)) in problems
+    assert "negative" not in {kind for kind, *_ in problems}
 
 
 def p3_context(levels=2, rounds=3):
@@ -150,10 +169,8 @@ def test_lifted_solution_feasible_for_pared_lp():
     # block variables drawn from the lift satisfy every LP row exactly
     values = {}
     for mi in built.maximal:
-        elems = built.family.sets[mi]
-        s = frozenset(elems)
-        for m in range(1 << len(elems)):
-            values[_var(mi, m)] = sol.values[(s, subset_from_mask(elems, m))]
+        for m, x in enumerate(sol.tables[frozenset(built.family.sets[mi])][1]):
+            values[_var(mi, m)] = x
     for coeffs, sense, rhs in built.program.constraints:
         lhs = sum(Fraction(c) * values[v] for v, c in coeffs.items())
         if sense == "==":
