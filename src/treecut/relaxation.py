@@ -265,10 +265,6 @@ class SaSolution:
     tables: dict
     _marginals: dict = field(default_factory=dict, repr=False)
 
-    def value(self, S, T) -> Fraction:
-        elems, table = self.tables[frozenset(S)]
-        return table[mask_of(elems, T)]
-
     def y_value(self, u, v) -> Fraction:
         table = self.tables[frozenset((u, v))][1]
         return table[1] + table[2]
@@ -404,9 +400,11 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
                     rows[m][_var(block, bm)] = sign
             constraints.extend((row, "==", Fraction(0)) for row in rows)
 
+    sidx = {s: i for i, s in enumerate(family.sets)}
+
     def pair_expr(u, v, weight) -> dict:
-        pi = parent_of[family.sets.index(family.canonical((u, v)))]
-        return {k: weight * c for k, c in _pair_expression(family, pi, u, v).items()}
+        pi = parent_of[sidx[family.canonical((u, v))]]
+        return dict.fromkeys(_pair_expression(family, pi, u, v), weight)
 
     cap_expr: dict = {}
     for u, v, w in instance.supply_edges:
@@ -477,8 +475,11 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
     res = _certified(solver.reoptimize(dict(built.dem_expr), sense="max"), "max-demand")
 
     def values_of(res):
-        cap = sum((c * res.values[k] for k, c in built.cap_expr.items()), Fraction(0))
-        dem = sum((c * res.values[k] for k, c in built.dem_expr.items()), Fraction(0))
+        values = res.values
+        cap = sum((c * x for k, c in built.cap_expr.items() if (x := values[k])),
+                  Fraction(0))
+        dem = sum((c * x for k, c in built.dem_expr.items() if (x := values[k])),
+                  Fraction(0))
         return cap, dem
 
     cap, dem = values_of(res)

@@ -6,14 +6,20 @@ quantity is exact and sign tests are integer sign tests.  The tableau is
 built from the program's sparse rows: only each row's nonzero
 coefficients are scaled and scattered into a zero integer row.  A pivot
 is a fraction-free (Bareiss) step with pivot entry p over running
-denominator d; a row with a zero in the pivot column is only rescaled by
-p/d, and that rescale is skipped when p == d, where it is the identity.
-On the pared sparsest-cut LPs d typically stays 1.  Bland's rule
+denominator d.  When p == d, as in almost every pivot on the pared
+sparsest-cut LPs (where d typically stays 1), the step a*p - f*b over d
+is a - (f*b)//d with an exact division.  The pivot then collects the
+pivot row's nonzeros once and updates only those columns, in place, of
+each row with a nonzero f in the pivot column; with d == 1 the division
+is skipped.  Only when p != d does the dense update run, which also
+rescales the rows with a zero in the pivot column by p/d.  Bland's rule
 ("bland") guarantees termination; the default "auto" rule uses
 most-negative (Dantzig) pricing and falls back to Bland during
 degenerate stalls, which keeps pivot counts low on the highly degenerate
 lifted-cut polytopes.  Every optimal result carries exact duals and its
-duality gap.
+duality gap.  The primal and dual objectives are summed as integers over
+the tableau's denominator, and only nonzero values and duals become
+Fractions.
 
 Objectives can be swapped on a solved tableau (`reoptimize`), which is
 what makes exact Dinkelbach ratio searches cheap.
@@ -29,6 +35,7 @@ from typing import Optional
 from .errors import InputError
 
 STALL_LIMIT = 40  # consecutive degenerate pivots before switching to Bland
+ZERO = Fraction(0)  # shared by every zero value and dual of a result
 
 
 @dataclass
@@ -85,7 +92,8 @@ class Simplex:
             j = self.var_pos.get(var)
             if j is None:
                 raise InputError(f"constraint references unknown variable {var!r}")
-            c = Fraction(c)
+            if not isinstance(c, Fraction):
+                c = Fraction(c)
             if c:
                 cols[j] = c if sign > 0 else -c
         return cols
@@ -116,10 +124,12 @@ class Simplex:
         prow = [0] * width  # phase-1 cost row: minimize the sum of artificials
         # per remaining row: (original constraint index, scale, sign, unit col, unit sign)
         self.row_meta = []
+        self.scaled_rhs = []  # per original row: its right-hand side, scaled to an integer
         for orig, (cols, sense, rhs, sign) in enumerate(rows):
             scale = lcm(rhs.denominator, *(c.denominator for c in cols.values()))
             irow = _scatter(cols, scale, width)
             irow[-1] = rhs.numerator * (scale // rhs.denominator)
+            self.scaled_rhs.append(irow[-1])
             if sense == "<=":
                 irow[slack_at] = 1
                 basis.append(slack_at)
@@ -145,7 +155,7 @@ class Simplex:
         # real cost row, scaled to integers
         self.obj_factor = -1 if self.program.sense == "max" else 1
         cost = self._columns(self.program.objective, self.obj_factor)
-        self.cost_scale = lcm(1, *(c.denominator for c in cost.values()))
+        self._set_cost(cost)
         T.append(_scatter(cost, self.cost_scale, width))
         T.append(prow)
 
@@ -157,6 +167,11 @@ class Simplex:
         # immutable copy of the per-original-row metadata.
         self.dual_meta = list(self.row_meta)
 
+    def _set_cost(self, cost: dict):
+        """Scale the objective's {column: coefficient} to integers."""
+        self.cost_scale = scale = lcm(1, *(c.denominator for c in cost.values()))
+        self.cost_int = {j: c.numerator * (scale // c.denominator) for j, c in cost.items()}
+
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, c: int):
@@ -164,16 +179,29 @@ class Simplex:
         prow = T[r]
         p = prow[c]
         d = self.den
-        for i in range(len(T)):
-            if i == r:
-                continue
-            row = T[i]
-            f = row[c]
-            if f:
-                T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-            elif p != d:  # with p == d this rescale is the identity
-                T[i] = [(a * p) // d for a in row]
-        self.den = p
+        if p == d:
+            # a*p - f*b over d is a - f*b/d, exact: touch only prow's nonzeros
+            nz = [(j, b) for j, b in enumerate(prow) if b]
+            for i, row in enumerate(T):
+                f = row[c]
+                if f and i != r:
+                    if d == 1:
+                        for j, b in nz:
+                            row[j] -= f * b
+                    else:
+                        for j, b in nz:
+                            row[j] -= f * b // d
+        else:
+            for i in range(len(T)):
+                if i == r:
+                    continue
+                row = T[i]
+                f = row[c]
+                if f:
+                    T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
+                else:
+                    T[i] = [(a * p) // d for a in row]
+            self.den = p
         self.basis[r] = c
         self.pivots += 1
 
@@ -279,34 +307,39 @@ class Simplex:
         """
         if not getattr(self, "_feasible_basis", False):
             raise InputError("reoptimize needs a solved feasible tableau; call solve() first")
-        self.current_objective = dict(new_objective)
         sense = sense or self.program.sense
         self.obj_factor = -1 if sense == "max" else 1
         cost = self._columns(new_objective, self.obj_factor)
-        scale = lcm(1, *(c.denominator for c in cost.values()))
-        self.cost_scale = scale
-        crow = _scatter(cost, scale * self.den, self.width)
+        self._set_cost(cost)
+        crow = _scatter(cost, self.cost_scale * self.den, self.width)
         for i in range(self.m):
-            c = cost.get(self.basis[i])
-            if c:
-                cb = c.numerator * (scale // c.denominator)
+            cb = self.cost_int.get(self.basis[i])
+            if cb:
                 crow = [a - cb * x for a, x in zip(crow, self.T[i])]
         self.T[self.m] = crow
-        return self._result(self._run(self.m), objective_override=self.current_objective)
+        return self._result(self._run(self.m))
 
     # -- results ----------------------------------------------------------
 
-    def _result(self, status: str, objective_override: Optional[dict] = None) -> LpResult:
-        values = {v: Fraction(0) for v in self.variables}
-        for i in range(self.m):
-            b = self.basis[i]
-            if b < self.nv:
-                values[self.variables[b]] = Fraction(self.T[i][self.rhs_col], self.den)
-        obj_coeffs = objective_override if objective_override is not None \
-            else self.program.objective
+    def _result(self, status: str) -> LpResult:
+        """Values of the basic structurals; the objective summed in integers.
+
+        The objective is the current objective's integer-scaled
+        coefficients applied to the basic values, not the tableau's
+        objective entry, so the duality gap compares two independent sums.
+        """
+        T, rhs, den, nv, cost = self.T, self.rhs_col, self.den, self.nv, self.cost_int
+        values = dict.fromkeys(self.variables, ZERO)
+        total = 0
+        for i, b in enumerate(self.basis):
+            if b < nv:
+                x = T[i][rhs]
+                if x:
+                    values[self.variables[b]] = Fraction(x, den)
+                    total += cost.get(b, 0) * x
         obj = None
         if status in ("optimal", "iteration-limit"):
-            obj = sum((Fraction(c) * values[v] for v, c in obj_coeffs.items()), Fraction(0))
+            obj = Fraction(self.obj_factor * total, den * self.cost_scale)
         duals = gap = None
         if status == "optimal":
             duals, gap = self._certificate(obj)
@@ -314,17 +347,23 @@ class Simplex:
                         pivots=self.pivots, duals=duals, duality_gap=gap)
 
     def _certificate(self, primal_obj: Fraction):
-        """Duals per original constraint, rebuilt from unit-column reduced costs."""
+        """Duals per original constraint, rebuilt from unit-column reduced costs.
+
+        Row orig's dual is -unit_sign * obj_factor * crow[col] * scale * sign
+        over den * cost_scale; times the row's right-hand side that is
+        -unit_sign * obj_factor * crow[col] * scaled_rhs[orig] over the same
+        denominator, so the dual objective is one integer sum.
+        """
         crow = self.T[self.m]
         denom = self.den * self.cost_scale
-        duals = [Fraction(0)] * len(self.program.constraints)
-        dual_obj = Fraction(0)
+        duals = [ZERO] * len(self.program.constraints)
+        dual_sum = 0
         for orig, scale, sign, col, unit_sign in self.dual_meta:
-            y_std = -unit_sign * Fraction(crow[col], denom) * self.obj_factor
-            duals[orig] = y_std * scale * sign
-            _, _, rhs = self.program.constraints[orig]
-            dual_obj += duals[orig] * Fraction(rhs)
-        gap = primal_obj - dual_obj
+            y = -unit_sign * self.obj_factor * crow[col]
+            if y:
+                duals[orig] = Fraction(y * scale * sign, denom)
+                dual_sum += y * self.scaled_rhs[orig]
+        gap = primal_obj - Fraction(dual_sum, denom)
         return duals, gap
 
 

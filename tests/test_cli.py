@@ -135,6 +135,26 @@ def test_outputs_match_recorded_digests(tmp_path, capsys):
     assert {name: h.hexdigest() for name, h in digests.items()} == RECORDED_DIGESTS
 
 
+# sha256 of `solve --format json` on the levels-2 fractals through their
+# `.td`, recorded before the simplex pivot went sparse.
+FRACTAL_DIGESTS = {
+    "p3": "b0e270e1b1f72efcd3ac7a1d547ff2ec20f4d748de1177b289957d94b0412176",
+    "k4": "a5b0af5f999b700344e7bd1e9e35da7382ee3762d127660ef9f63e530b46089b",
+}
+
+
+@pytest.mark.parametrize("base", sorted(FRACTAL_DIGESTS))
+def test_fractal_solve_matches_recorded_digest(base, tmp_path, capsys):
+    inst = tmp_path / f"{base}.ssc"
+    td = tmp_path / f"{base}.td"
+    run(capsys, "gen", "power", "--maxcut", base, "--levels", "2",
+        "-o", str(inst), "--td-out", str(td))
+    code, out, err = run(capsys, "solve", str(inst), "--decomposition", str(td),
+                         "--format", "json")
+    assert code == 0, err
+    assert hashlib.sha256(out.encode()).hexdigest() == FRACTAL_DIGESTS[base]
+
+
 def test_verify_checks_the_oracle_above_the_enumeration_bound(tmp_path, capsys):
     # 38 vertices: beyond the Gray-code enumeration, within the
     # elimination oracle's scope

@@ -1,3 +1,5 @@
+from collections import Counter
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -311,3 +313,109 @@ def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     # every variable is bounded, so a feasible program stays optimal
     assert_certified(solver, solver.reoptimize(objective, sense=sense), prog, objective, sense)
+
+
+def dense_bareiss(T, den, r, c):
+    """The dense fraction-free pivot on (r, c): every row but r, every column."""
+    prow, p = T[r], T[r][c]
+    out = []
+    for i, row in enumerate(T):
+        if i == r:
+            out.append(list(row))
+            continue
+        f = row[c]
+        nums = [a * p - f * b for a, b in zip(row, prow)]
+        assert all(x % den == 0 for x in nums)  # the division is exact
+        out.append([x // den for x in nums])
+    return out, p
+
+
+@contextmanager
+def checked_pivots():
+    """Check every Simplex._pivot against dense_bareiss on a copy.
+
+    Yields a Counter of the pivots by branch: "p == d == 1",
+    "p == d > 1" and "p != d", with p the pivot entry and d the running
+    denominator.
+    """
+    pivot = Simplex._pivot
+    branches = Counter()
+
+    def checked(self, r, c):
+        p, d = self.T[r][c], self.den
+        expected = dense_bareiss(self.T, d, r, c)
+        branches["p != d" if p != d else "p == d == 1" if d == 1 else "p == d > 1"] += 1
+        pivot(self, r, c)
+        assert (self.T, self.den) == expected
+        assert self.T[r][c] == self.den
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simplex, "_pivot", checked)
+        yield branches
+
+
+def test_pivots_match_dense_bareiss(corpus_programs):
+    with checked_pivots() as branches:
+        for prog, objective, sense in corpus_programs:
+            solver = Simplex(prog)
+            assert solver.solve().optimal
+            assert solver.reoptimize(objective, sense=sense).optimal
+    # the C_5 program moves the running denominator off 1 and back
+    assert set(branches) == {"p == d == 1", "p == d > 1", "p != d"}
+
+
+@given(random_lp(), st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       st.sampled_from(["min", "max"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
+    with checked_pivots():
+        solver = Simplex(prog)
+        if solver.solve().optimal:
+            objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
+            solver.reoptimize(objective, sense=sense)
+
+
+def fraction_result(solver, objective):
+    """(values, objective, duals, gap) recomputed in Fractions from the tableau."""
+    T, den = solver.T, solver.den
+    values = {v: Fraction(0) for v in solver.variables}
+    for i, b in enumerate(solver.basis):
+        if b < solver.nv:
+            values[solver.variables[b]] = Fraction(T[i][solver.rhs_col], den)
+    obj = sum((Fraction(c) * values[v] for v, c in objective.items()), Fraction(0))
+    crow = T[solver.m]
+    constraints = solver.program.constraints
+    duals = [Fraction(0)] * len(constraints)
+    dual_obj = Fraction(0)
+    for orig, scale, sign, col, unit_sign in solver.dual_meta:
+        y_std = -unit_sign * Fraction(crow[col], den * solver.cost_scale) * solver.obj_factor
+        duals[orig] = y_std * scale * sign
+        dual_obj += duals[orig] * Fraction(constraints[orig][2])
+    return values, obj, duals, obj - dual_obj
+
+
+def assert_fraction_result(solver, res, objective):
+    values, obj, duals, gap = fraction_result(solver, objective)
+    assert res.optimal
+    assert (res.values, res.objective, res.duals, res.duality_gap) == (values, obj, duals, gap)
+    assert list(res.values) == solver.variables
+    assert gap == 0
+
+
+def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
+    # the feasibility solve, the swap to the second objective, then two
+    # Dinkelbach steps on first - lambda * second, as the ratio search runs
+    for prog, objective, sense in corpus_programs:
+        solver = Simplex(prog)
+        assert_fraction_result(solver, solver.solve(), prog.objective)
+        res = solver.reoptimize(objective, sense=sense)
+        assert_fraction_result(solver, res, objective)
+        for _ in range(2):
+            first = sum(Fraction(c) * res.values[v] for v, c in prog.objective.items())
+            second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
+            lam = first / second
+            step = dict(prog.objective)
+            for v, c in objective.items():
+                step[v] = step.get(v, Fraction(0)) - lam * c
+            res = solver.reoptimize(step, sense="min")
+            assert_fraction_result(solver, res, step)
