@@ -1,4 +1,4 @@
-"""Tree decompositions: validation, exact width, balancing, root-path unions.
+"""Tree decompositions: validation, exact width, balancing, the rooted view.
 
 The balanced transform rebuilds a decomposition into a binary tree of
 depth O(log n) whose bags grow by at most a factor of three, by
@@ -61,8 +61,8 @@ class TreeDecomposition:
         return tuple(tuple(a) for a in adj)
 
     @cached_property
-    def parents(self) -> tuple:
-        """parent index per bag (None at the root); raises if not a tree."""
+    def _walk(self) -> tuple:
+        """(parent per bag, bags in root-first visiting order); raises if not a tree."""
         if len(self.tree_edges) != self.n_bags - 1:
             raise InvariantError("bag links do not form a tree")
         parent: list = [None] * self.n_bags
@@ -79,21 +79,46 @@ class TreeDecomposition:
                     stack.append(j)
         if len(seen) != self.n_bags:
             raise InvariantError("bag links do not span all bags")
-        return tuple(parent)
+        return tuple(parent), tuple(order)
+
+    @property
+    def parents(self) -> tuple:
+        """parent index per bag (None at the root); raises if not a tree."""
+        return self._walk[0]
 
     @cached_property
     def depths(self) -> tuple:
-        parent = self.parents
+        parent, order = self._walk
         depth = [0] * self.n_bags
-        # parents is produced root-first, so a second pass in index order
-        # is not enough; walk via repeated parent lookups (trees are tiny).
-        for i in range(self.n_bags):
-            d, j = 0, i
-            while parent[j] is not None:
-                j = parent[j]
-                d += 1
-            depth[i] = d
+        for i in order[1:]:
+            depth[i] = depth[parent[i]] + 1
         return tuple(depth)
+
+    @cached_property
+    def top_down(self) -> tuple:
+        """Bag indices by (depth, index): the order rounding fixes bags in."""
+        depths = self.depths
+        return tuple(sorted(range(self.n_bags), key=lambda i: (depths[i], i)))
+
+    @cached_property
+    def paths(self) -> tuple:
+        """Per bag a, the bag indices from the root down to a, inclusive."""
+        parent, order = self._walk
+        out: list = [None] * self.n_bags
+        for i in order:
+            p = parent[i]
+            out[i] = (i,) if p is None else out[p] + (i,)
+        return tuple(out)
+
+    @cached_property
+    def unions(self) -> tuple:
+        """V_a per bag a: the union of all bags on the root-to-a path."""
+        parent, order = self._walk
+        out: list = [None] * self.n_bags
+        for i in order:
+            p = parent[i]
+            out[i] = self.bags[i] if p is None else out[p] | self.bags[i]
+        return tuple(out)
 
     @property
     def depth(self) -> int:
@@ -104,12 +129,6 @@ class TreeDecomposition:
 
     def is_binary(self) -> bool:
         return all(len(self.children(i)) <= 2 for i in range(self.n_bags))
-
-
-@dataclass(frozen=True)
-class RootPathUnion:
-    node: int
-    union_set: frozenset
 
 
 @dataclass(frozen=True)
@@ -138,21 +157,17 @@ def validate(instance: SparsestCutInstance, dec: TreeDecomposition) -> Validatio
     for u, v, _ in instance.supply_edges:
         if not any(u in b and v in b for b in dec.bags):
             return ValidationReport(False, f"supply edge ({u},{v}) not covered by any bag", (u, v))
-    # 3. occurrences of each vertex form a connected subtree
-    for v in instance.vertices:
-        nodes = [i for i, b in enumerate(dec.bags) if v in b]
-        if not nodes:
+    # 3. occurrences of each vertex form a connected subtree: exactly one
+    # bag holding v is the root or has a parent that does not hold v
+    tops = dict.fromkeys(instance.vertices, 0)
+    for i, p in enumerate(dec.parents):
+        for v in dec.bags[i]:
+            if p is None or v not in dec.bags[p]:
+                tops[v] += 1
+    for v, count in tops.items():
+        if count == 0:
             return ValidationReport(False, f"vertex {v} missing from every bag", v)
-        seen = {nodes[0]}
-        stack = [nodes[0]]
-        holder = set(nodes)
-        while stack:
-            i = stack.pop()
-            for j in dec.adjacency[i]:
-                if j in holder and j not in seen:
-                    seen.add(j)
-                    stack.append(j)
-        if len(seen) != len(nodes):
+        if count > 1:
             return ValidationReport(False, f"bags containing {v} are disconnected", v)
     return ValidationReport(True)
 
@@ -453,28 +468,17 @@ def balance(dec: TreeDecomposition) -> TreeDecomposition:
     return out
 
 
-def root_path_unions(dec: TreeDecomposition) -> list:
-    """V_a per bag: the union of all bags on the root-to-a path."""
-    parent = dec.parents
-    out: list = [None] * dec.n_bags
-    order = sorted(range(dec.n_bags), key=lambda i: dec.depths[i])
-    for i in order:
-        if parent[i] is None:
-            out[i] = RootPathUnion(i, dec.bags[i])
-        else:
-            out[i] = RootPathUnion(i, out[parent[i]].union_set | dec.bags[i])
-    return out
-
-
 def least_bags(dec: TreeDecomposition, vertices) -> dict:
     """Per vertex, the shallowest bag holding it (ties to the lowest index)."""
-    depths = dec.depths
+    first: dict = {}
+    for a in dec.top_down:
+        for v in dec.bags[a]:
+            first.setdefault(v, a)
     least = {}
     for v in vertices:
-        holders = [i for i, b in enumerate(dec.bags) if v in b]
-        if not holders:
+        if v not in first:
             raise InputError(f"decomposition misses vertex {v}")
-        least[v] = min(holders, key=lambda i: (depths[i], i))
+        least[v] = first[v]
     return least
 
 
@@ -535,7 +539,7 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
     for lineno, raw, i, j in edges:
         if not (0 <= i < nb and 0 <= j < nb):
             raise InputError(f"line {lineno}: bag ids run 1..{nb}: {raw!r}")
-    if set(bags) != set(range(nb)):
+    if len(bags) != nb or set(bags) != set(range(nb)):
         raise InputError(f"expected bags 1..{nb}")
     largest = max((len(b) for b in bags.values()), default=0)
     if maxbag != largest:

@@ -27,13 +27,14 @@ from fractions import Fraction
 from math import comb
 from typing import Iterable
 
-from .decomposition import TreeDecomposition, least_bags, root_path_unions
+from .decomposition import TreeDecomposition, least_bags
 from .errors import BudgetError, InputError, InvariantError
 from .instance import SparsestCutInstance, as_weight
 from . import simplex
 
 DEFAULT_SET_CAP = 22
 DEFAULT_VARIABLE_BUDGET = 300_000
+MAX_DINKELBACH_ITERATIONS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -238,9 +239,6 @@ class SparsestCutLp:
     cap_expr: dict
     dem_expr: dict
     instance: SparsestCutInstance
-    decomposition: TreeDecomposition
-    bag_set_index: dict  # bag node -> family index of its root-path union
-    alpha: Fraction
 
     def solution_from(self, values: dict) -> "SaSolution":
         sets = self.family.sets
@@ -315,12 +313,12 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
                  set_cap: int = DEFAULT_SET_CAP, extra_sets: Iterable = ()):
     """The family the rounding analysis needs: root-path unions, per-pair
     endpoint-bag augmentations, and the joint union per demand pair."""
-    unions = root_path_unions(dec)
+    unions = dec.unions
     order = instance.vertices
     least_bag = least_bags(dec, order)
 
     sets = [()]
-    sets += [tuple(u.union_set) for u in unions]
+    sets += [tuple(u) for u in unions]
     pairs = [(u, v) for u, v, _ in instance.supply_edges]
     pairs += [(u, v) for u, v, _ in instance.demand_edges]
     for u, v in pairs:
@@ -329,9 +327,9 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
         sets.append((u, v))
     for u, v, _ in instance.demand_edges:
         a, b = least_bag[u], least_bag[v]
-        sets.append(tuple(unions[a].union_set | {u, v}))
-        sets.append(tuple(unions[b].union_set | {u, v}))
-        joint = unions[a].union_set | unions[b].union_set
+        sets.append(tuple(unions[a] | {u, v}))
+        sets.append(tuple(unions[b] | {u, v}))
+        joint = unions[a] | unions[b]
         if len(joint) > set_cap:
             raise BudgetError(
                 f"demand pair ({u},{v}) needs a joint set of {len(joint)} vertices, "
@@ -342,10 +340,7 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
             raise BudgetError(f"extra set of {len(s)} vertices exceeds cap {set_cap}",
                               limit=set_cap, requested=len(s))
         sets.append(tuple(s))
-    family = SetFamily.build(order, sets)
-    bag_set_index = {i: family.sets.index(family.canonical(unions[i].union_set))
-                     for i in range(dec.n_bags)}
-    return family, bag_set_index
+    return SetFamily.build(order, sets)
 
 
 def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
@@ -361,7 +356,7 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     (Lemma-style) equalities for every nested family pair.
     """
     alpha = as_weight(alpha)
-    family, bag_set_index = pared_family(instance, dec, set_cap, extra_sets)
+    family = pared_family(instance, dec, set_cap, extra_sets)
     fsets = family.frozensets()
     maximal = family.maximal_indices()
     nvars = sum(1 << len(family.sets[i]) for i in maximal)
@@ -422,7 +417,7 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     program = LpProgram(variables, constraints, dict(cap_expr), sense="min",
                         name="sparsest_cut_pared").check()
     return SparsestCutLp(program, family, maximal, parent_of, cap_expr, dem_expr,
-                         instance, dec, bag_set_index, alpha)
+                         instance)
 
 
 def full_solution_from(family: SetFamily, values: dict) -> SaSolution:
@@ -455,21 +450,19 @@ def _certified(res: simplex.LpResult, what: str) -> simplex.LpResult:
     return res
 
 
-def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
-                 max_iterations: int = 60, set_cap: int = DEFAULT_SET_CAP,
-                 variable_budget: int = DEFAULT_VARIABLE_BUDGET) -> RatioSearchResult:
+def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> RatioSearchResult:
     """Minimize (capacity value)/(demand value) over the pared polytope.
 
     Dinkelbach's exact parametric iteration: lambda <- cap(y)/dem(y) on the
     objective cap - lambda*dem, warm-restarting the tableau.  Each iterate
     is a strictly better vertex, so the search ends, exactly, when that
     objective's minimum reaches 0.  Every solve must end optimal with an
-    exact duality gap of 0, or InvariantError is raised.
+    exact duality gap of 0, and the search must end within
+    MAX_DINKELBACH_ITERATIONS re-solves, or InvariantError is raised.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
-    built = build_sparsestcut_lp(instance, dec, 0, set_cap, variable_budget,
-                                 include_demand_constraint=False)
+    built = build_sparsestcut_lp(instance, dec, 0, include_demand_constraint=False)
     solver = simplex.Simplex(built.program)
     _certified(solver.solve(), "feasibility")
     res = _certified(solver.reoptimize(dict(built.dem_expr), sense="max"), "max-demand")
@@ -488,7 +481,7 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
     lam = cap / dem
     best = (res.values, cap, dem)
     trace = [(lam, cap, dem)]
-    for it in range(max_iterations):
+    for it in range(MAX_DINKELBACH_ITERATIONS):
         obj = dict(built.cap_expr)
         for k, c in built.dem_expr.items():
             obj[k] = obj.get(k, Fraction(0)) - lam * c
@@ -503,7 +496,7 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition,
         lam = lam_new
         best = (res.values, cap, dem)
         trace.append((lam, cap, dem))
-    raise InvariantError(f"dinkelbach did not converge in {max_iterations} "
+    raise InvariantError(f"dinkelbach did not converge in {MAX_DINKELBACH_ITERATIONS} "
                          f"iterations; trace: {trace}")
 
 

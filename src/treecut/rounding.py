@@ -18,23 +18,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-from .decomposition import TreeDecomposition, least_bags, root_path_unions
+from .decomposition import TreeDecomposition, least_bags
 from .errors import InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
 from .relaxation import SaSolution, subset_from_mask
-
-
-def _bag_order(dec: TreeDecomposition) -> list:
-    return sorted(range(dec.n_bags), key=lambda i: (dec.depths[i], i))
-
-
-def _ancestor_path(dec: TreeDecomposition, a: int) -> list:
-    """Bag indices from the root down to a, inclusive."""
-    path = [a]
-    while dec.parents[path[-1]] is not None:
-        path.append(dec.parents[path[-1]])
-    path.reverse()
-    return path
 
 
 def _remap(mask: int, from_elems, to_elems) -> int:
@@ -74,13 +61,11 @@ class PropagationSampler:
     def __init__(self, solution: SaSolution, dec: TreeDecomposition):
         self.solution = solution
         self.dec = dec
-        self.unions = root_path_unions(dec)
-        self.order = _bag_order(dec)
         self.parent = dec.parents
         self._choices: dict = {}
         self._blocks = {}
-        for a in self.order:
-            self._blocks[a] = solution.block_table(self.unions[a].union_set)
+        for a in dec.top_down:
+            self._blocks[a] = solution.block_table(dec.unions[a])
 
     def _conditional(self, a: int, parent_mask_bits: tuple):
         key = (a, parent_mask_bits)
@@ -109,7 +94,7 @@ class PropagationSampler:
 
     def sample_masks(self, rng: random.Random) -> dict:
         chosen: dict = {}
-        for a in self.order:
+        for a in self.dec.top_down:
             b = self.parent[a]
             pkey = (chosen[b],) if b is not None else (0,)
             elems, masks, cum = self._conditional(a, pkey)
@@ -136,12 +121,11 @@ class RoundingState:
 
     def check_extension(self, dec: TreeDecomposition) -> bool:
         """Each child assignment must extend its parent on the shared union."""
-        unions = root_path_unions(dec)
         for a, chosen in self.assignments.items():
             b = dec.parents[a]
             if b is None:
                 continue
-            if chosen & unions[b].union_set != self.assignments[b]:
+            if chosen & dec.unions[b] != self.assignments[b]:
                 return False
         return True
 
@@ -178,10 +162,9 @@ class _Derandomizer:
                  dec: TreeDecomposition, alpha: Fraction, lp_star: Fraction):
         self.sol = solution
         self.dec = dec
-        self.unions = root_path_unions(dec)
-        self.order = _bag_order(dec)
+        self.unions = dec.unions
         self.least = least_bags(dec, instance.vertices)
-        self.paths = {a: _ancestor_path(dec, a) for a in range(dec.n_bags)}
+        self.paths = dec.paths
         self.pairs = []
         for u, v, w in instance.supply_edges:
             self.pairs.append((u, v, Fraction(w) / lp_star))
@@ -211,12 +194,12 @@ class _Derandomizer:
         return low
 
     def _union_elems(self, a: int):
-        return self.sol.block_table(self.unions[a].union_set)[0]
+        return self.sol.block_table(self.unions[a])[0]
 
     def _prob_in(self, v, ell: int, ell_mask: int) -> Fraction:
         """P[v in A | assignment of V_ell], via the chain block at b(v)."""
-        target = self.unions[ell].union_set | {v}
-        q_elems, agg = self.sol.aggregate(self.unions[self.least[v]].union_set, target)
+        target = self.unions[ell] | {v}
+        q_elems, agg = self.sol.aggregate(self.unions[self.least[v]], target)
         vbit = 1 << q_elems.index(v)
         m = _remap(ell_mask, self._union_elems(ell), q_elems) & ~vbit
         denom = agg[m] + agg[m | vbit]
@@ -226,8 +209,8 @@ class _Derandomizer:
 
     def _psep_joint(self, u, v, deep: int, ell: int, ell_mask: int) -> Fraction:
         """P[u, v separated | assignment of V_ell], u and v on deep's root path."""
-        target = self.unions[ell].union_set | {u, v}
-        q_elems, agg = self.sol.aggregate(self.unions[deep].union_set, target)
+        target = self.unions[ell] | {u, v}
+        q_elems, agg = self.sol.aggregate(self.unions[deep], target)
         ubit, vbit = 1 << q_elems.index(u), 1 << q_elems.index(v)
         m = _remap(ell_mask, self._union_elems(ell), q_elems) & ~(ubit | vbit)
         denom = agg[m] + agg[m | ubit] + agg[m | vbit] + agg[m | ubit | vbit]
@@ -272,7 +255,7 @@ class _Derandomizer:
         return self._cached(self._psep_via_lca, u, v, anc, ell, labels[ell])
 
     def _psep_via_lca(self, u, v, anc: int, ell: int, ell_mask: int) -> Fraction:
-        a_elems, a_table = self.sol.block_table(self.unions[anc].union_set)
+        a_elems, a_table = self.sol.block_table(self.unions[anc])
         total = Fraction(0)
         acc = Fraction(0)
         for m, w in _extensions(a_elems, a_table, self._union_elems(ell), ell_mask):
@@ -306,8 +289,8 @@ class _Derandomizer:
     def run(self):
         trace = []
         labels: dict = {}
-        for a in self.order:
-            elems, table = self.sol.block_table(self.unions[a].union_set)
+        for a in self.dec.top_down:
+            elems, table = self.sol.block_table(self.unions[a])
             parent = self.dec.parents[a]
             pelems = self._union_elems(parent) if parent is not None else ()
             best_mask = None

@@ -122,8 +122,9 @@ class Simplex:
         slack_at = nv
         art_at = nv + self.n_slack
         prow = [0] * width  # phase-1 cost row: minimize the sum of artificials
-        # per remaining row: (original constraint index, scale, sign, unit col, unit sign)
-        self.row_meta = []
+        # per original row, for the duals; unit columns survive row drops, so
+        # this keeps every row: (constraint index, scale, sign, unit col, unit sign)
+        self.dual_meta = []
         self.scaled_rhs = []  # per original row: its right-hand side, scaled to an integer
         for orig, (cols, sense, rhs, sign) in enumerate(rows):
             scale = lcm(rhs.denominator, *(c.denominator for c in cols.values()))
@@ -133,16 +134,16 @@ class Simplex:
             if sense == "<=":
                 irow[slack_at] = 1
                 basis.append(slack_at)
-                self.row_meta.append((orig, scale, sign, slack_at, 1))
+                self.dual_meta.append((orig, scale, sign, slack_at, 1))
                 slack_at += 1
             else:
                 if sense == ">=":
                     irow[slack_at] = -1
                     prow[slack_at] += 1
-                    self.row_meta.append((orig, scale, sign, slack_at, -1))
+                    self.dual_meta.append((orig, scale, sign, slack_at, -1))
                     slack_at += 1
                 else:
-                    self.row_meta.append((orig, scale, sign, art_at, 1))
+                    self.dual_meta.append((orig, scale, sign, art_at, 1))
                 irow[art_at] = 1
                 basis.append(art_at)
                 self.art_cols.add(art_at)
@@ -163,9 +164,6 @@ class Simplex:
         self.den = 1
         self.basis = basis
         self.barred = set()
-        # Unit columns survive row drops, so dual extraction keeps its own
-        # immutable copy of the per-original-row metadata.
-        self.dual_meta = list(self.row_meta)
 
     def _set_cost(self, cost: dict):
         """Scale the objective's {column: coefficient} to integers."""
@@ -295,7 +293,6 @@ class Simplex:
         for i in reversed(drop):
             del self.T[i]
             del self.basis[i]
-            del self.row_meta[i]
             self.m -= 1
         self.barred |= self.art_cols
 

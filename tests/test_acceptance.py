@@ -103,8 +103,6 @@ def test_criterion_2_rounding_marginals():
     rng = random.Random(0)
     n = 100_000
 
-    from treecut.decomposition import root_path_unions
-    unions = root_path_unions(dec)
     bag_counts = [dict() for _ in range(dec.n_bags)]
     pair_sep = {}
     pairs = [(u, v) for u, v, _ in inst.supply_edges] + \
@@ -115,7 +113,7 @@ def test_criterion_2_rounding_marginals():
             bag_counts[a][m] = bag_counts[a].get(m, 0) + 1
         side = set()
         for a, mask in masks.items():
-            elems, _ = sol.block_table(unions[a].union_set)
+            elems, _ = sol.block_table(dec.unions[a])
             for bit, v in enumerate(elems):
                 if (mask >> bit) & 1:
                     side.add(v)
@@ -136,7 +134,7 @@ def test_criterion_2_rounding_marginals():
     worst_tv = 0.0
     within = total_at = 0
     for a in range(dec.n_bags):
-        elems, table = sol.block_table(unions[a].union_set)
+        elems, table = sol.block_table(dec.unions[a])
         tv = sum(abs(bag_counts[a].get(m, 0) / n - float(table[m]))
                  for m in range(1 << len(elems))) / 2
         worst_tv = max(worst_tv, tv)

@@ -1,15 +1,18 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from treecut.decomposition import (TreeDecomposition, balance, depth_bound,
-                                   exact_decomposition, format_decomposition,
-                                   parse_decomposition, root_path_unions, validate)
+                                   exact_decomposition, format_decomposition, least_bags,
+                                   parse_decomposition, validate)
 from treecut.errors import BudgetError, InputError
-from treecut.instance import SparsestCutInstance
+from treecut.generators import MaxCutInstance, building_block, power
+from treecut.instance import SparsestCutInstance, format_instance, parse_instance
 
 from _reference_treewidth import treewidth_by_search
+from corpus import acceptance_corpus
 
 
 def path_instance(n):
@@ -44,6 +47,31 @@ def test_validate_disconnected_trace():
     # vertex 1 appears in bags 0 and 2, which are not adjacent
     report = validate(inst, dec)
     assert not report.ok and report.witness == 1
+
+
+def test_validate_disconnected_in_sibling_subtrees():
+    # a 4-cycle; vertex 4 sits in one grandchild under each child of the root
+    inst = SparsestCutInstance.build(range(1, 5), [(1, 2, 1), (1, 3, 1), (2, 4, 1), (3, 4, 1)],
+                                     [(1, 4, 1)])
+    dec = TreeDecomposition.build([{1}, {1, 2}, {1, 3}, {2, 4}, {3, 4}],
+                                  [(0, 1), (0, 2), (1, 3), (2, 4)])
+    report = validate(inst, dec)
+    assert not report.ok
+    assert report.message == "bags containing 4 are disconnected"
+    assert report.witness == 4
+
+
+def test_validate_vertex_missing_from_every_bag():
+    # vertex 3 carries only demand, so no supply edge check catches it first
+    inst = SparsestCutInstance.build(range(1, 4), [(1, 2, 1)], [(1, 3, 1)])
+    report = validate(inst, TreeDecomposition.build([{1, 2}], []))
+    assert not report.ok
+    assert report.message == "vertex 3 missing from every bag"
+    assert report.witness == 3
+    # failures are reported in vertex order: a disconnected 2 before a missing 3
+    report = validate(inst, TreeDecomposition.build([{1, 2}, {1}, {2}], [(0, 1), (1, 2)]))
+    assert report.message == "bags containing 2 are disconnected"
+    assert report.witness == 2
 
 
 def test_exact_decomposition_tree_width_one():
@@ -126,12 +154,12 @@ def test_balance_random_trees(n, rng):
 def test_root_path_unions_basics():
     dec = TreeDecomposition.build([{1, 2, 3}, {3, 4, 5}, {5, 6, 7}, {3, 8, 9}],
                                   [(0, 1), (1, 2), (0, 3)])
-    unions = root_path_unions(dec)
-    assert unions[0].union_set == frozenset({1, 2, 3})  # V_r = U_r
-    assert unions[2].union_set == frozenset({1, 2, 3, 4, 5, 6, 7})
-    assert unions[3].union_set == frozenset({1, 2, 3, 8, 9})
+    unions = dec.unions
+    assert unions[0] == frozenset({1, 2, 3})  # V_r = U_r
+    assert unions[2] == frozenset({1, 2, 3, 4, 5, 6, 7})
+    assert unions[3] == frozenset({1, 2, 3, 8, 9})
     for u in unions:
-        assert len(u.union_set) <= dec.max_bag_size * (dec.depth + 1)
+        assert len(u) <= dec.max_bag_size * (dec.depth + 1)
 
 
 def test_decomposition_round_trip():
@@ -243,3 +271,57 @@ def test_repeated_bag_or_header_line_is_named(text, match):
 def test_header_must_match_bags_and_instance(header):
     with pytest.raises(InputError, match="`s td` header gives"):
         parse_decomposition(f"{header}\nb 1 1 2\nb 2 2 3\n1 2\n", path_instance(3))
+
+
+def test_huge_bag_count_is_refused_before_allocating():
+    # the header's bag count is compared with the bags given before any
+    # structure of that size is built
+    text = "s td 1000000 2 3\nb 1 1 2\nb 2 2 3\n1 2\n"
+    inst = path_instance(3)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InputError, match=r"expected bags 1\.\.1000000"):
+            parse_decomposition(text, inst)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def rooted_view_cases():
+    """Balanced decompositions of the acceptance corpus, and the levels-2
+    fractals' decompositions read back from their `.td` text, as given and
+    balanced."""
+    cases = [(inst, balance(exact_decomposition(inst))) for inst in acceptance_corpus(0, 100)]
+    for base in ("p3", "k4"):
+        block, block_dec = building_block(MaxCutInstance.named(base), include_st_demand=False)
+        powered = power(block, 2, block_dec)
+        inst = parse_instance(format_instance(powered.instance))
+        dec = parse_decomposition(format_decomposition(powered.decomposition, powered.instance),
+                                  inst)
+        cases += [(inst, dec), (inst, balance(dec))]
+    return cases
+
+
+def test_rooted_view_matches_parent_walks():
+    for inst, dec in rooted_view_cases():
+        for a in range(dec.n_bags):
+            path = [a]
+            while dec.parents[path[-1]] is not None:
+                path.append(dec.parents[path[-1]])
+            path.reverse()
+            assert dec.paths[a] == tuple(path)
+            assert dec.depths[a] == len(path) - 1
+            assert dec.unions[a] == frozenset().union(*(dec.bags[i] for i in path))
+        assert dec.top_down == tuple(sorted(range(dec.n_bags),
+                                            key=lambda i: (dec.depths[i], i)))
+        least = least_bags(dec, inst.vertices)
+        for v in inst.vertices:
+            holders = [i for i, b in enumerate(dec.bags) if v in b]
+            assert least[v] == min(holders, key=lambda i: (dec.depths[i], i))
+
+
+def test_least_bags_refuses_a_missing_vertex():
+    dec = TreeDecomposition.build([{1, 2}, {2, 3}], [(0, 1)])
+    with pytest.raises(InputError, match="decomposition misses vertex 4"):
+        least_bags(dec, [1, 2, 3, 4])

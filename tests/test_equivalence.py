@@ -13,7 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
-from treecut.decomposition import TreeDecomposition, balance, exact_decomposition, root_path_unions
+from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.instance import SparsestCutInstance
 from treecut.relaxation import (build_sparsestcut_lp, full_family, full_solution_from,
                                 ratio_search, LpProgram, _var)
@@ -123,11 +123,10 @@ def test_pared_lp_matches_literal_emission():
 
 def enumerate_propagation(sol, dec):
     """All (per-bag masks, probability) outcomes of the propagation walk."""
-    unions = root_path_unions(dec)
-    order = sorted(range(dec.n_bags), key=lambda i: (dec.depths[i], i))
+    unions = dec.unions
     outcomes = [({}, Fraction(1))]
-    for a in order:
-        elems, table = sol.block_table(unions[a].union_set)
+    for a in dec.top_down:
+        elems, table = sol.block_table(unions[a])
         parent = dec.parents[a]
         new = []
         for masks, p in outcomes:
@@ -135,7 +134,7 @@ def enumerate_propagation(sol, dec):
                 fixed, free = 0, list(range(len(elems)))
                 denom = Fraction(1)
             else:
-                pelems, ptable = sol.block_table(unions[parent].union_set)
+                pelems, ptable = sol.block_table(unions[parent])
                 at = {v: i for i, v in enumerate(pelems)}
                 fixed = 0
                 for i, v in enumerate(elems):
@@ -179,7 +178,7 @@ def star_solution():
 def vertices_of(masks, unions, sol):
     side = set()
     for a, m in masks.items():
-        elems, _ = sol.block_table(unions[a].union_set)
+        elems, _ = sol.block_table(unions[a])
         for b, v in enumerate(elems):
             if (m >> b) & 1:
                 side.add(v)
@@ -201,12 +200,12 @@ def test_derandomizer_probabilities_match_enumeration():
     # (root, first-child) prefix, the derandomizer's separation probability
     # equals the enumerated conditional
     prefixes = []
-    relems, rtable = sol.block_table(unions[0].union_set)
+    relems, rtable = sol.block_table(unions[0])
     for m in range(1 << len(relems)):
         if rtable[m] > 0:
             prefixes.append({0: m})
     for base in list(prefixes):
-        celems, ctable = sol.block_table(unions[1].union_set)
+        celems, ctable = sol.block_table(unions[1])
         for m in range(1 << len(celems)):
             trial = dict(base)
             trial[1] = m
@@ -232,7 +231,7 @@ def test_derandomizer_probabilities_match_enumeration():
         zp = sum(Fraction(w) for a, b, w in inst.demand_edges if (a in side) != (b in side))
         expect_w += p * (z / lp_star - 2 * zp / alpha)
     root_weighted = Fraction(0)
-    relems, rtable = sol.block_table(unions[0].union_set)
+    relems, rtable = sol.block_table(unions[0])
     for m in range(1 << len(relems)):
         if rtable[m] > 0:
             root_weighted += rtable[m] * der.expected_w({0: m})

@@ -83,15 +83,13 @@ def test_bag_marginals_track_block_values():
     sampler = PropagationSampler(sol, dec)
     rng = random.Random(1)
     n = 20000
-    from treecut.decomposition import root_path_unions
-    unions = root_path_unions(dec)
     counts = [dict() for _ in range(dec.n_bags)]
     for _ in range(n):
         masks = sampler.sample_masks(rng)
         for a, m in masks.items():
             counts[a][m] = counts[a].get(m, 0) + 1
     for a in range(dec.n_bags):
-        elems, table = sol.block_table(unions[a].union_set)
+        elems, table = sol.block_table(dec.unions[a])
         tv = sum(abs(counts[a].get(m, 0) / n - float(table[m]))
                  for m in range(1 << len(elems))) / 2
         assert tv <= 0.02

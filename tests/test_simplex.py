@@ -163,7 +163,7 @@ def test_agrees_with_reference_on_random_lps(prog):
 
 
 def dense_tableau(prog):
-    """(T, basis, row_meta, cost_scale) built the plain way, from dense Fraction rows."""
+    """(T, basis, dual_meta, cost_scale) built the plain way, from dense Fraction rows."""
     pos = {v: j for j, v in enumerate(prog.variables)}
     nv = len(prog.variables)
     rows = []
@@ -221,7 +221,7 @@ def assert_same_tableau(prog):
     T, basis, meta, cost_scale = dense_tableau(prog)
     assert solver.T == T
     assert solver.basis == basis
-    assert solver.row_meta == solver.dual_meta == meta
+    assert solver.dual_meta == meta
     assert solver.cost_scale == cost_scale
     assert solver.den == 1
 
