@@ -9,6 +9,7 @@ output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -270,6 +271,8 @@ def cmd_verify(args) -> int:
     return 0 if ok else 4
 
 
+# Built once per process: parsing reads the parser and leaves it unchanged.
+@functools.cache
 def make_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="treecut",
                                 description="sparsest cut on bounded-treewidth graphs")

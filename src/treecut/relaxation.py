@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
 from typing import Iterable
 
 from .decomposition import TreeDecomposition, least_bags
@@ -194,15 +194,13 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
     return family, constraints
 
 
-def _pair_expression(family: SetFamily, parent_idx: int, u, v) -> dict:
-    """y_uv as a sum of parent-block variables with exactly one endpoint."""
+def _pair_expression(family: SetFamily, parent_idx: int, u, v) -> list:
+    """The parent-block variables whose sum is y_uv: those with exactly one
+    endpoint, in mask order."""
     elems = family.sets[parent_idx]
     ubit, vbit = 1 << elems.index(u), 1 << elems.index(v)
-    expr = {}
-    for m in range(1 << len(elems)):
-        if bool(m & ubit) != bool(m & vbit):
-            expr[_var(parent_idx, m)] = Fraction(1)
-    return expr
+    return [_var(parent_idx, m) for m in range(1 << len(elems))
+            if bool(m & ubit) != bool(m & vbit)]
 
 
 def build_maxcut_lp(graph, r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpProgram:
@@ -217,8 +215,8 @@ def build_maxcut_lp(graph, r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpP
     objective: dict = {}
     for u, v in graph.edges:
         pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        for key, c in _pair_expression(family, pi, relabel[u], relabel[v]).items():
-            objective[key] = objective.get(key, Fraction(0)) + c
+        for key in _pair_expression(family, pi, relabel[u], relabel[v]):
+            objective[key] = objective.get(key, Fraction(0)) + 1
     variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]
     return LpProgram(variables, constraints, objective, sense="max",
                      name=f"maxcut_sa_r{r}").check()
@@ -241,13 +239,21 @@ class SparsestCutLp:
     instance: SparsestCutInstance
 
     def solution_from(self, values: dict) -> "SaSolution":
+        """Every family set's table, summed from its parent block's nonzeros
+        (the block's `marginal` onto the set, with one zero test per entry)."""
         sets = self.family.sets
-        blocks = {p: [values[_var(p, m)] for m in range(1 << len(sets[p]))]
-                  for p in self.maximal}
+        nonzeros = {}
+        for p in self.maximal:
+            block = (values[_var(p, m)] for m in range(1 << len(sets[p])))
+            nonzeros[p] = [(m, x) for m, x in enumerate(block) if x]
         tables = {}
         for i, elems in enumerate(sets):
             p = self.parent_of[i]
-            tables[frozenset(elems)] = (elems, marginal(sets[p], blocks[p], elems))
+            table = [Fraction(0)] * (1 << len(elems))
+            restrict = restrictions(sets[p], elems)
+            for m, x in nonzeros[p]:
+                table[restrict[m]] += x
+            tables[frozenset(elems)] = (elems, table)
         return SaSolution(self.family, tables)
 
 
@@ -371,11 +377,12 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
                 parents[i].append(mi)
     parent_of = {i: parents[i][0] for i in range(len(fsets))}
 
+    # The rows are integer (coefficients 1 and -1, right-hand sides 1 and
+    # 0), which the simplex takes as they are.
     constraints = []
     for mi in maximal:
-        constraints.append(({_var(mi, m): Fraction(1)
-                             for m in range(1 << len(family.sets[mi]))},
-                            "==", Fraction(1)))
+        constraints.append(({_var(mi, m): 1 for m in range(1 << len(family.sets[mi]))},
+                            "==", 1))
 
     # Agreement rows.  A family set S needs them when it lies in several
     # blocks and no larger family set covers the same block list.
@@ -390,25 +397,27 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
         base = ps[0]
         for other in ps[1:]:
             rows = [{} for _ in range(1 << len(elems))]
-            for block, sign in ((base, Fraction(1)), (other, Fraction(-1))):
+            for block, sign in ((base, 1), (other, -1)):
                 for bm, m in enumerate(restrictions(family.sets[block], elems)):
                     rows[m][_var(block, bm)] = sign
-            constraints.extend((row, "==", Fraction(0)) for row in rows)
+            constraints.extend((row, "==", 0) for row in rows)
 
     sidx = {s: i for i, s in enumerate(family.sets)}
 
-    def pair_expr(u, v, weight) -> dict:
-        pi = parent_of[sidx[family.canonical((u, v))]]
-        return dict.fromkeys(_pair_expression(family, pi, u, v), weight)
+    def pair_sum(edges) -> dict:
+        """sum of w * y_uv over the edges, summed in integers over the
+        weights' common denominator, one Fraction per variable at the end."""
+        scale = lcm(1, *(w.denominator for _, _, w in edges))
+        total: dict = {}
+        for u, v, w in edges:
+            c = w.numerator * (scale // w.denominator)
+            for k in _pair_expression(family, parent_of[sidx[family.canonical((u, v))]],
+                                      u, v):
+                total[k] = total.get(k, 0) + c
+        return {k: Fraction(c, scale) for k, c in total.items()}
 
-    cap_expr: dict = {}
-    for u, v, w in instance.supply_edges:
-        for k, c in pair_expr(u, v, w).items():
-            cap_expr[k] = cap_expr.get(k, Fraction(0)) + c
-    dem_expr: dict = {}
-    for u, v, w in instance.demand_edges:
-        for k, c in pair_expr(u, v, w).items():
-            dem_expr[k] = dem_expr.get(k, Fraction(0)) + c
+    cap_expr = pair_sum(instance.supply_edges)
+    dem_expr = pair_sum(instance.demand_edges)
 
     if include_demand_constraint:
         constraints.append((dict(dem_expr), ">=", alpha))
@@ -454,7 +463,8 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     """Minimize (capacity value)/(demand value) over the pared polytope.
 
     Dinkelbach's exact parametric iteration: lambda <- cap(y)/dem(y) on the
-    objective cap - lambda*dem, warm-restarting the tableau.  Each iterate
+    objective cap - lambda*dem, warm-restarting the tableau, which carries
+    cap and dem as reduced-cost rows through its pivots.  Each iterate
     is a strictly better vertex, so the search ends, exactly, when that
     objective's minimum reaches 0.  Every solve must end optimal with an
     exact duality gap of 0, and the search must end within
@@ -463,9 +473,9 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
     built = build_sparsestcut_lp(instance, dec, 0, include_demand_constraint=False)
-    solver = simplex.Simplex(built.program)
+    solver = simplex.Simplex(built.program, objectives=(built.cap_expr, built.dem_expr))
     _certified(solver.solve(), "feasibility")
-    res = _certified(solver.reoptimize(dict(built.dem_expr), sense="max"), "max-demand")
+    res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
 
     def values_of(res):
         values = res.values
@@ -482,10 +492,7 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     best = (res.values, cap, dem)
     trace = [(lam, cap, dem)]
     for it in range(MAX_DINKELBACH_ITERATIONS):
-        obj = dict(built.cap_expr)
-        for k, c in built.dem_expr.items():
-            obj[k] = obj.get(k, Fraction(0)) - lam * c
-        res = _certified(solver.reoptimize(obj, sense="min"), "dinkelbach")
+        res = _certified(solver.reoptimize((1, -lam), "min"), "dinkelbach")
         if res.objective == 0:
             sol = built.solution_from(best[0])
             return RatioSearchResult(best[2], sol, best[1], lam, it + 1, trace)

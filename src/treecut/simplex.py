@@ -21,15 +21,25 @@ duality gap.  The primal and dual objectives are summed as integers over
 the tableau's denominator, and only nonzero values and duals become
 Fractions.
 
-Objectives can be swapped on a solved tableau (`reoptimize`), which is
-what makes exact Dinkelbach ratio searches cheap.
+Objectives declared at construction (`objectives=`) ride through the
+pivots: each is one more integer row of the tableau, at its own scale,
+updated by every pivot like the constraint rows, so each such row is
+always den * scale times that objective's reduced costs against the
+current basis (the Bareiss divisions stay exact by Sylvester's
+identity).  `reoptimize(weights, sense)` prices a weighted sum of the
+declared objectives on a solved tableau as one integer combination of
+those rows and resumes from the previous optimal vertex, which is what
+makes exact Dinkelbach ratio searches cheap.  The combined row is a
+positive multiple of the reduced costs, so the pivots it picks are the
+ones a cost row rebuilt from scratch would pick.  Without declared
+objectives the tableau carries nothing extra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError
@@ -52,6 +62,12 @@ class LpResult:
         return self.status == "optimal"
 
 
+def _integer(cols: dict) -> tuple:
+    """(scale, {column: scale * coefficient}) with the smallest integer scale."""
+    scale = lcm(1, *(c.denominator for c in cols.values()))
+    return scale, {j: c.numerator * (scale // c.denominator) for j, c in cols.items()}
+
+
 def _scatter(cols: dict, scale: int, width: int) -> list:
     """An integer row of `width`: scale * cols[j] at each column j, 0 elsewhere."""
     row = [0] * width
@@ -66,13 +82,16 @@ class Simplex:
     Standardization: rows scaled to integers, right-hand sides made
     nonnegative, slack/surplus columns appended, artificials for rows
     without a natural basic column.  All variables are nonnegative.
+    Each objective in `objectives` (a {variable: coefficient} dict) is
+    carried as a reduced-cost row for `reoptimize`.
     """
 
     # Exact rationals are the only number type.  Kept as an attribute
     # because bench/tracer.py reads it before checking the duality gap.
     mode = "rational"
 
-    def __init__(self, program, pivot_rule: str = "auto", max_iters: int = 200_000):
+    def __init__(self, program, pivot_rule: str = "auto", max_iters: int = 200_000,
+                 objectives=()):
         if pivot_rule not in ("auto", "bland"):
             raise InputError(f"unknown pivot rule {pivot_rule!r}")
         self.rule = pivot_rule
@@ -82,6 +101,11 @@ class Simplex:
         self.var_pos = {v: j for j, v in enumerate(self.variables)}
         self.pivots = 0
         self._build_tableau()
+        self.objectives = []  # per declared objective: (scale, {column: integer coefficient})
+        for objective in objectives:
+            scale, ints = _integer(self._columns(objective, 1))
+            self.objectives.append((scale, ints))
+            self.T.append(_scatter(ints, 1, self.width))
 
     # -- construction -----------------------------------------------------
 
@@ -92,7 +116,7 @@ class Simplex:
             j = self.var_pos.get(var)
             if j is None:
                 raise InputError(f"constraint references unknown variable {var!r}")
-            if not isinstance(c, Fraction):
+            if not isinstance(c, (int, Fraction)):
                 c = Fraction(c)
             if c:
                 cols[j] = c if sign > 0 else -c
@@ -102,7 +126,8 @@ class Simplex:
         nv = len(self.variables)
         rows = []
         for coeffs, sense, rhs in self.program.constraints:
-            rhs = Fraction(rhs)
+            if not isinstance(rhs, (int, Fraction)):
+                rhs = Fraction(rhs)
             sign = 1
             if rhs < 0:
                 rhs, sign = -rhs, -1
@@ -155,20 +180,15 @@ class Simplex:
 
         # real cost row, scaled to integers
         self.obj_factor = -1 if self.program.sense == "max" else 1
-        cost = self._columns(self.program.objective, self.obj_factor)
-        self._set_cost(cost)
-        T.append(_scatter(cost, self.cost_scale, width))
+        self.cost_scale, self.cost_int = _integer(
+            self._columns(self.program.objective, self.obj_factor))
+        T.append(_scatter(self.cost_int, 1, width))
         T.append(prow)
 
         self.T = T
         self.den = 1
         self.basis = basis
         self.barred = set()
-
-    def _set_cost(self, cost: dict):
-        """Scale the objective's {column: coefficient} to integers."""
-        self.cost_scale = scale = lcm(1, *(c.denominator for c in cost.values()))
-        self.cost_int = {j: c.numerator * (scale // c.denominator) for j, c in cost.items()}
 
     # -- pivoting ---------------------------------------------------------
 
@@ -296,24 +316,40 @@ class Simplex:
             self.m -= 1
         self.barred |= self.art_cols
 
-    def reoptimize(self, new_objective: dict, sense: Optional[str] = None) -> LpResult:
-        """Swap the objective on a solved feasible tableau and re-run.
+    def reoptimize(self, weights, sense: Optional[str] = None) -> LpResult:
+        """Optimize sum_k weights[k] * (declared objective k) and re-run.
 
-        Reduced costs are rebuilt against the current basis, so the search
-        resumes from the previous optimal vertex.
+        The cost row is that weighted sum of the carried reduced-cost rows,
+        over the smallest common scale, so the search resumes from the
+        previous optimal vertex.
         """
         if not getattr(self, "_feasible_basis", False):
             raise InputError("reoptimize needs a solved feasible tableau; call solve() first")
+        if len(weights) != len(self.objectives):
+            raise InputError(f"reoptimize got {len(weights)} weights for "
+                             f"{len(self.objectives)} declared objectives")
         sense = sense or self.program.sense
-        self.obj_factor = -1 if sense == "max" else 1
-        cost = self._columns(new_objective, self.obj_factor)
-        self._set_cost(cost)
-        crow = _scatter(cost, self.cost_scale * self.den, self.width)
-        for i in range(self.m):
-            cb = self.cost_int.get(self.basis[i])
-            if cb:
-                crow = [a - cb * x for a, x in zip(crow, self.T[i])]
-        self.T[self.m] = crow
+        self.obj_factor = factor = -1 if sense == "max" else 1
+        # weight a/b on a row at scale s needs a common scale divisible by b*s/gcd(a, s)
+        terms = []
+        scale = 1
+        for k, (w, (s, _)) in enumerate(zip(weights, self.objectives)):
+            w = Fraction(w)
+            if w:
+                g = gcd(w.numerator, s)
+                terms.append((k, w.numerator // g, w.denominator * s // g))
+                scale = lcm(scale, terms[-1][2])
+        cost: dict = {}
+        crow = None
+        for k, num, per in terms:
+            mult = factor * num * (scale // per)
+            for j, c in self.objectives[k][1].items():
+                cost[j] = cost.get(j, 0) + mult * c
+            row = self.T[self.m + 2 + k]
+            crow = ([mult * x for x in row] if crow is None
+                    else [a + mult * x for a, x in zip(crow, row)])
+        self.cost_scale, self.cost_int = scale, cost
+        self.T[self.m] = crow if crow is not None else [0] * self.width
         return self._result(self._run(self.m))
 
     # -- results ----------------------------------------------------------

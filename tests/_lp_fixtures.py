@@ -23,7 +23,8 @@ def build_distortion_lp(vertices, metric: dict, distortion, scale,
     for (u, v), d in metric.items():
         d = as_weight(d)
         pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        expr = _pair_expression(family, pi, relabel[u], relabel[v])
+        expr = dict.fromkeys(_pair_expression(family, pi, relabel[u], relabel[v]),
+                             Fraction(1))
         constraints.append((dict(expr), ">=", C * d))
         constraints.append((dict(expr), "<=", D * C * d))
     variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 from corpus import acceptance_corpus
-from treecut.cli import main
+from treecut.cli import main, make_parser
 from treecut.instance import format_instance, parse_instance
 
 
@@ -100,6 +100,22 @@ def test_verify_passes_on_generated_instance(tmp_path, capsys):
     code, out, _ = run(capsys, "verify", str(inst), "--format", "json")
     assert code == 0
     assert json.loads(out)["ok"] is True
+
+
+def test_parser_is_built_once_and_survives_failed_parses(tmp_path, capsys):
+    inst = tmp_path / "in.ssc"
+    run(capsys, "gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst))
+    for bad in (["solve", str(inst), "--no-such-flag"], ["solve", str(inst), "--format", "xml"],
+                ["solve"], ["frobnicate"]):
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2
+    capsys.readouterr()
+    assert make_parser() is make_parser()
+    cached = run(capsys, "solve", str(inst), "--format", "json")
+    make_parser.cache_clear()
+    fresh = run(capsys, "solve", str(inst), "--format", "json")
+    assert cached == fresh and cached[0] == 0
 
 
 # sha256 of each command's stdout over acceptance_corpus(0, 20), instance

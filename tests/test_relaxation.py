@@ -1,13 +1,15 @@
+import hashlib
 import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from treecut.cli import main
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.errors import BudgetError
 from treecut.generators import MaxCutInstance, building_block
-from treecut.instance import SparsestCutInstance
+from treecut.instance import SparsestCutInstance, format_instance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
 from treecut.relaxation import (LpProgram, build_full_sa, build_maxcut_lp,
                                 build_sparsestcut_lp, format_lp, full_family,
@@ -16,6 +18,7 @@ from treecut import simplex
 
 from _lp_fixtures import build_distortion_lp, parse_lp
 from _reference_simplex import reference_solve
+from corpus import acceptance_corpus
 
 
 def constraints_satisfied(constraints, values):
@@ -217,3 +220,34 @@ def test_distortion_lp_feasible_for_path_metric():
     # and an impossible demand: contract by half while expanding is capped
     bad = build_distortion_lp(verts, {(1, 4): Fraction(2)}, 1, Fraction(1), r=4)
     assert simplex.solve(bad).status == "infeasible"
+
+
+# sha256 of the LP text over acceptance_corpus(0, 20), instance after
+# instance, recorded before the builder emitted integer coefficients:
+# `format_lp` of the pared LP without the demand row (as the ratio search
+# builds it) and with it at a third of the total demand, and the file that
+# `solve --dump-lp` writes.
+LP_TEXT_DIGESTS = {
+    "without_demand_row":
+        "2e869417e234b96354bfe76d8569955c718ce34de1f42059c69445ed8b894421",
+    "with_demand_row":
+        "cd99969b437a77aaa368cc5600d3353be62d246ee4571df579508b8fd0193288",
+    "solve_dump_lp":
+        "494abf7793f96b21b76099ab7879ea3b7296ea965debbee85c2ab29db738db12",
+}
+
+
+def test_lp_text_matches_recorded_digests(tmp_path, capsys):
+    digests = {name: hashlib.sha256() for name in LP_TEXT_DIGESTS}
+    for i, inst in enumerate(acceptance_corpus(0, 20)):
+        dec = balance(exact_decomposition(inst))
+        built = build_sparsestcut_lp(inst, dec, 0, include_demand_constraint=False)
+        digests["without_demand_row"].update(format_lp(built.program).encode())
+        built = build_sparsestcut_lp(inst, dec, inst.total_demand / 3)
+        digests["with_demand_row"].update(format_lp(built.program).encode())
+        path, dump = tmp_path / f"c{i}.ssc", tmp_path / f"c{i}.lp"
+        path.write_text(format_instance(inst))
+        assert main(["solve", str(path), "--dump-lp", str(dump)]) == 0
+        capsys.readouterr()
+        digests["solve_dump_lp"].update(dump.read_bytes())
+    assert {name: h.hexdigest() for name, h in digests.items()} == LP_TEXT_DIGESTS

@@ -95,15 +95,28 @@ def test_bland_rule_terminates_on_degenerate_programs():
 
 def test_reoptimize_matches_cold_solve():
     prog = build_maxcut_lp(MaxCutInstance.complete(4), 2)
-    solver = Simplex(prog)
-    first = solver.solve()
     new_obj = {v: -c for v, c in prog.objective.items()}
-    warm = solver.reoptimize(new_obj, sense="max")
+    solver = Simplex(prog, objectives=(new_obj, prog.objective))
+    first = solver.solve()
+    warm = solver.reoptimize((1, 0), sense="max")
     cold = solve(lp(prog.variables, prog.constraints, new_obj, "max"))
     assert warm.objective == cold.objective
     # and back again
-    again = solver.reoptimize(prog.objective, sense="max")
+    again = solver.reoptimize((0, 1), sense="max")
     assert again.objective == first.objective
+
+
+def test_reoptimize_rejects_misuse():
+    prog = build_maxcut_lp(MaxCutInstance.complete(3), 2)
+    solver = Simplex(prog, objectives=(prog.objective,))
+    with pytest.raises(InputError):
+        solver.reoptimize((1,))  # before solve()
+    assert solver.solve().optimal
+    for weights in ((), (1, 0)):
+        with pytest.raises(InputError):
+            solver.reoptimize(weights)
+    with pytest.raises(InputError):
+        Simplex(prog, objectives=({"nope": 1},))
 
 
 def test_iteration_limit_status():
@@ -247,8 +260,12 @@ def corpus_programs():
 
 
 def test_tableau_matches_dense_construction(corpus_programs):
-    for prog, _, _ in corpus_programs:
+    for prog, objective, _ in corpus_programs:
         assert_same_tableau(prog)
+        # a declared objective only appends its row
+        carried = Simplex(prog, objectives=(objective,)).T
+        assert carried[:-1] == Simplex(prog).T
+        assert carried[-1] == carried_row(Simplex(prog), objective)
     # the same instances with the demand row (a fractional ">=" right-hand side)
     for inst in acceptance_corpus(0, 20):
         built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
@@ -291,14 +308,15 @@ def assert_certified(solver, res, prog, objective, sense):
     for i, b in enumerate(solver.basis):
         assert [T[k][b] for k in range(solver.m)] == [den if k == i else 0
                                                       for k in range(solver.m)]
-        assert T[solver.m][b] == T[solver.m + 1][b] == 0
+        # the cost row, the phase-1 row and every carried row
+        assert all(row[b] == 0 for row in T[solver.m:])
 
 
 def test_solve_and_reoptimize_match_reference(corpus_programs):
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog)
+        solver = Simplex(prog, objectives=(objective,))
         assert_certified(solver, solver.solve(), prog, prog.objective, prog.sense)
-        assert_certified(solver, solver.reoptimize(objective, sense=sense),
+        assert_certified(solver, solver.reoptimize((1,), sense=sense),
                          prog, objective, sense)
 
 
@@ -307,12 +325,12 @@ def test_solve_and_reoptimize_match_reference(corpus_programs):
 @settings(max_examples=60, deadline=None)
 def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     # fractional rows move the running denominator off 1 before the swap
-    solver = Simplex(prog)
+    objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
+    solver = Simplex(prog, objectives=(objective,))
     if not solver.solve().optimal:
         return
-    objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     # every variable is bounded, so a feasible program stays optimal
-    assert_certified(solver, solver.reoptimize(objective, sense=sense), prog, objective, sense)
+    assert_certified(solver, solver.reoptimize((1,), sense=sense), prog, objective, sense)
 
 
 def dense_bareiss(T, den, r, c):
@@ -357,9 +375,9 @@ def checked_pivots():
 def test_pivots_match_dense_bareiss(corpus_programs):
     with checked_pivots() as branches:
         for prog, objective, sense in corpus_programs:
-            solver = Simplex(prog)
+            solver = Simplex(prog, objectives=(objective,))
             assert solver.solve().optimal
-            assert solver.reoptimize(objective, sense=sense).optimal
+            assert solver.reoptimize((1,), sense=sense).optimal
     # the C_5 program moves the running denominator off 1 and back
     assert set(branches) == {"p == d == 1", "p == d > 1", "p != d"}
 
@@ -368,11 +386,11 @@ def test_pivots_match_dense_bareiss(corpus_programs):
        st.sampled_from(["min", "max"]))
 @settings(max_examples=60, deadline=None, derandomize=True)
 def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
+    objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     with checked_pivots():
-        solver = Simplex(prog)
+        solver = Simplex(prog, objectives=(objective,))
         if solver.solve().optimal:
-            objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
-            solver.reoptimize(objective, sense=sense)
+            solver.reoptimize((1,), sense=sense)
 
 
 def fraction_result(solver, objective):
@@ -406,9 +424,9 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
     # the feasibility solve, the swap to the second objective, then two
     # Dinkelbach steps on first - lambda * second, as the ratio search runs
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog)
+        solver = Simplex(prog, objectives=(prog.objective, objective))
         assert_fraction_result(solver, solver.solve(), prog.objective)
-        res = solver.reoptimize(objective, sense=sense)
+        res = solver.reoptimize((0, 1), sense=sense)
         assert_fraction_result(solver, res, objective)
         for _ in range(2):
             first = sum(Fraction(c) * res.values[v] for v, c in prog.objective.items())
@@ -417,5 +435,134 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
             step = dict(prog.objective)
             for v, c in objective.items():
                 step[v] = step.get(v, Fraction(0)) - lam * c
-            res = solver.reoptimize(step, sense="min")
+            res = solver.reoptimize((1, -lam), sense="min")
             assert_fraction_result(solver, res, step)
+
+
+def carried_row(solver, objective):
+    """den * scale * the objective's reduced costs against the current basis,
+    recomputed densely from the tableau's constraint rows: c_j minus the
+    basic costs times column j of B^-1 A, which is T[i][j] / den, as one
+    Fraction per column; scale is the least common denominator of the
+    objective's coefficients."""
+    T, den = solver.T, solver.den
+    coeff = [Fraction(0)] * solver.width
+    for v, c in objective.items():
+        coeff[solver.var_pos[v]] += Fraction(c)
+    scale = lcm(1, *(c.denominator for c in coeff))
+    basic = [0] * solver.width  # scale * sum_i c_basis(i) * T[i], in integers
+    for i, b in enumerate(solver.basis):
+        if coeff[b]:
+            cb = int(coeff[b] * scale)
+            basic = [x + cb * a for x, a in zip(basic, T[i])]
+    reduced = [c - Fraction(x, scale * den) for c, x in zip(coeff, basic)]
+    return [den * scale * x for x in reduced]
+
+
+def dense_cost_row(solver, objective, sense):
+    """(row, scale): the cost row rebuilt densely against the current basis,
+    as `reoptimize` built it before the objectives rode through the pivots."""
+    factor = -1 if sense == "max" else 1
+    cost = {solver.var_pos[v]: factor * Fraction(c) for v, c in objective.items() if c}
+    scale = lcm(1, *(c.denominator for c in cost.values()))
+    cost_int = {j: int(c * scale) for j, c in cost.items()}
+    crow = [0] * solver.width
+    for j, c in cost_int.items():
+        crow[j] = c * solver.den
+    for i in range(solver.m):
+        cb = cost_int.get(solver.basis[i])
+        if cb:
+            crow = [a - cb * x for a, x in zip(crow, solver.T[i])]
+    return crow, scale
+
+
+@contextmanager
+def checked_carried_rows():
+    """Check the carried objective rows after every pivot, and each
+    `reoptimize`'s cost row before its first pivot.
+
+    Every carried row must equal `carried_row`, and the cost row must be a
+    positive multiple of `dense_cost_row` for the same weighted objective,
+    with `cost_int / cost_scale` its coefficients.  Yields a Counter of the
+    checks made.
+    """
+    init, pivot, reoptimize, run = (Simplex.__init__, Simplex._pivot,
+                                    Simplex.reoptimize, Simplex._run)
+    checks = Counter()
+
+    def assert_carried(self):
+        for k, objective in enumerate(self.declared):
+            assert self.T[self.m + 2 + k] == carried_row(self, objective)
+        checks["carried rows"] += 1
+
+    def checked_init(self, program, *args, objectives=(), **kwargs):
+        self.declared = list(objectives)
+        init(self, program, *args, objectives=objectives, **kwargs)
+        assert_carried(self)
+
+    def checked_pivot(self, r, c):
+        pivot(self, r, c)
+        assert_carried(self)
+
+    def checked_reoptimize(self, weights, sense=None):
+        self.pending = (weights, sense or self.program.sense)
+        return reoptimize(self, weights, sense)
+
+    def checked_run(self, cost_row):
+        pending = self.__dict__.pop("pending", None)
+        if pending is not None:
+            weights, sense = pending
+            combined = {}
+            for w, objective in zip(weights, self.declared):
+                for v, c in objective.items():
+                    combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
+            old, old_scale = dense_cost_row(self, combined, sense)
+            assert self.cost_scale > 0
+            assert [a * old_scale for a in self.T[self.m]] == [b * self.cost_scale for b in old]
+            factor = -1 if sense == "max" else 1
+            assert {j: Fraction(c, self.cost_scale) for j, c in self.cost_int.items() if c} == \
+                {self.var_pos[v]: factor * c for v, c in combined.items() if c}
+            checks["cost rows"] += 1
+        return run(self, cost_row)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Simplex, "__init__", checked_init)
+        mp.setattr(Simplex, "_pivot", checked_pivot)
+        mp.setattr(Simplex, "reoptimize", checked_reoptimize)
+        mp.setattr(Simplex, "_run", checked_run)
+        yield checks
+
+
+def dinkelbach_steps(prog, objective, sense):
+    """Solve, swap to objective, then two Dinkelbach steps on
+    prog.objective - lambda * objective, as the ratio search runs."""
+    solver = Simplex(prog, objectives=(prog.objective, objective))
+    if not solver.solve().optimal:
+        return
+    res = solver.reoptimize((0, 1), sense=sense)
+    for _ in range(2):
+        if not res.optimal:
+            return
+        first = sum(Fraction(c) * res.values[v] for v, c in prog.objective.items())
+        second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
+        if not second:
+            return
+        res = solver.reoptimize((1, -first / second), sense="min")
+
+
+def test_carried_rows_match_dense_reduced_costs(corpus_programs):
+    with checked_pivots() as branches, checked_carried_rows() as checks:
+        for prog, objective, sense in corpus_programs:
+            dinkelbach_steps(prog, objective, sense)
+    # the C_5 program takes the dense p != d branch with the rows aboard
+    assert branches["p != d"] > 0
+    assert checks["cost rows"] == 3 * len(corpus_programs)
+
+
+@given(random_lp(), st.lists(st.integers(-3, 3), min_size=5, max_size=5),
+       st.sampled_from(["min", "max"]))
+@settings(max_examples=60, deadline=None, derandomize=True)
+def test_carried_rows_match_dense_reduced_costs_on_random_lps(prog, weights, sense):
+    objective = {v: Fraction(w, 2) for v, w in zip(prog.variables, weights)}
+    with checked_carried_rows():
+        dinkelbach_steps(prog, objective, sense)
