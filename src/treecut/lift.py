@@ -8,12 +8,23 @@ to opposite sides, the base draw is symmetrized with a fair coin, and cut
 copies recurse while uncut copies ride along with their terminals.
 Distributions are computed exactly by dynamic programming over the
 recursion tree, never sampled.
+
+The DP runs in integers.  A target set is closed one level at a time:
+its top set (terminals, its base vertices and the base endpoint of each
+copy it touches) picks the base draw, and each touched copy's inner set
+is left to the recursive call on the next level down.  The base draw and
+each cut copy's inner distribution are read as integer numerators over
+one denominator; a branch's selections multiply integers and its
+denominators multiply; the branches are summed over the lcm of their
+denominators, checked to sum to it, and only then turned into one reduced
+Fraction per entry.  The memo keeps those Fraction dicts only.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd, lcm
 from typing import Optional
 
 from .errors import InputError, InvariantError
@@ -123,12 +134,51 @@ def extend_set(ctx: LiftContext, T, levels: Optional[int] = None) -> ExtendedSet
     return ext
 
 
+def _one_level(ctx: LiftContext, T: frozenset, levels: int):
+    """T's closure at this level only: the top set (terminals, T's base
+    vertices and the base endpoint of every copy T touches) and
+    [(edge index, inner set)] per touched copy, in edge order.  Each inner
+    set is closed by its own lift call."""
+    top = {"s", "t"}
+    touched: dict = {}
+    deepest = 0
+    for v in T:
+        if isinstance(v, tuple) and v and v[0] == "e":
+            touched.setdefault(v[1], set()).add(v[2])
+            depth = 0
+            while isinstance(v, tuple) and v and v[0] == "e":
+                v, depth = v[2], depth + 1
+            deepest = max(deepest, depth)
+        else:
+            top.add(v)
+    if deepest >= levels:
+        # a copy vertex nested deeper than the levels allow: the full
+        # closure raises the level-1 error for the first such copy
+        extend_set(ctx, T, levels)
+    copies = []
+    for ei, inner in sorted(touched.items()):
+        top.add(ctx.edge_endpoint(ei)[1])
+        copies.append((ei, frozenset(inner)))
+    # each pulled-in base vertex charges to a distinct T-member inside a copy
+    if len(top) - 2 > len(T):
+        raise InvariantError("extension grew beyond its charging bound")
+    return frozenset(top), copies
+
+
+def _integer(dist: dict):
+    """(D, {selection: n}): the nonzero entries of an exact distribution
+    as n / D over one denominator D, the lcm of their denominators."""
+    ratios = [(sel, p.as_integer_ratio()) for sel, p in dist.items()]
+    den = lcm(*(d for _, (n, d) in ratios if n))
+    return den, {sel: n * (den // d) for sel, (n, d) in ratios if n}
+
+
 def _convolve(dist_a: dict, dist_b: dict) -> dict:
     out: dict = {}
     for xa, pa in dist_a.items():
         for xb, pb in dist_b.items():
             key = xa | xb
-            out[key] = out.get(key, Fraction(0)) + pa * pb
+            out[key] = out.get(key, 0) + pa * pb
     return out
 
 
@@ -146,8 +196,8 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
     hit = ctx._memo.get(memo_key)
     if hit is not None:
         return hit
-    ext = extend_set(ctx, T, levels)
-    R = frozenset(v for v in ext.top if v not in ("s", "t"))
+    top, copies = _one_level(ctx, T, levels)
+    R = top - {"s", "t"}
     if R:
         try:
             base_dist = ctx.base_dists[R]
@@ -155,47 +205,74 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
             raise InputError(
                 f"base round budget too small: the lift needs the distribution "
                 f"over {len(R)} base vertices") from None
+        base_den, base = _integer(base_dist)
     else:
-        base_dist = {frozenset(): Fraction(1)}
-    half = Fraction(1, 2)
-    out: dict = {}
-    for Y, p in base_dist.items():
-        if p == 0:
-            continue
-        for flip in (False, True):
-            chosen = (R - Y) if flip else Y
+        base_den, base = 1, {frozenset(): 1}
+    supply = ctx.block.supply_edges
+    copies = [(ei, sub_T, supply[ei][0], supply[ei][1],
+               frozenset(("e", ei, x) for x in sub_T)) for ei, sub_T in copies]
+    # a cut copy's inner distribution in integers and outer names, read
+    # once per orientation: (ei, u carries the inner s role) -> (den, part)
+    parts: dict = {}
+    branches = []  # (base numerator, denominator, {selection: numerator})
+    for Y, n in base.items():
+        for chosen in (Y, R - Y):
             x1 = chosen | {"s"}
-            weight = p * half
-            result = {frozenset(x1 & T): Fraction(1)}
-            for ei, sub_ext in ext.per_copy.items():
-                u, v, _ = ctx.block.supply_edges[ei]
+            key = x1 & T
+            den = 1
+            cut = []
+            for ei, sub_T, u, v, whole in copies:
                 u_in = u == "s" or (u != "t" and u in x1)  # u carries the inner s role
                 v_in = v == "s" or (v != "t" and v in x1)
-                sub_T = sub_ext.original
                 if u_in and v_in:
-                    part = {frozenset(("e", ei, x) for x in sub_T): Fraction(1)}
-                elif not u_in and not v_in:
-                    part = {frozenset(): Fraction(1)}
-                else:
+                    key |= whole
+                elif u_in or v_in:
                     inner = lift_distribution(ctx, sub_T, levels - 1)
-                    if u_in:
-                        part = {frozenset(("e", ei, x) for x in sel): q
-                                for sel, q in inner.items()}
-                    else:
-                        # traversed against orientation: the selection process is
-                        # complement-symmetric under swapping the terminals, so
-                        # the reversed copy contributes the complement within T
-                        part = {frozenset(("e", ei, x) for x in (sub_T - sel)): q
-                                for sel, q in inner.items()}
+                    part = parts.get((ei, u_in))
+                    if part is None:
+                        inner_den, nums = _integer(inner)
+                        if u_in:
+                            part = {frozenset(("e", ei, x) for x in sel): q
+                                    for sel, q in nums.items()}
+                        else:
+                            # traversed against orientation: the selection process is
+                            # complement-symmetric under swapping the terminals, so
+                            # the reversed copy contributes the complement within T
+                            part = {frozenset(("e", ei, x) for x in (sub_T - sel)): q
+                                    for sel, q in nums.items()}
+                        part = parts[(ei, u_in)] = (inner_den, part)
+                    den *= part[0]
+                    cut.append(part[1])
+            result = {key: 1}
+            for part in cut:
                 result = _convolve(result, part)
-            for sel, q in result.items():
-                out[sel] = out.get(sel, Fraction(0)) + weight * q
+            branches.append((n, den, result))
+    # each branch weighs n / (2 * base_den) and its result is over den
+    common = lcm(*(den for _, den, _ in branches))
+    out: dict = {}
+    for n, den, result in branches:
+        scale = n * (common // den)
+        for sel, q in result.items():
+            out[sel] = out.get(sel, 0) + scale * q
+    total = 2 * base_den * common
+    mass = sum(out.values())
+    if mass != total:
+        raise InvariantError(f"lifted distribution over {sorted(map(str, T))} sums to "
+                             f"{Fraction(mass, total)}, not 1")
     # probabilities are shared by (numerator, denominator): hashing a
     # Fraction itself costs a modular inverse per call
-    intern = ctx._share.setdefault
-    out = {intern(k, k): intern((p.numerator, p.denominator), p) for k, p in out.items()}
-    ctx._memo[memo_key] = out
-    return out
+    share = ctx._share
+    intern = share.setdefault
+    shared = {}
+    for sel, num in out.items():
+        g = gcd(num, total)
+        pair = (num // g, total // g)
+        p = share.get(pair)
+        if p is None:
+            p = share[pair] = Fraction(*pair)
+        shared[intern(sel, sel)] = p
+    ctx._memo[memo_key] = shared
+    return shared
 
 
 def lift_pair_value(ctx: LiftContext, u, v) -> Fraction:

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import compress
 from math import gcd, lcm
 from typing import Optional
 
@@ -199,7 +200,7 @@ class Simplex:
         d = self.den
         if p == d:
             # a*p - f*b over d is a - f*b/d, exact: touch only prow's nonzeros
-            nz = [(j, b) for j, b in enumerate(prow) if b]
+            nz = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
             for i, row in enumerate(T):
                 f = row[c]
                 if f and i != r:

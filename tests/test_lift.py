@@ -1,9 +1,14 @@
+import hashlib
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
+from _reference_lift import ReferenceLift
+from treecut import lift
 from treecut.decomposition import balance
+from treecut.errors import InputError, InvariantError
 from treecut.generators import MaxCutInstance
 from treecut.lift import (extend_set, gap_experiment, lift_distribution,
                           lift_pair_value, lifted_family_solution, lifted_value,
@@ -228,3 +233,98 @@ def test_pared_lp_value_bounded_by_lifted_certificate():
     rs = ratio_search(powered.instance, dec)
     lv = lifted_value(ctx)
     assert rs.ratio <= lv.sparsity == Fraction(1, 2)
+
+
+def _distribution_text(dist):
+    return str(sorted((sorted(map(str, sel)), str(p)) for sel, p in dist.items()))
+
+
+def _small_targets(vertices):
+    return [T for k in (1, 2) for T in itertools.combinations(vertices, k)]
+
+
+# sha256 of the sorted str form of every |T| <= 2 lifted distribution of
+# G_3(P_3) at rounds 3 (8646 sets: singletons, then pairs, in vertex
+# order), recorded before the lift DP moved to integer arithmetic.
+G3_P3_DISTRIBUTIONS_DIGEST = "4308049c4ed6a74a5d1c5cb33b21d0c8913e8ac0f9b3997fdfc1081ec11f183a"
+
+
+def test_lift_distributions_match_recorded_digest():
+    ctx = p3_context(levels=3)
+    targets = _small_targets(ctx.powered.instance.vertices)
+    assert len(targets) == 8646
+    h = hashlib.sha256()
+    for T in targets:
+        h.update(_distribution_text(lift_distribution(ctx, T)).encode() + b"\n")
+    assert h.hexdigest() == G3_P3_DISTRIBUTIONS_DIGEST
+
+
+# (context, target, levels, exception type, message), recorded before the
+# lift DP moved to integer arithmetic.
+INVALID_TARGETS = [
+    # copy vertices nested deeper than the levels allow; the error names
+    # the innermost offending set of the first such copy in edge order
+    (("p3", 3, 3),
+     (("e", 1, ("e", 0, 1)), ("e", 3, ("e", 2, ("e", 0, 1))),
+      ("e", 2, ("e", 1, ("e", 3, 2)))),
+     None, InputError, "copy vertex at level 1: ['2']"),
+    (("p3", 3, 3), ("s", ("e", 0, ("e", 0, 1))), 1,
+     InputError, "copy vertex at level 1: [\"('e', 0, 1)\"]"),
+    # the closure pulls in the base endpoints 1 and 2 of copies 0 and 2,
+    # so it needs 3 base vertices at 2 rounds
+    (("k5", 2, 2), (("e", 0, 2), ("e", 2, 3), 4), None,
+     InputError, "base round budget too small: the lift needs the distribution "
+                 "over 3 base vertices"),
+]
+
+
+@pytest.mark.parametrize("config, T, levels, exc, message", INVALID_TARGETS)
+def test_invalid_targets_raise_recorded_errors(config, T, levels, exc, message):
+    name, rounds, lv = config
+    ctx = make_lift_context(MaxCutInstance.named(name), rounds, lv)
+    with pytest.raises(exc) as info:
+        lift_distribution(ctx, T, levels)
+    assert type(info.value) is exc and str(info.value) == message
+
+
+def _differential_check(ctx, targets, monkeypatch):
+    """Every distribution equals the Fraction reference's, and the package
+    makes as many lift_distribution calls as the reference recursion."""
+    calls = [0]
+    original = lift.lift_distribution
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(lift, "lift_distribution", counted)
+    ref = ReferenceLift(ctx)
+    for T in targets:
+        assert lift.lift_distribution(ctx, T) == ref.distribution(T), T
+    assert calls[0] == ref.calls
+
+
+@pytest.mark.parametrize("name", ["p3", "k3", "c5"])
+def test_lift_matches_reference_on_level_two_bases(name, monkeypatch):
+    ctx = make_lift_context(MaxCutInstance.named(name), 3, 2)
+    _differential_check(ctx, _small_targets(ctx.powered.instance.vertices), monkeypatch)
+
+
+def test_lift_matches_reference_on_sampled_level_three_pairs(monkeypatch):
+    ctx = p3_context(levels=3)
+    pairs = list(itertools.combinations(ctx.powered.instance.vertices, 2))
+    _differential_check(ctx, random.Random(12).sample(pairs, 1000), monkeypatch)
+
+
+def test_lift_rejects_a_distribution_that_does_not_sum_to_one(monkeypatch):
+    # reading every distribution over twice its denominator halves each
+    # branch's weight, so the summed numerators fall short of the total
+    integer = lift._integer
+
+    def halved(dist):
+        den, nums = integer(dist)
+        return 2 * den, nums
+
+    monkeypatch.setattr(lift, "_integer", halved)
+    with pytest.raises(InvariantError, match="sums to 1/2, not 1"):
+        lift_distribution(p3_context(), (1,))

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -22,12 +23,18 @@ def test_approx_benchmark_runs():
     assert "5 instances" in res.stdout
 
 
+# sha256 of scripts/gap_table.py's stdout, recorded before the lift DP
+# moved to integer arithmetic.
+GAP_TABLE_DIGEST = "865c76ad7a9a83a035bb8df79ebf2f321d3c6b988eff72b91aec170c5dac7041"
+
+
 def test_gap_table_runs():
     res = run_script("gap_table.py")
     assert res.returncode == 0
     lines = [l for l in res.stdout.strip().split("\n") if not l.startswith("#")]
     assert len(lines) == 10  # header + 9 configurations
     assert any(",5/4," in l for l in lines)  # the K_5 r=2 l=2 gap
+    assert hashlib.sha256(res.stdout.encode()).hexdigest() == GAP_TABLE_DIGEST
 
 
 def test_soak_runs():
