@@ -17,7 +17,15 @@ each cut copy's inner distribution are read as integer numerators over
 one denominator; a branch's selections multiply integers and its
 denominators multiply; the branches are summed over the lcm of their
 denominators, checked to sum to it, and only then turned into one reduced
-Fraction per entry.  The memo keeps those Fraction dicts only.
+Fraction per entry, and the memo keeps those Fraction dicts.
+
+Each context also keeps its own read caches, which live and die with it:
+each base draw in integers with its symmetrized selections, keyed by its
+ground set, and per (level, copy, inner set) the copy's endpoints, its
+outer names and, per orientation once a branch cuts it, the inner
+distribution in integers and outer names.  So each of these reads is made
+at most once per context; the recursive call on a cut copy still runs on
+every branch that cuts it.
 """
 
 from __future__ import annotations
@@ -52,8 +60,14 @@ class LiftContext:
     base_value: Fraction  # total y over the base edges (c*m)
     _memo: dict = field(default_factory=dict, repr=False)
     # one shared object per distinct selection set and probability across
-    # the memoised distributions, which keeps the memo's memory down
+    # the memoised distributions and the cut copies' parts, which keeps
+    # their memory down
     _share: dict = field(default_factory=dict, repr=False)
+    # the DP's reads, each made once per context: R -> the base draw over R
+    # (`_base_read`), and (levels, edge index, inner set) -> one copy
+    # (`_copy_read`)
+    _base_reads: dict = field(default_factory=dict, repr=False)
+    _copy_reads: dict = field(default_factory=dict, repr=False)
 
     @property
     def block(self) -> SparsestCutInstance:
@@ -173,6 +187,59 @@ def _integer(dist: dict):
     return den, {sel: n * (den // d) for sel, (n, d) in ratios if n}
 
 
+def _base_read(ctx: LiftContext, R: frozenset):
+    """(D, [(n, X)]): the base draw over R in integers, read once per
+    context, as its symmetrized branches: each selection Y of numerator n
+    over D gives X = Y + s and X = (R - Y) + s."""
+    read = ctx._base_reads.get(R)
+    if read is None:
+        if not R:
+            den, base = 1, {frozenset(): 1}
+        else:
+            try:
+                den, base = _integer(ctx.base_dists[R])
+            except KeyError:
+                raise InputError(
+                    f"base round budget too small: the lift needs the distribution "
+                    f"over {len(R)} base vertices") from None
+        read = ctx._base_reads[R] = den, [(n, chosen | {"s"}) for Y, n in base.items()
+                                          for chosen in (Y, R - Y)]
+    return read
+
+
+def _copy_read(ctx: LiftContext, levels: int, ei: int, sub_T: frozenset):
+    """(ei, sub_T, u, v, whole, parts) for copy ei with inner set sub_T, made
+    once per context: the supply edge's endpoints (u carries the inner s
+    role), the copy's outer names `whole`, and `parts`, which holds per
+    orientation (indexed by whether u carries the s role) the cut copy's
+    inner distribution in integers and outer names once it is read."""
+    key = (levels, ei, sub_T)
+    read = ctx._copy_reads.get(key)
+    if read is None:
+        u, v, _ = ctx.block.supply_edges[ei]
+        whole = frozenset(("e", ei, x) for x in sub_T)
+        read = ctx._copy_reads[key] = (ei, sub_T, u, v, whole, [None, None])
+    return read
+
+
+def _relabel(ctx: LiftContext, ei: int, sub_T: frozenset, inner: dict, u_in: bool):
+    """(D, {outer selection: n}): a cut copy's inner distribution in
+    integers, renamed into the outer copy ei; selection sets are interned in
+    ctx._share, like the memo's."""
+    den, nums = _integer(inner)
+    intern = ctx._share.setdefault
+    part = {}
+    for sel, q in nums.items():
+        if not u_in:
+            # traversed against orientation: the selection process is
+            # complement-symmetric under swapping the terminals, so the
+            # reversed copy contributes the complement within T
+            sel = sub_T - sel
+        outer = frozenset(("e", ei, x) for x in sel)
+        part[intern(outer, outer)] = q
+    return den, part
+
+
 def _convolve(dist_a: dict, dist_b: dict) -> dict:
     out: dict = {}
     for xa, pa in dist_a.items():
@@ -198,55 +265,30 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
         return hit
     top, copies = _one_level(ctx, T, levels)
     R = top - {"s", "t"}
-    if R:
-        try:
-            base_dist = ctx.base_dists[R]
-        except KeyError:
-            raise InputError(
-                f"base round budget too small: the lift needs the distribution "
-                f"over {len(R)} base vertices") from None
-        base_den, base = _integer(base_dist)
-    else:
-        base_den, base = 1, {frozenset(): 1}
-    supply = ctx.block.supply_edges
-    copies = [(ei, sub_T, supply[ei][0], supply[ei][1],
-               frozenset(("e", ei, x) for x in sub_T)) for ei, sub_T in copies]
-    # a cut copy's inner distribution in integers and outer names, read
-    # once per orientation: (ei, u carries the inner s role) -> (den, part)
-    parts: dict = {}
+    base_den, draws = _base_read(ctx, R)
+    copies = [_copy_read(ctx, levels, ei, sub_T) for ei, sub_T in copies]
     branches = []  # (base numerator, denominator, {selection: numerator})
-    for Y, n in base.items():
-        for chosen in (Y, R - Y):
-            x1 = chosen | {"s"}
-            key = x1 & T
-            den = 1
-            cut = []
-            for ei, sub_T, u, v, whole in copies:
-                u_in = u == "s" or (u != "t" and u in x1)  # u carries the inner s role
-                v_in = v == "s" or (v != "t" and v in x1)
-                if u_in and v_in:
-                    key |= whole
-                elif u_in or v_in:
-                    inner = lift_distribution(ctx, sub_T, levels - 1)
-                    part = parts.get((ei, u_in))
-                    if part is None:
-                        inner_den, nums = _integer(inner)
-                        if u_in:
-                            part = {frozenset(("e", ei, x) for x in sel): q
-                                    for sel, q in nums.items()}
-                        else:
-                            # traversed against orientation: the selection process is
-                            # complement-symmetric under swapping the terminals, so
-                            # the reversed copy contributes the complement within T
-                            part = {frozenset(("e", ei, x) for x in (sub_T - sel)): q
-                                    for sel, q in nums.items()}
-                        part = parts[(ei, u_in)] = (inner_den, part)
-                    den *= part[0]
-                    cut.append(part[1])
-            result = {key: 1}
-            for part in cut:
-                result = _convolve(result, part)
-            branches.append((n, den, result))
+    for n, x1 in draws:
+        # x1 always holds s and never t
+        key = x1 & T
+        den = 1
+        cut = []
+        for ei, sub_T, u, v, whole, parts in copies:
+            u_in = u in x1  # u carries the inner s role
+            v_in = v in x1
+            if u_in and v_in:
+                key |= whole
+            elif u_in or v_in:
+                inner = lift_distribution(ctx, sub_T, levels - 1)
+                part = parts[u_in]
+                if part is None:
+                    part = parts[u_in] = _relabel(ctx, ei, sub_T, inner, u_in)
+                den *= part[0]
+                cut.append(part[1])
+        result = {key: 1}
+        for part in cut:
+            result = _convolve(result, part)
+        branches.append((n, den, result))
     # each branch weighs n / (2 * base_den) and its result is over den
     common = lcm(*(den for _, den, _ in branches))
     out: dict = {}

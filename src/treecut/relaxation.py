@@ -163,7 +163,8 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
     normalization and per-element consistency rows.
 
     Returns (family, constraints); nonnegativity is implicit (the solver
-    keeps every variable >= 0).
+    keeps every variable >= 0).  The rows are integer (coefficients 1 and
+    -1, right-hand sides 1 and 0), which the simplex takes as they are.
     """
     if r > n:
         raise InputError(f"rounds r={r} exceed vertex count n={n}")
@@ -175,8 +176,7 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
     sidx = {s: i for i, s in enumerate(family.sets)}
     constraints = []
     for i, s in enumerate(family.sets):
-        constraints.append(({_var(i, m): Fraction(1) for m in range(1 << len(s))},
-                            "==", Fraction(1)))
+        constraints.append(({_var(i, m): 1 for m in range(1 << len(s))}, "==", 1))
     # x(S,T) = x(S+u,T) + x(S+u,T+u) for |S| <= r-1, u not in S
     for i, s in enumerate(family.sets):
         if len(s) >= r:
@@ -187,10 +187,10 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
                 continue
             big = family.canonical(s + (u,))
             j = sidx[big]
-            rows = [{_var(i, m): Fraction(1)} for m in range(1 << len(s))]
+            rows = [{_var(i, m): 1} for m in range(1 << len(s))]
             for bm, m in enumerate(restrictions(big, s)):
-                rows[m][_var(j, bm)] = Fraction(-1)
-            constraints.extend((row, "==", Fraction(0)) for row in rows)
+                rows[m][_var(j, bm)] = -1
+            constraints.extend((row, "==", 0) for row in rows)
     return family, constraints
 
 
@@ -216,7 +216,7 @@ def build_maxcut_lp(graph, r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpP
     for u, v in graph.edges:
         pi = sidx[family.canonical((relabel[u], relabel[v]))]
         for key in _pair_expression(family, pi, relabel[u], relabel[v]):
-            objective[key] = objective.get(key, Fraction(0)) + 1
+            objective[key] = objective.get(key, 0) + 1
     variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]
     return LpProgram(variables, constraints, objective, sense="max",
                      name=f"maxcut_sa_r{r}").check()

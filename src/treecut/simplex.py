@@ -293,16 +293,19 @@ class Simplex:
     def _clear_artificials(self):
         """Pivot basic artificials out; drop rows that turn out redundant."""
         drop = []
+        prefix = range(self.nv + self.n_slack)  # structural and slack columns
         for i in range(self.m):
             if self.basis[i] not in self.art_cols:
                 continue
+            # the first positive column, else the first negative one, read
+            # off the row's nonzeros only
+            row = self.T[i]
             pos, neg = -1, -1
-            for j in range(self.nv + self.n_slack):
-                x = self.T[i][j]
-                if x > 0:
+            for j in compress(prefix, row):
+                if row[j] > 0:
                     pos = j
                     break
-                if neg < 0 and x < 0:
+                if neg < 0:
                     neg = j
             if pos >= 0:
                 self._pivot(i, pos)

@@ -328,3 +328,27 @@ def test_lift_rejects_a_distribution_that_does_not_sum_to_one(monkeypatch):
     monkeypatch.setattr(lift, "_integer", halved)
     with pytest.raises(InvariantError, match="sums to 1/2, not 1"):
         lift_distribution(p3_context(), (1,))
+
+
+def test_lift_caches_are_per_context_and_independent_of_query_order():
+    # two fresh G_3(P_3) contexts, one queried singletons first and the
+    # other in a shuffled order, with queries on a G_3(K_3) context in
+    # between: its vertex names, levels and copies are those of G_3(P_3)
+    # but its base draws differ, so a cache shared across contexts, or one
+    # whose entries depend on the query order, changes some distribution
+    first, second = p3_context(levels=3), p3_context(levels=3)
+    other = make_lift_context(MaxCutInstance.named("k3"), 3, 3)
+    assert other.powered.instance.vertices == first.powered.instance.vertices
+    assert other.base_dists != first.base_dists
+    targets = _small_targets(first.powered.instance.vertices)
+    shuffled = random.Random(13).sample(targets, len(targets))
+    ref, other_ref = ReferenceLift(first), ReferenceLift(other)
+    got = {}
+    for k, T in enumerate(targets):
+        got[T] = lift_distribution(first, T)
+        if k % 8 == 0:
+            assert lift_distribution(other, T) == other_ref.distribution(T), T
+    for k, T in enumerate(shuffled):
+        assert lift_distribution(second, T) == got[T] == ref.distribution(T), T
+        if k % 8 == 4:
+            assert lift_distribution(other, T) == other_ref.distribution(T), T

@@ -251,3 +251,24 @@ def test_lp_text_matches_recorded_digests(tmp_path, capsys):
         capsys.readouterr()
         digests["solve_dump_lp"].update(dump.read_bytes())
     assert {name: h.hexdigest() for name, h in digests.items()} == LP_TEXT_DIGESTS
+
+
+# sha256 of `format_lp(build_maxcut_lp(H, r))` over the nine gap-table
+# (base, rounds) configurations, in this order, recorded while the full
+# Sherali-Adams rows still carried Fraction coefficients; and the pivots
+# their solves make in total.
+MAXCUT_CONFIGS = [("p3", 2), ("p3", 3), ("k3", 2), ("k3", 3), ("k4", 2),
+                  ("k5", 2), ("k5", 3), ("c5", 2), ("c5", 3)]
+MAXCUT_LP_TEXT_DIGEST = "3c5d38b103d5e49fbae03d660fee6df0b2a73732ff191315dcac9b4d038e3e45"
+MAXCUT_LP_PIVOTS = 599
+
+
+def test_maxcut_lp_text_matches_recorded_digest():
+    h = hashlib.sha256()
+    pivots = 0
+    for name, rounds in MAXCUT_CONFIGS:
+        prog = build_maxcut_lp(MaxCutInstance.named(name), rounds)
+        h.update(format_lp(prog).encode())
+        pivots += simplex.solve(prog).pivots
+    assert h.hexdigest() == MAXCUT_LP_TEXT_DIGEST
+    assert pivots == MAXCUT_LP_PIVOTS
