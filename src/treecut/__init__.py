@@ -20,8 +20,8 @@ from .generators import (BipartiteUlc, MaxCutInstance, PoweredInstance, UlcInsta
                          UgGadget, bipartite_to_cliques, building_block,
                          clique_product_maxcut_bound, dictator_cut, lift_cut,
                          power, ug_gadget)
-from .lift import (LiftContext, extend_set, gap_experiment, lift_distribution,
-                   lifted_value, make_lift_context)
+from .lift import (LiftContext, gap_experiment, lift_distribution, lifted_value,
+                   make_lift_context)
 from .errors import BudgetError, InputError, InvariantError, TreecutError
 
 __version__ = "0.1.0"

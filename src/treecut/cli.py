@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -19,26 +18,14 @@ from . import pipeline
 from .decomposition import (DEFAULT_EXACT_BOUND, balance, exact_decomposition,
                             format_decomposition, parse_decomposition, validate)
 from .errors import BudgetError, InputError, InvariantError, TreecutError
-from .generators import (MaxCutInstance, UlcInstance, building_block, power,
-                         random_delta_nice_ulc, ug_gadget, ulc_to_json_dict)
+from .generators import (MaxCutInstance, UlcInstance, building_block, check_gadget_dimension,
+                         power, random_delta_nice_ulc, ug_gadget, ulc_to_json_dict)
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment, GapReport
 from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, exact_maxcut,
                      sparsest_cut_by_elimination)
 from .relaxation import build_sparsestcut_lp, format_lp
 from .rounding import embed_l1, sample_cut
-
-
-def _budget(args, default: int = DEFAULT_ENUM_BOUND) -> int:
-    env = os.environ.get("TREECUT_BUDGET")
-    if args.budget_vertices is not None:
-        return args.budget_vertices
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad TREECUT_BUDGET value {env!r}") from exc
-    return default
 
 
 def _read(path: str) -> str:
@@ -81,7 +68,7 @@ def _solve_pipeline(args):
         if not report.ok:
             raise InputError(f"supplied decomposition invalid: {report.message}")
     else:
-        dec = exact_decomposition(inst, bound=_budget(args, default=DEFAULT_EXACT_BOUND))
+        dec = exact_decomposition(inst, bound=args.budget_vertices)
     res = pipeline.solve(inst, dec)
     if args.dump_lp:
         built = build_sparsestcut_lp(inst, res.dec, res.lp.alpha)
@@ -91,7 +78,7 @@ def _solve_pipeline(args):
 
 def cmd_decompose(args) -> int:
     inst = parse_instance(_read(args.instance))
-    dec = exact_decomposition(inst, bound=_budget(args, default=DEFAULT_EXACT_BOUND))
+    dec = exact_decomposition(inst, bound=args.budget_vertices)
     bal = balance(dec)
     _write(args.output, format_decomposition(bal, inst))
     return 0
@@ -140,7 +127,7 @@ def cmd_round(args) -> int:
 
 def cmd_oracle(args) -> int:
     inst = parse_instance(_read(args.instance))
-    audit = audit_cuts(inst, bound=_budget(args))
+    audit = audit_cuts(inst, bound=args.budget_vertices)
     payload = audit.to_dict()
     lines = [f"cut classes      {audit.n_cut_classes}"]
     if audit.sparsest:
@@ -178,8 +165,8 @@ def cmd_gen(args) -> int:
     sidecar = {}
     if args.what == "block":
         H = MaxCutInstance.named(args.maxcut)
-        inst, dec = building_block(H, include_st_demand=args.st_demand)
         _, mc = exact_maxcut(H)
+        inst, dec = building_block(H, include_st_demand=args.st_demand)
         sidecar = {
             "kind": "block",
             "maxcut": args.maxcut,
@@ -190,10 +177,10 @@ def cmd_gen(args) -> int:
         }
     elif args.what == "power":
         H = MaxCutInstance.named(args.maxcut)
+        _, mc = exact_maxcut(H)
         base, base_dec = building_block(H, include_st_demand=args.st_demand)
         powered = power(base, args.levels, base_dec)
         inst, dec = powered.instance, powered.decomposition
-        _, mc = exact_maxcut(H)
         s = Fraction(mc, H.m)
         sidecar = {
             "kind": "power",
@@ -205,6 +192,8 @@ def cmd_gen(args) -> int:
             "soundness_sparsity_lower_bound": str(1 / (1 + (args.levels - 1) * s)),
         }
     elif args.what == "gadget":
+        if args.random_ulc or not args.ulc:
+            check_gadget_dimension(args.labels)
         if args.random_ulc:
             ulc = random_delta_nice_ulc(args.ulc_vertices, args.delta, args.labels,
                                         seed=args.seed, plant=args.plant)
@@ -278,10 +267,14 @@ def make_parser() -> argparse.ArgumentParser:
                                 description="sparsest cut on bounded-treewidth graphs")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, pipeline=True):
-        sp.add_argument("--format", choices=["json", "csv", "text"], default="text")
+    def common(sp, formats=True, budget=None, pipeline=True):
+        """--output, plus --format when the command emits a report, and
+        --budget-vertices, defaulting to `budget`, when it has one."""
+        if formats:
+            sp.add_argument("--format", choices=["json", "csv", "text"], default="text")
         sp.add_argument("--output", "-o", default=None)
-        sp.add_argument("--budget-vertices", type=int, default=None)
+        if budget is not None:
+            sp.add_argument("--budget-vertices", type=int, default=budget)
         if pipeline:
             sp.add_argument("--decomposition", default=None,
                             help="PACE-style tree decomposition file")
@@ -292,22 +285,22 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("decompose", help="exact balanced tree decomposition")
     sp.add_argument("instance")
-    common(sp, pipeline=False)
+    common(sp, formats=False, budget=DEFAULT_EXACT_BOUND, pipeline=False)
     sp.set_defaults(func=cmd_decompose)
 
     sp = sub.add_parser("solve", help="LP + derandomized rounding (factor 2)")
     sp.add_argument("instance")
-    common(sp)
+    common(sp, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_solve)
 
     sp = sub.add_parser("round", help="sample one cut from the LP distribution")
     sp.add_argument("instance")
-    common(sp)
+    common(sp, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_round)
 
     sp = sub.add_parser("oracle", help="brute-force sparsest cut and cut audit")
     sp.add_argument("instance")
-    common(sp, pipeline=False)
+    common(sp, budget=DEFAULT_ENUM_BOUND, pipeline=False)
     sp.set_defaults(func=cmd_oracle)
 
     sp = sub.add_parser("gen", help="emit a named construction")
@@ -327,7 +320,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=int, default=0)
     sp.add_argument("--td-out", default=None)
     sp.add_argument("--sidecar", default=None)
-    common(sp, pipeline=False)
+    common(sp, formats=False, pipeline=False)
     sp.set_defaults(func=cmd_gen)
 
     sp = sub.add_parser("gap", help="lifted-solution gap experiment")
@@ -340,12 +333,12 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("embed", help="Monte-Carlo cut embedding (CSV)")
     sp.add_argument("instance")
     sp.add_argument("--samples", type=int, default=1000)
-    common(sp)
+    common(sp, formats=False, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_embed)
 
     sp = sub.add_parser("verify", help="replay the acceptance checks on an instance")
     sp.add_argument("instance")
-    common(sp)
+    common(sp, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_verify)
     return p
 

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import random
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
@@ -23,8 +24,16 @@ from .errors import BudgetError, InputError, InvariantError
 from .instance import Cut, SparsestCutInstance, as_weight
 from .oracle import exact_maxcut
 
-DEFAULT_POWER_EDGE_BUDGET = 250_000
-DEFAULT_GADGET_DIM_BOUND = 6
+DEFAULT_POWER_EDGE_BUDGET = 250_000  # supply edges of a powered instance
+DEFAULT_GADGET_DIM_BOUND = 6  # labels, so cube dimension, of a gadget
+LABELING_BUDGET = 2_000_000  # assignments the exact ULC optimum tries
+CLIQUE_PRODUCT_BUDGET = 24  # vertices of an exhaustively cut clique product
+
+
+def _power_exceeds(base: int, exponent: int, bound: int) -> bool:
+    """base ** exponent > bound, for a positive bound; a power is computed
+    only below bound.bit_length() factors, since 2 ** that exceeds bound."""
+    return base > 1 and (exponent >= bound.bit_length() or base ** exponent > bound)
 
 
 # ---------------------------------------------------------------------------
@@ -69,9 +78,6 @@ class MaxCutInstance:
     @property
     def m(self) -> int:
         return len(self.edges)
-
-    def degree(self, v) -> int:
-        return sum(1 for u, w in self.edges if v in (u, w))
 
     @staticmethod
     def complete(n: int) -> "MaxCutInstance":
@@ -121,9 +127,10 @@ def building_block(H: MaxCutInstance, include_st_demand: bool):
         raise InputError("building block needs at least one edge")
     n, m = H.n, H.m
     verts = ("s", "t") + tuple(H.vertices)
+    degree = Counter(v for edge in H.edges for v in edge)
     supply = []
     for i in H.vertices:
-        c = Fraction(H.degree(i), 2 * m)
+        c = Fraction(degree[i], 2 * m)
         supply.append(("s", i, c))
         supply.append(("t", i, c))
     demand = []
@@ -163,8 +170,7 @@ def _ensure_terminal_root(dec: TreeDecomposition, s, t) -> TreeDecomposition:
 
 
 def power(base: SparsestCutInstance, levels: int,
-          base_decomposition: Optional[TreeDecomposition] = None,
-          edge_budget: int = DEFAULT_POWER_EDGE_BUDGET) -> PoweredInstance:
+          base_decomposition: TreeDecomposition) -> PoweredInstance:
     """Replace every capacity edge by a scaled copy of the previous level.
 
     Terminals of each copy are identified with the replaced edge's
@@ -176,13 +182,10 @@ def power(base: SparsestCutInstance, levels: int,
     if levels < 1:
         raise InputError("levels must be >= 1")
     m = len(base.supply_edges)
-    if m ** levels > edge_budget:
-        raise BudgetError(f"powering to level {levels} needs {m ** levels} supply "
-                          f"edges, budget is {edge_budget}",
-                          limit=edge_budget, requested=m ** levels)
-    if base_decomposition is None:
-        from .decomposition import exact_decomposition
-        base_decomposition = exact_decomposition(base)
+    if _power_exceeds(m, levels, DEFAULT_POWER_EDGE_BUDGET):
+        raise BudgetError(f"powering to level {levels} needs {m}^{levels} supply "
+                          f"edges, budget is {DEFAULT_POWER_EDGE_BUDGET}",
+                          limit=DEFAULT_POWER_EDGE_BUDGET)
     s, t = base.terminals
     base_dec = _ensure_terminal_root(base_decomposition, s, t)
 
@@ -342,7 +345,7 @@ class UlcInstance:
         for u, v, sigma in self.edges:
             if u not in vs or v not in vs or u == v:
                 raise InputError(f"bad ULC edge ({u},{v})")
-            if sorted(sigma) != list(range(self.d)):
+            if len(sigma) != self.d or sorted(sigma) != list(range(self.d)):
                 raise InputError(f"constraint on ({u},{v}) is not a permutation")
         for clique in self.cliques or ():
             for i in clique:
@@ -362,11 +365,11 @@ class UlcInstance:
         good = sum(1 for u, v, s in self.edges if s[labeling[u]] == labeling[v])
         return Fraction(good, len(self.edges))
 
-    def best_labeling(self, budget: int = 2_000_000):
-        count = self.d ** len(self.vertices)
-        if count > budget:
-            raise BudgetError(f"labeling search over {count} assignments exceeds "
-                              f"budget {budget}", limit=budget, requested=count)
+    def best_labeling(self):
+        n = len(self.vertices)
+        if _power_exceeds(self.d, n, LABELING_BUDGET):
+            raise BudgetError(f"labeling search over {self.d}^{n} assignments exceeds "
+                              f"budget {LABELING_BUDGET}", limit=LABELING_BUDGET)
         best, best_lab = Fraction(-1), None
         for labels in itertools.product(range(self.d), repeat=len(self.vertices)):
             lab = dict(zip(self.vertices, labels))
@@ -449,17 +452,15 @@ class BipartiteUlc:
         return Fraction(good, len(self.edges))
 
 
-def bipartite_to_cliques(B: BipartiteUlc, require_nice: bool = True) -> UlcInstance:
+def bipartite_to_cliques(B: BipartiteUlc) -> UlcInstance:
     """Collapse a regular bipartite ULC onto its right side.
 
     Each left vertex turns into a clique over its neighborhood; the
-    composed constraint routes through the shared left vertex.  With
-    require_nice the input must be regular on both sides (so the output
-    is delta-nice); without it only uniform left degrees are enforced.
+    composed constraint routes through the shared left vertex.  The input
+    must be regular on both sides, so the output is delta-nice.
     """
-    delta_values = {B.degree_left(u) for u in B.left}
-    if require_nice:
-        delta_values |= {B.degree_right(v) for v in B.right}
+    delta_values = ({B.degree_left(u) for u in B.left}
+                    | {B.degree_right(v) for v in B.right})
     if len(delta_values) != 1:
         raise InputError(f"bipartite instance is not regular: degrees {sorted(delta_values)}")
     edges = []
@@ -475,8 +476,7 @@ def bipartite_to_cliques(B: BipartiteUlc, require_nice: bool = True) -> UlcInsta
             edges.append((v, w, compose_sigma(sw, invert_sigma(sv))))
         cliques.append(tuple(clique))
     out = UlcInstance(tuple(B.right), tuple(edges), B.d, tuple(cliques))
-    if require_nice:
-        out.require_delta_nice()
+    out.require_delta_nice()
     return out
 
 
@@ -510,7 +510,14 @@ class UgGadget:
         }
 
 
-def ug_gadget(ulc: UlcInstance, alpha, dim_bound: int = DEFAULT_GADGET_DIM_BOUND) -> UgGadget:
+def check_gadget_dimension(d: int):
+    """Refuse a label count whose gadget cubes exceed the dimension bound."""
+    if d > DEFAULT_GADGET_DIM_BOUND:
+        raise BudgetError(f"label dimension {d} exceeds bound {DEFAULT_GADGET_DIM_BOUND}",
+                          limit=DEFAULT_GADGET_DIM_BOUND, requested=d)
+
+
+def ug_gadget(ulc: UlcInstance, alpha) -> UgGadget:
     """Hypercube-per-vertex sparsest-cut encoding of a delta-nice ULC.
 
     Star edges of capacity 1/N from both terminals to every cube node,
@@ -523,9 +530,7 @@ def ug_gadget(ulc: UlcInstance, alpha, dim_bound: int = DEFAULT_GADGET_DIM_BOUND
     """
     delta = ulc.require_delta_nice()
     d = ulc.d
-    if d > dim_bound:
-        raise BudgetError(f"label dimension {d} exceeds bound {dim_bound}",
-                          limit=dim_bound, requested=d)
+    check_gadget_dimension(d)
     alpha = as_weight(alpha)
     if alpha < 0:
         raise InputError("cube edge capacity must be nonnegative")
@@ -581,8 +586,7 @@ def dictator_cut(gadget: UgGadget, labeling: dict) -> Cut:
     return Cut(frozenset(side))
 
 
-def clique_product_maxcut_bound(ulc: UlcInstance, copies: int,
-                                budget: int = 24) -> dict:
+def clique_product_maxcut_bound(ulc: UlcInstance, copies: int) -> dict:
     """Exhaustively check the cut bound on the blown-up clique union.
 
     The product graph replaces every vertex by `copies` clones and every
@@ -594,7 +598,8 @@ def clique_product_maxcut_bound(ulc: UlcInstance, copies: int,
     verts = [(v, i) for v in ulc.vertices for i in range(copies)]
     pairs = [((u, i), (v, j)) for u, v, _ in ulc.edges
              for i in range(copies) for j in range(copies)]
-    side, cut = exact_maxcut(SimpleNamespace(vertices=verts, edges=pairs), bound=budget)
+    side, cut = exact_maxcut(SimpleNamespace(vertices=verts, edges=pairs),
+                             bound=CLIQUE_PRODUCT_BUDGET)
     worst = Fraction(cut, len(pairs))
     bound = Fraction(1, 2) + Fraction(1, 2 * (delta - 1))
     return {

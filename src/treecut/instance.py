@@ -12,10 +12,16 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Hashable, Iterable, Optional
 
-from .errors import InputError, InvariantError
+from .errors import BudgetError, InputError, InvariantError
 
 Vertex = Hashable
 Weight = Fraction
+
+# The most vertices an instance file may declare.  No command can use more:
+# each vertex costs the pared LP at least 2 of its 300,000 variables, the
+# enumeration oracle stops at 26 vertices by default and the exact
+# decomposition at 18.  The header is checked before any vertex is built.
+MAX_INSTANCE_VERTICES = 150_000
 
 
 def as_weight(value) -> Fraction:
@@ -128,9 +134,6 @@ class Cut:
     @staticmethod
     def of(vs: Iterable) -> "Cut":
         return Cut(frozenset(vs))
-
-    def side(self, v) -> bool:
-        return v in self.side_a
 
     def complement(self, instance: SparsestCutInstance) -> "Cut":
         return Cut(frozenset(instance.vertices) - self.side_a)
@@ -283,6 +286,10 @@ def parse_instance(text: str) -> SparsestCutInstance:
                 if parts[1] != "ssc" or n is not None:
                     raise InputError(f"line {lineno}: bad problem line")
                 n = int(parts[2])
+                if n > MAX_INSTANCE_VERTICES:
+                    raise BudgetError(f"line {lineno}: {n} vertices exceed bound "
+                                      f"{MAX_INSTANCE_VERTICES}",
+                                      limit=MAX_INSTANCE_VERTICES, requested=n)
             elif parts[0] == "e":
                 supply.append((int(parts[1]), int(parts[2]), as_weight(parts[3])))
             elif parts[0] == "d":

@@ -12,12 +12,15 @@ recursion tree, never sampled.
 The DP runs in integers.  A target set is closed one level at a time:
 its top set (terminals, its base vertices and the base endpoint of each
 copy it touches) picks the base draw, and each touched copy's inner set
-is left to the recursive call on the next level down.  The base draw and
-each cut copy's inner distribution are read as integer numerators over
-one denominator; a branch's selections multiply integers and its
-denominators multiply; the branches are summed over the lcm of their
-denominators, checked to sum to it, and only then turned into one reduced
-Fraction per entry, and the memo keeps those Fraction dicts.
+is left to the recursive call on the next level down.  A copy vertex
+nested deeper than the levels allow is refused before anything is read:
+the touched copies are closed level by level in edge order, down to the
+first copy found at level 1.  The base draw and each cut copy's inner
+distribution are read as integer numerators over one denominator; a
+branch's selections multiply integers and its denominators multiply; the
+branches are summed over the lcm of their denominators, checked to sum
+to it, and only then turned into one reduced Fraction per entry, and the
+memo keeps those Fraction dicts.
 
 Each context also keeps its own read caches, which live and die with it:
 each base draw in integers with its symmetrized selections, keyed by its
@@ -42,6 +45,9 @@ from .oracle import exact_maxcut, sparsest_cut_by_elimination
 from .relaxation import (SaSolution, SetFamily, build_maxcut_lp, full_family,
                          full_solution_from, mask_of, subset_from_mask)
 from . import simplex
+
+# powered instances up to this many vertices get phi from the oracle
+ENUMERATE_BOUND = 24
 
 
 # ---------------------------------------------------------------------------
@@ -109,50 +115,13 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     return LiftContext(H, rounds, levels, dists, powered, res.objective)
 
 
-@dataclass
-class ExtendedSet:
-    """The recursive closure of a target set.
-
-    top: members of the closure living in the current level's base copy
-    (terminals plus base vertices, local names); per_copy maps a touched
-    edge index to the extension inside that copy (inner names).
-    """
-
-    original: frozenset
-    top: frozenset
-    per_copy: dict
-
-
-def extend_set(ctx: LiftContext, T, levels: Optional[int] = None) -> ExtendedSet:
-    """Close T under the powering structure: pin both terminals, and pull
-    in the base endpoint of every copy that T touches, recursively."""
-    levels = ctx.levels if levels is None else levels
-    T = frozenset(T)
-    top = {v for v in T if not (isinstance(v, tuple) and v and v[0] == "e")}
-    top |= {"s", "t"}
-    touched: dict = {}
-    for v in T:
-        if isinstance(v, tuple) and v and v[0] == "e":
-            touched.setdefault(v[1], set()).add(v[2])
-    per_copy = {}
-    for ei, inner in sorted(touched.items()):
-        if levels < 2:
-            raise InputError(f"copy vertex at level 1: {sorted(map(str, inner))}")
-        _, base_vertex = ctx.edge_endpoint(ei)
-        top.add(base_vertex)
-        per_copy[ei] = extend_set(ctx, frozenset(inner), levels - 1)
-    ext = ExtendedSet(T, frozenset(top), per_copy)
-    # each pulled-in base vertex charges to a distinct T-member inside a copy
-    if len(ext.top - {"s", "t"}) > len(T):
-        raise InvariantError("extension grew beyond its charging bound")
-    return ext
-
-
 def _one_level(ctx: LiftContext, T: frozenset, levels: int):
     """T's closure at this level only: the top set (terminals, T's base
     vertices and the base endpoint of every copy T touches) and
     [(edge index, inner set)] per touched copy, in edge order.  Each inner
-    set is closed by its own lift call."""
+    set is closed by its own lift call.  A copy vertex nested deeper than
+    the levels allow raises InputError for the first such copy in edge
+    order, depth first."""
     top = {"s", "t"}
     touched: dict = {}
     deepest = 0
@@ -165,14 +134,14 @@ def _one_level(ctx: LiftContext, T: frozenset, levels: int):
             deepest = max(deepest, depth)
         else:
             top.add(v)
+    copies = [(ei, frozenset(inner)) for ei, inner in sorted(touched.items())]
     if deepest >= levels:
-        # a copy vertex nested deeper than the levels allow: the full
-        # closure raises the level-1 error for the first such copy
-        extend_set(ctx, T, levels)
-    copies = []
-    for ei, inner in sorted(touched.items()):
+        for ei, inner in copies:
+            if levels < 2:
+                raise InputError(f"copy vertex at level 1: {sorted(map(str, inner))}")
+            _one_level(ctx, inner, levels - 1)
+    for ei, _ in copies:
         top.add(ctx.edge_endpoint(ei)[1])
-        copies.append((ei, frozenset(inner)))
     # each pulled-in base vertex charges to a distinct T-member inside a copy
     if len(top) - 2 > len(T):
         raise InvariantError("extension grew beyond its charging bound")
@@ -408,13 +377,13 @@ class GapReport:
 
 
 def gap_experiment(H: MaxCutInstance, rounds: int, levels: int,
-                   name: str = "", enumerate_bound: int = 24) -> GapReport:
+                   name: str = "") -> GapReport:
     """Translate a base MaxCut LP/IP gap into a powered sparsest-cut gap.
 
     The lifted route (exact DP demand value over the oracle soundness
     bound) and the closed-form route (levels*c over the same bound) are
     computed independently; they agree exactly when the lift's value
-    bookkeeping is right.  Powered instances of at most `enumerate_bound`
+    bookkeeping is right.  Powered instances of at most ENUMERATE_BOUND
     vertices also get their exact optimum phi from the elimination oracle.
     """
     ctx = make_lift_context(H, rounds, levels)
@@ -426,7 +395,7 @@ def gap_experiment(H: MaxCutInstance, rounds: int, levels: int,
     phi = None
     phi_source = "formula-bound"
     bound = 1 / (1 + (levels - 1) * s)
-    if len(ctx.powered.instance.vertices) <= enumerate_bound:
+    if len(ctx.powered.instance.vertices) <= ENUMERATE_BOUND:
         _, sp = sparsest_cut_by_elimination(ctx.powered.instance)
         phi = sp.ratio
         phi_source = "oracle"

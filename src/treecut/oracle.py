@@ -103,8 +103,7 @@ class CutAudit:
         }
 
 
-def _enumerate_extrema(instance: SparsestCutInstance, bound: int,
-                       separating=None) -> CutAudit:
+def _enumerate_extrema(instance: SparsestCutInstance, bound: int) -> CutAudit:
     n = instance.n
     if n > bound:
         raise BudgetError(f"enumeration over {n} vertices exceeds bound {bound}",
@@ -123,12 +122,9 @@ def _enumerate_extrema(instance: SparsestCutInstance, bound: int,
     cap = sum(w for _, w in sup_inc[0])
     dem = sum(w for _, w in dem_inc[0])
 
-    if separating is None:
-        separating = instance.terminals
-    has_terms = separating is not None
+    has_terms = instance.terminals is not None
     if has_terms:
-        si = instance.vertex_index(separating[0])
-        ti = instance.vertex_index(separating[1])
+        si, ti = map(instance.vertex_index, instance.terminals)
 
     # Extrema accumulators: (value tuple, mask).
     best_sparse = None  # (cap, dem, mask), minimize cap/dem
@@ -208,7 +204,7 @@ def _enumerate_extrema(instance: SparsestCutInstance, bound: int,
     )
 
 
-def exact_sparsest_cut(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND):
+def exact_sparsest_cut(instance: SparsestCutInstance):
     """Global sparsest cut by full enumeration.
 
     Ties broken by the lexicographically smallest canonical side (the side
@@ -216,7 +212,7 @@ def exact_sparsest_cut(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_
     """
     if instance.total_demand <= 0:
         raise InputError("instance has zero total demand")
-    audit = _enumerate_extrema(instance, bound)
+    audit = _enumerate_extrema(instance, DEFAULT_ENUM_BOUND)
     if audit.sparsest is None:
         raise InputError("no cut separates any demand")
     return audit.sparsest
@@ -334,14 +330,13 @@ def sparsest_cut_by_elimination(instance: SparsestCutInstance):
     return cut, sparsity
 
 
-def audit_cuts(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND,
-               separating=None) -> CutAudit:
+def audit_cuts(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND) -> CutAudit:
     """Exhaustively verify the universally quantified cut claims.
 
-    Cuts are partitioned by whether they separate the `separating` pair
-    (the instance's terminals by default); extrema are tracked per class.
+    Cuts are partitioned by whether they separate the instance's
+    terminals; extrema are tracked per class.
     """
-    return _enumerate_extrema(instance, bound, separating=separating)
+    return _enumerate_extrema(instance, bound)
 
 
 def exact_maxcut(graph, bound: int = DEFAULT_ENUM_BOUND):

@@ -32,8 +32,8 @@ from .errors import BudgetError, InputError, InvariantError
 from .instance import SparsestCutInstance, as_weight
 from . import simplex
 
-DEFAULT_SET_CAP = 22
-DEFAULT_VARIABLE_BUDGET = 300_000
+DEFAULT_SET_CAP = 22  # vertices in a demand pair's joint family set
+DEFAULT_VARIABLE_BUDGET = 300_000  # variables in one full or pared system
 MAX_DINKELBACH_ITERATIONS = 60
 
 
@@ -158,7 +158,7 @@ def full_family(vertices: Iterable, r: int) -> SetFamily:
     return SetFamily.build(order, sets)
 
 
-def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
+def build_full_sa(n: int, r: int):
     """Family of all S with |S| <= r over vertices 1..n, plus the
     normalization and per-element consistency rows.
 
@@ -169,9 +169,10 @@ def build_full_sa(n: int, r: int, budget: int = DEFAULT_VARIABLE_BUDGET):
     if r > n:
         raise InputError(f"rounds r={r} exceed vertex count n={n}")
     count = sum(comb(n, k) * (1 << k) for k in range(r + 1))
-    if count > budget:
+    if count > DEFAULT_VARIABLE_BUDGET:
         raise BudgetError(f"full {r}-round system needs {count} variables, "
-                          f"budget is {budget}", limit=budget, requested=count)
+                          f"budget is {DEFAULT_VARIABLE_BUDGET}",
+                          limit=DEFAULT_VARIABLE_BUDGET, requested=count)
     family = full_family(range(1, n + 1), r)
     sidx = {s: i for i, s in enumerate(family.sets)}
     constraints = []
@@ -203,13 +204,13 @@ def _pair_expression(family: SetFamily, parent_idx: int, u, v) -> list:
             if bool(m & ubit) != bool(m & vbit)]
 
 
-def build_maxcut_lp(graph, r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpProgram:
+def build_maxcut_lp(graph, r: int) -> LpProgram:
     """Maximize the total y over the graph's edges subject to the full
     r-round system."""
     if r < 2:
         raise InputError(f"the MaxCut LP needs rounds r >= 2 to see edges, got r={r}")
     n = len(graph.vertices)
-    family, constraints = build_full_sa(n, r, budget)
+    family, constraints = build_full_sa(n, r)
     relabel = {v: i + 1 for i, v in enumerate(graph.vertices)}
     sidx = {s: i for i, s in enumerate(family.sets)}
     objective: dict = {}
@@ -315,8 +316,7 @@ class SaSolution:
         return problems
 
 
-def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
-                 set_cap: int = DEFAULT_SET_CAP, extra_sets: Iterable = ()):
+def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition):
     """The family the rounding analysis needs: root-path unions, per-pair
     endpoint-bag augmentations, and the joint union per demand pair."""
     unions = dec.unions
@@ -336,24 +336,16 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition,
         sets.append(tuple(unions[a] | {u, v}))
         sets.append(tuple(unions[b] | {u, v}))
         joint = unions[a] | unions[b]
-        if len(joint) > set_cap:
+        if len(joint) > DEFAULT_SET_CAP:
             raise BudgetError(
                 f"demand pair ({u},{v}) needs a joint set of {len(joint)} vertices, "
-                f"cap is {set_cap}", limit=set_cap, requested=len(joint))
+                f"cap is {DEFAULT_SET_CAP}", limit=DEFAULT_SET_CAP, requested=len(joint))
         sets.append(tuple(joint))
-    for s in extra_sets:
-        if len(s) > set_cap:
-            raise BudgetError(f"extra set of {len(s)} vertices exceeds cap {set_cap}",
-                              limit=set_cap, requested=len(s))
-        sets.append(tuple(s))
     return SetFamily.build(order, sets)
 
 
 def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
-                         alpha, set_cap: int = DEFAULT_SET_CAP,
-                         variable_budget: int = DEFAULT_VARIABLE_BUDGET,
-                         extra_sets: Iterable = (),
-                         include_demand_constraint: bool = True) -> SparsestCutLp:
+                         alpha, include_demand_constraint: bool = True) -> SparsestCutLp:
     """Pared LP: minimize cut capacity subject to separated demand >= alpha.
 
     Maximal family sets carry the variable blocks; nested family sets are
@@ -362,13 +354,14 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     (Lemma-style) equalities for every nested family pair.
     """
     alpha = as_weight(alpha)
-    family = pared_family(instance, dec, set_cap, extra_sets)
+    family = pared_family(instance, dec)
     fsets = family.frozensets()
     maximal = family.maximal_indices()
     nvars = sum(1 << len(family.sets[i]) for i in maximal)
-    if nvars > variable_budget:
+    if nvars > DEFAULT_VARIABLE_BUDGET:
         raise BudgetError(f"pared system needs {nvars} variables, budget is "
-                          f"{variable_budget}", limit=variable_budget, requested=nvars)
+                          f"{DEFAULT_VARIABLE_BUDGET}", limit=DEFAULT_VARIABLE_BUDGET,
+                          requested=nvars)
 
     parents: dict = {i: [] for i in range(len(fsets))}
     for i, s in enumerate(fsets):

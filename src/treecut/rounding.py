@@ -317,17 +317,14 @@ class _Derandomizer:
 
 
 def derandomize(instance: SparsestCutInstance, solution: SaSolution,
-                dec: TreeDecomposition, alpha, lp_star=None):
+                dec: TreeDecomposition, alpha, lp_star):
     """Deterministic cut with sparsity at most 2*lp_star/alpha.
 
-    lp_star defaults to the solution's own capacity value.  Returns
-    (cut, DerandPotential); the potential trace is exact and ends at the
+    lp_star is the solution's capacity value.  Returns (cut,
+    DerandPotential); the potential trace is exact and ends at the
     realized W of the output cut.
     """
     alpha = Fraction(alpha)
-    if lp_star is None:
-        lp_star = sum((Fraction(w) * solution.y_value(u, v)
-                       for u, v, w in instance.supply_edges), Fraction(0))
     lp_star = Fraction(lp_star)
     if lp_star <= 0:
         # Zero LP capacity: any cut that separates demand is free; sample one.
@@ -350,11 +347,6 @@ class Embedding:
     def distance(self, u, v) -> Fraction:
         sep = (self.membership[u] ^ self.membership[v]).bit_count()
         return Fraction(sep, self.num_samples)
-
-    def coordinates(self, v) -> list:
-        m = self.membership[v]
-        unit = Fraction(1, self.num_samples)
-        return [unit if (m >> j) & 1 else Fraction(0) for j in range(self.num_samples)]
 
     def to_csv(self) -> str:
         lines = ["vertex," + ",".join(f"c{j}" for j in range(self.num_samples))]

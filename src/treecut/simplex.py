@@ -12,14 +12,15 @@ is a - (f*b)//d with an exact division.  The pivot then collects the
 pivot row's nonzeros once and updates only those columns, in place, of
 each row with a nonzero f in the pivot column; with d == 1 the division
 is skipped.  Only when p != d does the dense update run, which also
-rescales the rows with a zero in the pivot column by p/d.  Bland's rule
-("bland") guarantees termination; the default "auto" rule uses
-most-negative (Dantzig) pricing and falls back to Bland during
-degenerate stalls, which keeps pivot counts low on the highly degenerate
-lifted-cut polytopes.  Every optimal result carries exact duals and its
-duality gap.  The primal and dual objectives are summed as integers over
-the tableau's denominator, and only nonzero values and duals become
-Fractions.
+rescales the rows with a zero in the pivot column by p/d.  Pricing is
+most-negative (Dantzig), which keeps pivot counts low on the highly
+degenerate lifted-cut polytopes; after STALL_LIMIT consecutive degenerate
+pivots it falls back to Bland's rule, which guarantees termination, until
+a pivot makes progress.  A solve stops with status "iteration-limit"
+once the tableau has made MAX_ITERS pivots.  Every optimal result
+carries exact duals and its duality gap.  The primal and dual objectives
+are summed as integers over the tableau's denominator, and only nonzero
+values and duals become Fractions.
 
 Objectives declared at construction (`objectives=`) ride through the
 pivots: each is one more integer row of the tableau, at its own scale,
@@ -46,6 +47,7 @@ from typing import Optional
 from .errors import InputError
 
 STALL_LIMIT = 40  # consecutive degenerate pivots before switching to Bland
+MAX_ITERS = 200_000  # pivots of one tableau, over all its solves
 ZERO = Fraction(0)  # shared by every zero value and dual of a result
 
 
@@ -91,12 +93,7 @@ class Simplex:
     # because bench/tracer.py reads it before checking the duality gap.
     mode = "rational"
 
-    def __init__(self, program, pivot_rule: str = "auto", max_iters: int = 200_000,
-                 objectives=()):
-        if pivot_rule not in ("auto", "bland"):
-            raise InputError(f"unknown pivot rule {pivot_rule!r}")
-        self.rule = pivot_rule
-        self.max_iters = max_iters
+    def __init__(self, program, objectives=()):
         self.program = program
         self.variables = list(program.variables)
         self.var_pos = {v: j for j, v in enumerate(self.variables)}
@@ -256,9 +253,9 @@ class Simplex:
         return best_i
 
     def _run(self, cost_row: int) -> str:
-        bland = self.rule == "bland"
+        bland = False
         stall = 0
-        while self.pivots < self.max_iters:
+        while self.pivots < MAX_ITERS:
             c = self._choose_entering(cost_row, bland)
             if c < 0:
                 return "optimal"
@@ -267,13 +264,12 @@ class Simplex:
                 return "unbounded"
             degenerate = self.T[r][self.rhs_col] == 0
             self._pivot(r, c)
-            if self.rule == "auto":
-                if degenerate:
-                    stall += 1
-                    if stall >= STALL_LIMIT:
-                        bland = True
-                else:
-                    stall, bland = 0, False
+            if degenerate:
+                stall += 1
+                if stall >= STALL_LIMIT:
+                    bland = True
+            else:
+                stall, bland = 0, False
         return "iteration-limit"
 
     # -- solving ----------------------------------------------------------
@@ -404,6 +400,6 @@ class Simplex:
         return duals, gap
 
 
-def solve(program, pivot_rule: str = "auto", max_iters: int = 200_000) -> LpResult:
-    """Solve an LpProgram; deterministic for a fixed pivot rule."""
-    return Simplex(program, pivot_rule=pivot_rule, max_iters=max_iters).solve()
+def solve(program) -> LpResult:
+    """Solve an LpProgram; deterministic."""
+    return Simplex(program).solve()

@@ -5,17 +5,16 @@ from fractions import Fraction
 
 from treecut.errors import InputError
 from treecut.instance import as_weight
-from treecut.relaxation import (DEFAULT_VARIABLE_BUDGET, LpProgram, _pair_expression,
-                                _var, build_full_sa)
+from treecut.relaxation import LpProgram, _pair_expression, _var, build_full_sa
 
 
 def build_distortion_lp(vertices, metric: dict, distortion, scale,
-                        r: int, budget: int = DEFAULT_VARIABLE_BUDGET) -> LpProgram:
+                        r: int) -> LpProgram:
     """Feasibility system for a distortion-D cut embedding of a metric:
     the full r-round system plus scale*d <= y <= D*scale*d per pair."""
     verts = list(vertices)
     n = len(verts)
-    family, constraints = build_full_sa(n, r, budget)
+    family, constraints = build_full_sa(n, r)
     relabel = {v: i + 1 for i, v in enumerate(verts)}
     sidx = {s: i for i, s in enumerate(family.sets)}
     D = as_weight(distortion)

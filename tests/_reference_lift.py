@@ -1,15 +1,54 @@
 """The recursive lift DP over Fractions, for cross-checking.
 
 Deliberately independent of the package's `lift_distribution`: it closes
-each target set with the full recursive `extend_set`, convolves Fraction
-distributions branch by branch and keeps its own memo, so it shares no
-arithmetic and no cache with the integer DP it checks.
+each target set with the full recursive `extend_set` below, convolves
+Fraction distributions branch by branch and keeps its own memo, so it
+shares no arithmetic and no cache with the integer DP it checks.
 """
 
+from dataclasses import dataclass
 from fractions import Fraction
 
-from treecut.errors import InputError
-from treecut.lift import extend_set
+from treecut.errors import InputError, InvariantError
+
+
+@dataclass
+class ExtendedSet:
+    """The recursive closure of a target set.
+
+    top: members of the closure living in the current level's base copy
+    (terminals plus base vertices, local names); per_copy maps a touched
+    edge index to the extension inside that copy (inner names).
+    """
+
+    original: frozenset
+    top: frozenset
+    per_copy: dict
+
+
+def extend_set(ctx, T, levels=None) -> ExtendedSet:
+    """Close T under the powering structure: pin both terminals, and pull
+    in the base endpoint of every copy that T touches, recursively."""
+    levels = ctx.levels if levels is None else levels
+    T = frozenset(T)
+    top = {v for v in T if not (isinstance(v, tuple) and v and v[0] == "e")}
+    top |= {"s", "t"}
+    touched: dict = {}
+    for v in T:
+        if isinstance(v, tuple) and v and v[0] == "e":
+            touched.setdefault(v[1], set()).add(v[2])
+    per_copy = {}
+    for ei, inner in sorted(touched.items()):
+        if levels < 2:
+            raise InputError(f"copy vertex at level 1: {sorted(map(str, inner))}")
+        _, base_vertex = ctx.edge_endpoint(ei)
+        top.add(base_vertex)
+        per_copy[ei] = extend_set(ctx, frozenset(inner), levels - 1)
+    ext = ExtendedSet(T, frozenset(top), per_copy)
+    # each pulled-in base vertex charges to a distinct T-member inside a copy
+    if len(ext.top - {"s", "t"}) > len(T):
+        raise InvariantError("extension grew beyond its charging bound")
+    return ext
 
 
 def _convolve(dist_a, dist_b):

@@ -119,18 +119,21 @@ def test_parser_is_built_once_and_survives_failed_parses(tmp_path, capsys):
 
 
 # sha256 of each command's stdout over acceptance_corpus(0, 20), instance
-# after instance, recorded when the digests were introduced.
+# after instance, recorded when the digests were introduced (`oracle`
+# later, before its callers lost their settable bounds).
 RECORDED_DIGESTS = {
     "solve": "a0e3a889c29e14746ecd074caea9ab6e1b849fa05729c115b358a01b26b947d1",
     "verify": "da95543da7edecaf78273b3fa769d0bb2afe775eaebd7224871c8f850c1dbd82",
     "round": "b5558d25cc49e03637b071b768e0a3cadd444557caf7d4f03758783586cbc17f",
     "embed": "9e45be0ca74e9a46fd2036ec3ee837f01b5650a750e016f793c03e926cc656e0",
+    "oracle": "227e46afbd4009d823bb7fadab3fccf6f4f8d85ef17838e3f64fa9e6626185eb",
 }
 DIGEST_COMMANDS = {
     "solve": ["--format", "json"],
     "verify": ["--format", "json"],
     "round": ["--seed", "3"],
     "embed": ["--samples", "20"],
+    "oracle": ["--format", "json"],
 }
 
 
@@ -204,6 +207,25 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     assert "budget refusal" in err
 
 
+@pytest.mark.parametrize("argv", [
+    # 6^6000 supply edges, refused without computing the power
+    ["gen", "power", "--maxcut", "p3", "--levels", "6000"],
+    ["gap", "--base", "p3", "--levels", "6000"],
+    # exact MaxCut refuses 1000 vertices before the block is built
+    ["gen", "block", "--maxcut", "k1000"],
+    # 2^(10^9) cube nodes, refused before the ULC is built
+    ["gen", "gadget", "--labels", str(10**9)],
+    # a header naming 10^12 vertices, refused before any is built
+    ["oracle", "{tmp}/huge.ssc"],
+], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
+        "ssc_header_1e12"])
+def test_budget_refusals_never_show_a_traceback(argv, tmp_path, capsys):
+    (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
+    code, _, err = run(capsys, *argv)
+    assert code == 3 and err.startswith("budget refusal: "), err
+
+
 def test_exit_code_missing_file(capsys):
     code, _, err = run(capsys, "oracle", "/nonexistent/file.ssc")
     assert code == 2
@@ -266,6 +288,7 @@ BAD_FILES = {
     "clique_float.json": _triangle_ulc_json(cliques=([0], [1], [2.0])),
     "clique_bool.json": _triangle_ulc_json(cliques=([0], [True], [2])),
     "fractional_d.json": _triangle_ulc_json(d=2.7),
+    "huge_d.json": _triangle_ulc_json(d=10**7),
 }
 
 # Each case exits 2 (input error) without a traceback: an unwritable
@@ -273,7 +296,8 @@ BAD_FILES = {
 # tree edge or root bag outside the 1-based range, a `.td` bag or header
 # given twice, a header whose largest-bag size or vertex count does not
 # match, a ULC clique entry that is not an edge index, a fractional label
-# count, and the removed LP-mode flags.
+# count or one that no constraint's permutation has (checked before a
+# range of that size is built), and the removed LP-mode flags.
 BAD_INPUTS = {
     "unwritable_output": ["solve", "{inst}", "-o", "{tmp}/missing/x.json"],
     "bad_alpha": ["gen", "gadget", "--alpha", "abc"],

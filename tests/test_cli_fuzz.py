@@ -6,8 +6,11 @@ input, the run ends with exit code 0 (ok), 2 (input), 3 (budget) or 4
 (invariant), and nothing escapes as an exception, so the command line
 never shows a traceback.  The examples are derandomized, so each run draws
 the same inputs, and few enough to keep the whole file to a few seconds.
-Numbers in the pools stay small: the contract is about malformed input,
-and a large valid one only costs time.
+The pools hold a few huge numbers where a budget refuses them before any
+work: a `p ssc` vertex count, `--levels`, the gadget's `--labels` and a
+ULC's "d".  The other numbers stay small, since a large valid one only
+costs time; the ULC that `gen ulc` and `gen gadget --random-ulc` draw
+has no bound on its size yet.
 """
 
 import contextlib
@@ -32,11 +35,12 @@ VALID_ULC = json.dumps({"vertices": [1, 2, 3], "d": 2,
                         "edges": [[1, 2, [0, 1]], [2, 3, [0, 1]], [1, 3, [0, 1]]],
                         "cliques": [[0], [1], [2]]})
 
+HUGE = str(10**9)
 TOKEN = st.sampled_from(["0", "1", "2", "3", "5", "6", "-1", "99", "1/3", "-2/3", "1/0",
                          "0.5", "1e3", "abc", "nan", "inf", "p", "e", "d", "t", "s", "b",
-                         "c", "ssc", "td", "#"])
+                         "c", "ssc", "td", "#", str(10**12)])
 JSON_VALUE = st.sampled_from([0, 1, 2, 3, -1, 99, 2.5, "2", "", None, True, [], {}, [0],
-                              [0, 1], [1, 0], [[0]], [[0, 1]], [1, 2, [0, 1]]])
+                              [0, 1], [1, 0], [[0]], [[0, 1]], [1, 2, [0, 1]], 10**9])
 
 
 def run(argv):
@@ -111,7 +115,6 @@ def flag(name, *values):
 
 
 INSTANCE_FLAGS = st.tuples(
-    flag("--format", "json", "csv", "text", "xml"),
     flag("--budget-vertices", "-1", "0", "1", "5", "x"),
     flag("--seed", "0", "3", "-1", "x"),
 )
@@ -120,14 +123,20 @@ INSTANCE_FLAGS = st.tuples(
 @FUZZ
 @given(text=mutated_lines(VALID_SSC),
        command=st.sampled_from(["oracle", "solve", "decompose", "verify", "round", "embed"]),
-       flags=INSTANCE_FLAGS, samples=flag("--samples", "0", "1", "5", "-1", "x"))
-def test_malformed_instances_keep_the_exit_contract(text, command, flags, samples):
+       flags=INSTANCE_FLAGS, fmt=flag("--format", "json", "csv", "text", "xml"),
+       samples=flag("--samples", "0", "1", "5", "-1", "x"))
+def test_malformed_instances_keep_the_exit_contract(text, command, flags, fmt, samples):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.ssc")
         with open(path, "w") as fh:
             fh.write(text)
         argv = [command, path] + [a for f in flags for a in f]
-        assert_contract(argv + samples if command == "embed" else argv)
+        # decompose writes a `.td` and embed a CSV: neither takes --format
+        if command == "embed":
+            argv += samples
+        elif command != "decompose":
+            argv += fmt
+        assert_contract(argv)
 
 
 @FUZZ
@@ -157,24 +166,29 @@ SMALL = ("-1", "0", "1", "2", "3", "x", "2.5")
 
 
 @FUZZ
-@given(what=st.sampled_from(["block", "power", "gadget", "ulc", "bogus"]),
+@given(what_labels=st.one_of(
+           st.tuples(st.sampled_from(["block", "power", "gadget", "bogus"]),
+                     flag("--labels", *SMALL, HUGE)),
+           st.tuples(st.just("ulc"), flag("--labels", *SMALL))),
        flags=st.tuples(flag("--maxcut", "k3", "p3", "c5", "k2", "k1", "p1", "c2", "x3", "k", ""),
-                       flag("--levels", *SMALL, "99"), flag("--labels", *SMALL),
+                       flag("--levels", *SMALL, "99", "6000", HUGE),
                        flag("--alpha", "1/25", "0", "-1", "abc", "1/0"),
                        flag("--delta", *SMALL), flag("--ulc-vertices", *SMALL, "4"),
                        flag("--seed", "0", "-1", "x"),
                        st.sampled_from([[], ["--st-demand"], ["--random-ulc"], ["--plant"]])))
-def test_generator_flags_keep_the_exit_contract(what, flags):
+def test_generator_flags_keep_the_exit_contract(what_labels, flags):
+    what, labels = what_labels
     with tempfile.TemporaryDirectory() as tmp:
         assert_contract(["gen", what, "-o", os.path.join(tmp, "out"),
                          "--td-out", os.path.join(tmp, "out.td"),
                          "--sidecar", os.path.join(tmp, "out.json")]
-                        + [a for f in flags for a in f])
+                        + labels + [a for f in flags for a in f])
 
 
 @FUZZ
 @given(base=st.sampled_from(["p3", "k3", "k4", "c5", "k2", "k1", "p1", "c2", "x3", "k", ""]),
-       rounds=st.sampled_from([*SMALL, "99"]), levels=st.sampled_from([*SMALL, "99"]),
+       rounds=st.sampled_from([*SMALL, "99"]),
+       levels=st.sampled_from([*SMALL, "99", "6000", HUGE]),
        fmt=flag("--format", "json", "csv", "text", "xml"))
 def test_gap_flags_keep_the_exit_contract(base, rounds, levels, fmt):
     assert_contract(["gap", "--base", base, "--rounds", rounds, "--levels", levels] + fmt)

@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from treecut.decomposition import exact_decomposition, validate
-from treecut.errors import InputError
+from treecut.errors import BudgetError, InputError
 from treecut.generators import (BipartiteUlc, MaxCutInstance, UlcInstance,
                                 apply_sigma, bipartite_to_cliques, building_block,
                                 clique_product_maxcut_bound, compose_sigma,
@@ -142,12 +142,15 @@ def test_sigma_application_is_index_pullback():
 
 
 def test_bipartite_single_left_vertex():
-    B = BipartiteUlc(("u",), (1, 2), (("u", 1, identity(2)), ("u", 2, (1, 0))), 2)
-    out = bipartite_to_cliques(B, require_nice=False)
-    assert len(out.edges) == 1
+    # regular on both sides: each of "u" and "w" joins both right vertices
+    B = BipartiteUlc(("u", "w"), (1, 2), (("u", 1, identity(2)), ("u", 2, (1, 0)),
+                                         ("w", 1, identity(2)), ("w", 2, identity(2))), 2)
+    out = bipartite_to_cliques(B)
+    assert len(out.edges) == 2 and out.cliques == ((0,), (1,))
     u, v, sigma = out.edges[0]
     assert {u, v} == {1, 2}
     assert sigma == (1, 0)  # route through "u": sigma_uw o sigma_uv^{-1}
+    assert out.edges[1][2] == (0, 1)  # and through "w"
 
 
 def make_regular_bipartite(rng, n=3, d=3):
@@ -199,6 +202,12 @@ def test_bipartite_soundness_transfer():
             best_b, lab_b = val, lab
     _, best_u = ulc.best_labeling()
     assert best_u >= 1 - 2 * (1 - best_b)
+
+
+def test_best_labeling_refuses_a_huge_search_without_computing_it():
+    # 2^15000 labelings; the count has more digits than int() may format
+    with pytest.raises(BudgetError, match=r"over 2\^15000 assignments"):
+        UlcInstance(tuple(range(15000)), (), 2).best_labeling()
 
 
 def triangle_ulc(d=2):

@@ -5,12 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from _reference_lift import ReferenceLift
+from _reference_lift import ReferenceLift, extend_set
 from treecut import lift
 from treecut.decomposition import balance
 from treecut.errors import InputError, InvariantError
 from treecut.generators import MaxCutInstance
-from treecut.lift import (extend_set, gap_experiment, lift_distribution,
+from treecut.lift import (gap_experiment, lift_distribution,
                           lift_pair_value, lifted_family_solution, lifted_value,
                           make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp,

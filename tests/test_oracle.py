@@ -123,13 +123,13 @@ def test_optimum_admits_connected_refinement(rng):
 
 
 def test_audit_with_separating_override():
-    # audit admissibility with respect to an arbitrary pair, not terminals
-    inst = SparsestCutInstance.build(
-        [1, 2, 3], [(1, 2, 2), (2, 3, 1)], [(1, 2, 1), (1, 3, 3)])
-    audit = audit_cuts(inst, separating=(1, 3))
-    assert audit.min_admissible_capacity[1] == 1  # cut {3} pays only edge (2,3)
-    audit2 = audit_cuts(inst, separating=(1, 2))
-    assert audit2.min_admissible_capacity[1] == 2
+    # admissibility follows whichever pair the instance names as terminals
+    def audit(terminals):
+        return audit_cuts(SparsestCutInstance.build(
+            [1, 2, 3], [(1, 2, 2), (2, 3, 1)], [(1, 2, 1), (1, 3, 3)], terminals))
+
+    assert audit((1, 3)).min_admissible_capacity[1] == 1  # cut {3} pays only edge (2,3)
+    assert audit((1, 2)).min_admissible_capacity[1] == 2
 
 
 # ---------------------------------------------------------------------------

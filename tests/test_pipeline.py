@@ -66,7 +66,8 @@ def test_cli_exits_4_on_a_broken_guarantee(case, command, monkeypatch, tmp_path,
     inst = tmp_path / "in.ssc"
     assert main(["gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst)]) == 0
     monkeypatch.setattr(pipeline, "derandomize", BROKEN[case][0])
-    code = main([command, str(inst), "--format", "json"])
+    # embed prints only its CSV and takes no --format
+    code = main([command, str(inst)] + ([] if command == "embed" else ["--format", "json"]))
     out, err = capsys.readouterr()
     assert code == 4
     assert out == ""

@@ -11,10 +11,10 @@ from treecut.errors import BudgetError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, format_instance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
-from treecut.relaxation import (LpProgram, build_full_sa, build_maxcut_lp,
+from treecut.relaxation import (LpProgram, SetFamily, build_full_sa, build_maxcut_lp,
                                 build_sparsestcut_lp, format_lp, full_family,
                                 full_solution_from, ratio_search, subset_from_mask, _var)
-from treecut import simplex
+from treecut import relaxation, simplex
 
 from _lp_fixtures import build_distortion_lp, parse_lp
 from _reference_simplex import reference_solve
@@ -59,8 +59,11 @@ def test_full_sa_uniform_point_is_feasible():
 
 
 def test_full_sa_budget_error():
-    with pytest.raises(BudgetError):
-        build_full_sa(12, 6, budget=1000)
+    # 22,600,737 variables, refused before any set is built
+    with pytest.raises(BudgetError) as exc:
+        build_full_sa(40, 5)
+    assert exc.value.requested == 22_600_737
+    assert exc.value.limit == relaxation.DEFAULT_VARIABLE_BUDGET
 
 
 def test_full_sa_rejects_r_over_n():
@@ -145,20 +148,31 @@ def test_triangle_inequality_on_in_family_triples():
             assert sep(a, b) <= sep(a, c) + sep(c, b)
 
 
-def test_family_monotonicity_extra_sets_never_loosen():
+def test_family_monotonicity_extra_sets_never_loosen(monkeypatch):
     inst, dec = g1prime_k3()
     alpha = Fraction(1)
     base = simplex.solve(build_sparsestcut_lp(inst, dec, alpha).program).objective
-    extra = [("s", "t", 1, 2), ("t", 1, 2, 3)]
-    bigger = simplex.solve(
-        build_sparsestcut_lp(inst, dec, alpha, extra_sets=extra).program).objective
+    extra = (("s", "t", 1, 2), ("t", 1, 2, 3))
+    pared = relaxation.pared_family
+
+    def with_extra_sets(instance, dec):
+        family = pared(instance, dec)
+        return SetFamily.build(family.order, family.sets + extra)
+
+    monkeypatch.setattr(relaxation, "pared_family", with_extra_sets)
+    bigger = simplex.solve(build_sparsestcut_lp(inst, dec, alpha).program).objective
     assert bigger >= base
 
 
 def test_pared_set_cap_guardrail():
-    inst, dec = g1prime_k3()
-    with pytest.raises(BudgetError):
-        build_sparsestcut_lp(inst, dec, 1, set_cap=3)
+    # one bag over a 24-vertex path: the demand pair's joint set is all of it
+    n = 24
+    inst = SparsestCutInstance.build(range(1, n + 1), [(i, i + 1, 1) for i in range(1, n)],
+                                     [(1, n, 1)])
+    dec = TreeDecomposition.build([set(range(1, n + 1))], [])
+    with pytest.raises(BudgetError) as exc:
+        build_sparsestcut_lp(inst, dec, 1)
+    assert (exc.value.requested, exc.value.limit) == (n, relaxation.DEFAULT_SET_CAP)
 
 
 def test_ratio_search_single_edge():

@@ -123,8 +123,8 @@ def test_derandomized_cut_within_factor_two():
 def test_derandomize_on_fractional_solution():
     inst, dec, sol, _ = path_metric_solution()
     alpha = sol.y_value(1, 4)
-    cut, pot = derandomize(inst, sol, dec, alpha)
     lp_star = sum(Fraction(w) * sol.y_value(u, v) for u, v, w in inst.supply_edges)
+    cut, pot = derandomize(inst, sol, dec, alpha, lp_star)
     sp = evaluate_cut(inst, cut)
     assert pot.trace[0] <= 0
     assert pot.nonincreasing()
