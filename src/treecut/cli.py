@@ -19,7 +19,8 @@ from .decomposition import (DEFAULT_EXACT_BOUND, balance, exact_decomposition,
                             format_decomposition, parse_decomposition, validate)
 from .errors import BudgetError, InputError, InvariantError, TreecutError
 from .generators import (MaxCutInstance, UlcInstance, building_block, check_gadget_dimension,
-                         power, random_delta_nice_ulc, ug_gadget, ulc_to_json_dict)
+                         check_labeling_budget, power, random_delta_nice_ulc, ug_gadget,
+                         ulc_to_json_dict)
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment, GapReport
 from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, exact_maxcut,
@@ -205,6 +206,8 @@ def cmd_gen(args) -> int:
         inst, dec = gadget.instance, gadget.decomposition
         sidecar = {"kind": "gadget", "alpha": str(gadget.alpha), **gadget.predicted()}
     elif args.what == "ulc":
+        if args.sidecar:  # the collapsed ULC keeps the n right vertices
+            check_labeling_budget(args.labels, args.ulc_vertices)
         ulc = random_delta_nice_ulc(args.ulc_vertices, args.delta, args.labels,
                                     seed=args.seed, plant=args.plant)
         _write(args.output, json.dumps(ulc_to_json_dict(ulc), sort_keys=True) + "\n")

@@ -27,6 +27,8 @@ from .oracle import exact_maxcut
 DEFAULT_POWER_EDGE_BUDGET = 250_000  # supply edges of a powered instance
 DEFAULT_GADGET_DIM_BOUND = 6  # labels, so cube dimension, of a gadget
 LABELING_BUDGET = 2_000_000  # assignments the exact ULC optimum tries
+ULC_ENTRY_BUDGET = 200_000  # permutation entries a random ULC draws or collapses to
+GADGET_EDGE_BUDGET = 250_000  # supply and demand edges of a gadget
 CLIQUE_PRODUCT_BUDGET = 24  # vertices of an exhaustively cut clique product
 
 
@@ -366,10 +368,7 @@ class UlcInstance:
         return Fraction(good, len(self.edges))
 
     def best_labeling(self):
-        n = len(self.vertices)
-        if _power_exceeds(self.d, n, LABELING_BUDGET):
-            raise BudgetError(f"labeling search over {self.d}^{n} assignments exceeds "
-                              f"budget {LABELING_BUDGET}", limit=LABELING_BUDGET)
+        check_labeling_budget(self.d, len(self.vertices))
         best, best_lab = Fraction(-1), None
         for labels in itertools.product(range(self.d), repeat=len(self.vertices)):
             lab = dict(zip(self.vertices, labels))
@@ -441,12 +440,6 @@ class BipartiteUlc:
     edges: tuple  # (u in left, v in right, sigma)
     d: int
 
-    def degree_left(self, u) -> int:
-        return sum(1 for a, _, _ in self.edges if a == u)
-
-    def degree_right(self, v) -> int:
-        return sum(1 for _, b, _ in self.edges if b == v)
-
     def satisfied_fraction(self, labeling: dict) -> Fraction:
         good = sum(1 for u, v, s in self.edges if s[labeling[u]] == labeling[v])
         return Fraction(good, len(self.edges))
@@ -459,8 +452,9 @@ def bipartite_to_cliques(B: BipartiteUlc) -> UlcInstance:
     composed constraint routes through the shared left vertex.  The input
     must be regular on both sides, so the output is delta-nice.
     """
-    delta_values = ({B.degree_left(u) for u in B.left}
-                    | {B.degree_right(v) for v in B.right})
+    left = Counter(u for u, _, _ in B.edges)
+    right = Counter(v for _, v, _ in B.edges)
+    delta_values = {left[u] for u in B.left} | {right[v] for v in B.right}
     if len(delta_values) != 1:
         raise InputError(f"bipartite instance is not regular: degrees {sorted(delta_values)}")
     edges = []
@@ -537,6 +531,10 @@ def ug_gadget(ulc: UlcInstance, alpha) -> UgGadget:
     n = len(ulc.vertices)
     N = n * (1 << d)
     M = len(ulc.edges) * (1 << d)
+    edges = 2 * N + N * d // 2 + M  # star, cube and demand edges
+    if edges > GADGET_EDGE_BUDGET:
+        raise BudgetError(f"gadget needs {edges} edges, budget is {GADGET_EDGE_BUDGET}",
+                          limit=GADGET_EDGE_BUDGET, requested=edges)
     verts = ["s", "t"]
     cube_nodes = []
     for v in ulc.vertices:
@@ -613,6 +611,13 @@ def clique_product_maxcut_bound(ulc: UlcInstance, copies: int) -> dict:
     }
 
 
+def check_labeling_budget(d: int, n: int):
+    """Refuse an exact ULC optimum over d^n labelings above LABELING_BUDGET."""
+    if _power_exceeds(d, n, LABELING_BUDGET):
+        raise BudgetError(f"labeling search over {d}^{n} assignments exceeds "
+                          f"budget {LABELING_BUDGET}", limit=LABELING_BUDGET)
+
+
 def random_delta_nice_ulc(n: int, delta: int, d: int, seed: int = 0,
                           plant: bool = False) -> UlcInstance:
     """Random delta-nice ULC on n vertices via delta bipartite matchings.
@@ -626,6 +631,12 @@ def random_delta_nice_ulc(n: int, delta: int, d: int, seed: int = 0,
         raise InputError(f"need 2 <= delta <= n, got delta={delta}, n={n}")
     if d < 1:
         raise InputError(f"label count must be at least 1, got {d}")
+    # n*delta permutations drawn, n*C(delta, 2) after the collapse, d entries each
+    entries = n * max(delta, delta * (delta - 1) // 2) * d
+    if entries > ULC_ENTRY_BUDGET:
+        raise BudgetError(f"random ULC over {n} vertices, delta {delta} and {d} labels "
+                          f"needs {entries} permutation entries, budget is "
+                          f"{ULC_ENTRY_BUDGET}", limit=ULC_ENTRY_BUDGET, requested=entries)
     rng = random.Random(seed)
     left = tuple(f"L{i}" for i in range(n))
     right = tuple(range(1, n + 1))

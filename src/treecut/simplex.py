@@ -1,39 +1,40 @@
 """Bundled LP solver: an exact rational simplex.
 
-A dense two-phase primal simplex runs on an integer tableau with a
-single running denominator (integer pivoting), so every intermediate
-quantity is exact and sign tests are integer sign tests.  The tableau is
-built from the program's sparse rows: only each row's nonzero
-coefficients are scaled and scattered into a zero integer row.  A pivot
-is a fraction-free (Bareiss) step with pivot entry p over running
-denominator d.  When p == d, as in almost every pivot on the pared
-sparsest-cut LPs (where d typically stays 1), the step a*p - f*b over d
-is a - (f*b)//d with an exact division.  The pivot then collects the
-pivot row's nonzeros once and updates only those columns, in place, of
-each row with a nonzero f in the pivot column; with d == 1 the division
-is skipped.  Only when p != d does the dense update run, which also
-rescales the rows with a zero in the pivot column by p/d.  Pricing is
+A dense two-phase primal simplex runs on an integer tableau in which
+every row has its own positive denominator: row i stands for
+T[i] / dens[i], so every intermediate quantity is exact and every sign
+test is an integer sign test.  The tableau is built from the program's
+sparse rows: only each row's nonzero coefficients are scaled and
+scattered into a zero integer row, and every denominator starts at 1.
+A pivot on p = T[r][c] has one update: row r keeps its integers and its
+denominator becomes p, and each row with f = T[i][c] != 0 becomes
+q*T[i] - (f/g)*T[r] over q*dens[i], with g = gcd(p, f) and q = p/g.
+The pivot row's nonzeros are collected once and only those columns of
+each such row are updated, after scaling it by q when q > 1; with p == 1
+there is no gcd and no scaling.  A row with a zero in the pivot column
+is never written.  Pricing, the ratio test and the degeneracy test each
+read within one row, where a positive scale changes nothing.  Pricing is
 most-negative (Dantzig), which keeps pivot counts low on the highly
 degenerate lifted-cut polytopes; after STALL_LIMIT consecutive degenerate
 pivots it falls back to Bland's rule, which guarantees termination, until
 a pivot makes progress.  A solve stops with status "iteration-limit"
 once the tableau has made MAX_ITERS pivots.  Every optimal result
-carries exact duals and its duality gap.  The primal and dual objectives
-are summed as integers over the tableau's denominator, and only nonzero
-values and duals become Fractions.
+carries exact duals and its duality gap.  The primal objective is summed
+as integers over the lcm of the basic rows' denominators, the dual one
+over the cost row's, and only nonzero values and duals become Fractions.
 
 Objectives declared at construction (`objectives=`) ride through the
 pivots: each is one more integer row of the tableau, at its own scale,
-updated by every pivot like the constraint rows, so each such row is
-always den * scale times that objective's reduced costs against the
-current basis (the Bareiss divisions stay exact by Sylvester's
-identity).  `reoptimize(weights, sense)` prices a weighted sum of the
-declared objectives on a solved tableau as one integer combination of
-those rows and resumes from the previous optimal vertex, which is what
-makes exact Dinkelbach ratio searches cheap.  The combined row is a
-positive multiple of the reduced costs, so the pivots it picks are the
-ones a cost row rebuilt from scratch would pick.  Without declared
-objectives the tableau carries nothing extra.
+updated by every pivot like the constraint rows, so each such row over
+its denominator is always scale times that objective's reduced costs
+against the current basis.  `reoptimize(weights, sense)` prices a
+weighted sum of the declared objectives on a solved tableau as one
+integer combination of those rows, over the lcm of their denominators,
+and resumes from the previous optimal vertex, which is what makes exact
+Dinkelbach ratio searches cheap.  The combined row is a positive multiple
+of the reduced costs, so the pivots it picks are the ones a cost row
+rebuilt from scratch would pick.  Without declared objectives the
+tableau carries nothing extra.
 """
 
 from __future__ import annotations
@@ -104,6 +105,7 @@ class Simplex:
             scale, ints = _integer(self._columns(objective, 1))
             self.objectives.append((scale, ints))
             self.T.append(_scatter(ints, 1, self.width))
+        self.dens = [1] * len(self.T)  # row i stands for T[i] / dens[i]
 
     # -- construction -----------------------------------------------------
 
@@ -184,40 +186,29 @@ class Simplex:
         T.append(prow)
 
         self.T = T
-        self.den = 1
         self.basis = basis
         self.barred = set()
 
     # -- pivoting ---------------------------------------------------------
 
     def _pivot(self, r: int, c: int):
-        T = self.T
+        T, dens = self.T, self.dens
         prow = T[r]
         p = prow[c]
-        d = self.den
-        if p == d:
-            # a*p - f*b over d is a - f*b/d, exact: touch only prow's nonzeros
-            nz = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
-            for i, row in enumerate(T):
-                f = row[c]
-                if f and i != r:
-                    if d == 1:
-                        for j, b in nz:
-                            row[j] -= f * b
-                    else:
-                        for j, b in nz:
-                            row[j] -= f * b // d
-        else:
-            for i in range(len(T)):
-                if i == r:
-                    continue
-                row = T[i]
-                f = row[c]
-                if f:
-                    T[i] = [(a * p - f * b) // d for a, b in zip(row, prow)]
-                else:
-                    T[i] = [(a * p) // d for a in row]
-            self.den = p
+        nz = [(j, prow[j]) for j in compress(range(len(prow)), prow)]
+        for i, row in enumerate(T):
+            f = row[c]
+            if f and i != r:
+                # row/dens[i] - (f/dens[i]) * prow/p, over q*dens[i]
+                if p != 1:
+                    g = gcd(p, f)
+                    q, f = p // g, f // g
+                    if q != 1:
+                        T[i] = row = [q * a for a in row]
+                        dens[i] *= q
+                for j, b in nz:
+                    row[j] -= f * b
+        dens[r] = p
         self.basis[r] = c
         self.pivots += 1
 
@@ -311,7 +302,7 @@ class Simplex:
             else:
                 drop.append(i)
         for i in reversed(drop):
-            del self.T[i]
+            del self.T[i], self.dens[i]
             del self.basis[i]
             self.m -= 1
         self.barred |= self.art_cols
@@ -320,8 +311,8 @@ class Simplex:
         """Optimize sum_k weights[k] * (declared objective k) and re-run.
 
         The cost row is that weighted sum of the carried reduced-cost rows,
-        over the smallest common scale, so the search resumes from the
-        previous optimal vertex.
+        at the smallest common scale and over the lcm of their denominators,
+        so the search resumes from the previous optimal vertex.
         """
         if not getattr(self, "_feasible_basis", False):
             raise InputError("reoptimize needs a solved feasible tableau; call solve() first")
@@ -339,18 +330,19 @@ class Simplex:
                 g = gcd(w.numerator, s)
                 terms.append((k, w.numerator // g, w.denominator * s // g))
                 scale = lcm(scale, terms[-1][2])
+        m = self.m
+        den = lcm(1, *(self.dens[m + 2 + k] for k, _, _ in terms))
         cost: dict = {}
-        crow = None
+        crow = [0] * self.width
         for k, num, per in terms:
             mult = factor * num * (scale // per)
             for j, c in self.objectives[k][1].items():
                 cost[j] = cost.get(j, 0) + mult * c
-            row = self.T[self.m + 2 + k]
-            crow = ([mult * x for x in row] if crow is None
-                    else [a + mult * x for a, x in zip(crow, row)])
+            mult *= den // self.dens[m + 2 + k]
+            crow = [a + mult * x for a, x in zip(crow, self.T[m + 2 + k])]
         self.cost_scale, self.cost_int = scale, cost
-        self.T[self.m] = crow if crow is not None else [0] * self.width
-        return self._result(self._run(self.m))
+        self.T[m], self.dens[m] = crow, den
+        return self._result(self._run(m))
 
     # -- results ----------------------------------------------------------
 
@@ -361,15 +353,15 @@ class Simplex:
         coefficients applied to the basic values, not the tableau's
         objective entry, so the duality gap compares two independent sums.
         """
-        T, rhs, den, nv, cost = self.T, self.rhs_col, self.den, self.nv, self.cost_int
+        T, rhs, dens, nv, cost = self.T, self.rhs_col, self.dens, self.nv, self.cost_int
         values = dict.fromkeys(self.variables, ZERO)
+        basic = [(i, b) for i, b in enumerate(self.basis) if b < nv and T[i][rhs]]
+        den = lcm(1, *(dens[i] for i, _ in basic))
         total = 0
-        for i, b in enumerate(self.basis):
-            if b < nv:
-                x = T[i][rhs]
-                if x:
-                    values[self.variables[b]] = Fraction(x, den)
-                    total += cost.get(b, 0) * x
+        for i, b in basic:
+            x = T[i][rhs]
+            values[self.variables[b]] = Fraction(x, dens[i])
+            total += cost.get(b, 0) * x * (den // dens[i])
         obj = None
         if status in ("optimal", "iteration-limit"):
             obj = Fraction(self.obj_factor * total, den * self.cost_scale)
@@ -383,12 +375,12 @@ class Simplex:
         """Duals per original constraint, rebuilt from unit-column reduced costs.
 
         Row orig's dual is -unit_sign * obj_factor * crow[col] * scale * sign
-        over den * cost_scale; times the row's right-hand side that is
+        over dens[m] * cost_scale; times the row's right-hand side that is
         -unit_sign * obj_factor * crow[col] * scaled_rhs[orig] over the same
         denominator, so the dual objective is one integer sum.
         """
         crow = self.T[self.m]
-        denom = self.den * self.cost_scale
+        denom = self.dens[self.m] * self.cost_scale
         duals = [ZERO] * len(self.program.constraints)
         dual_sum = 0
         for orig, scale, sign, col, unit_sign in self.dual_meta:

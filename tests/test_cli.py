@@ -155,10 +155,14 @@ def test_outputs_match_recorded_digests(tmp_path, capsys):
 
 
 # sha256 of `solve --format json` on the levels-2 fractals through their
-# `.td`, recorded before the simplex pivot went sparse.
+# `.td`: p3 and k4 recorded before the simplex pivot went sparse, c5 and k5
+# while the tableau still had one running denominator.
 FRACTAL_DIGESTS = {
     "p3": "b0e270e1b1f72efcd3ac7a1d547ff2ec20f4d748de1177b289957d94b0412176",
     "k4": "a5b0af5f999b700344e7bd1e9e35da7382ee3762d127660ef9f63e530b46089b",
+    "c5": "926455663c57944994d2a273581b2146f939a631313afba6b7de806d74ada345",
+    # lp_ratio 10/17, cut_sparsity 5/8
+    "k5": "f28fd5c12826c180d5e59bb9d4aa83a21a238f212000d4f50e867bdaf1df4a18",
 }
 
 
@@ -217,13 +221,22 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     ["gen", "gadget", "--labels", str(10**9)],
     # a header naming 10^12 vertices, refused before any is built
     ["oracle", "{tmp}/huge.ssc"],
+    # 6 * 10^6 permutation entries, refused before the ULC is drawn
+    ["gen", "ulc", "--ulc-vertices", "3", "--labels", str(10**6)],
+    ["gen", "gadget", "--random-ulc", "--ulc-vertices", str(10**9)],
+    # an optimum over 2^3000 labelings, refused before the ULC is written
+    ["gen", "ulc", "--ulc-vertices", "3000", "--sidecar", "{tmp}/side.json"],
+    # 460,800 gadget edges over a 1200-vertex ULC
+    ["gen", "gadget", "--random-ulc", "--ulc-vertices", "1200", "--labels", "6"],
 ], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
-        "ssc_header_1e12"])
+        "ssc_header_1e12", "ulc_labels_1e6", "random_ulc_gadget_vertices_1e9",
+        "ulc_sidecar_labelings", "gadget_edges"])
 def test_budget_refusals_never_show_a_traceback(argv, tmp_path, capsys):
     (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
     code, _, err = run(capsys, *argv)
     assert code == 3 and err.startswith("budget refusal: "), err
+    assert not (tmp_path / "out").exists()
 
 
 def test_exit_code_missing_file(capsys):

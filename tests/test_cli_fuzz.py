@@ -7,10 +7,9 @@ input, the run ends with exit code 0 (ok), 2 (input), 3 (budget) or 4
 never shows a traceback.  The examples are derandomized, so each run draws
 the same inputs, and few enough to keep the whole file to a few seconds.
 The pools hold a few huge numbers where a budget refuses them before any
-work: a `p ssc` vertex count, `--levels`, the gadget's `--labels` and a
-ULC's "d".  The other numbers stay small, since a large valid one only
-costs time; the ULC that `gen ulc` and `gen gadget --random-ulc` draw
-has no bound on its size yet.
+work: a `p ssc` vertex count, `--levels`, `--labels`, `--delta`,
+`--ulc-vertices` and a ULC's "d".  The other numbers stay small, since a
+large valid one only costs time.
 """
 
 import contextlib
@@ -114,23 +113,24 @@ def flag(name, *values):
     return st.one_of(st.just([]), st.sampled_from(values).map(lambda v: [name, v]))
 
 
-INSTANCE_FLAGS = st.tuples(
-    flag("--budget-vertices", "-1", "0", "1", "5", "x"),
-    flag("--seed", "0", "3", "-1", "x"),
-)
+SEEDED = ("solve", "verify", "round", "embed")  # oracle and decompose take no --seed
 
 
 @FUZZ
 @given(text=mutated_lines(VALID_SSC),
        command=st.sampled_from(["oracle", "solve", "decompose", "verify", "round", "embed"]),
-       flags=INSTANCE_FLAGS, fmt=flag("--format", "json", "csv", "text", "xml"),
+       budget=flag("--budget-vertices", "-1", "0", "1", "5", "x"),
+       seed=flag("--seed", "0", "3", "-1", "x"),
+       fmt=flag("--format", "json", "csv", "text", "xml"),
        samples=flag("--samples", "0", "1", "5", "-1", "x"))
-def test_malformed_instances_keep_the_exit_contract(text, command, flags, fmt, samples):
+def test_malformed_instances_keep_the_exit_contract(text, command, budget, seed, fmt, samples):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.ssc")
         with open(path, "w") as fh:
             fh.write(text)
-        argv = [command, path] + [a for f in flags for a in f]
+        argv = [command, path] + budget
+        if command in SEEDED:
+            argv += seed
         # decompose writes a `.td` and embed a CSV: neither takes --format
         if command == "embed":
             argv += samples
@@ -166,18 +166,16 @@ SMALL = ("-1", "0", "1", "2", "3", "x", "2.5")
 
 
 @FUZZ
-@given(what_labels=st.one_of(
-           st.tuples(st.sampled_from(["block", "power", "gadget", "bogus"]),
-                     flag("--labels", *SMALL, HUGE)),
-           st.tuples(st.just("ulc"), flag("--labels", *SMALL))),
+@given(what=st.sampled_from(["block", "power", "gadget", "ulc", "bogus"]),
+       labels=flag("--labels", *SMALL, HUGE),
        flags=st.tuples(flag("--maxcut", "k3", "p3", "c5", "k2", "k1", "p1", "c2", "x3", "k", ""),
                        flag("--levels", *SMALL, "99", "6000", HUGE),
                        flag("--alpha", "1/25", "0", "-1", "abc", "1/0"),
-                       flag("--delta", *SMALL), flag("--ulc-vertices", *SMALL, "4"),
+                       flag("--delta", *SMALL, HUGE),
+                       flag("--ulc-vertices", *SMALL, "4", HUGE),
                        flag("--seed", "0", "-1", "x"),
                        st.sampled_from([[], ["--st-demand"], ["--random-ulc"], ["--plant"]])))
-def test_generator_flags_keep_the_exit_contract(what_labels, flags):
-    what, labels = what_labels
+def test_generator_flags_keep_the_exit_contract(what, labels, flags):
     with tempfile.TemporaryDirectory() as tmp:
         assert_contract(["gen", what, "-o", os.path.join(tmp, "out"),
                          "--td-out", os.path.join(tmp, "out.td"),

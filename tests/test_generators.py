@@ -153,6 +153,14 @@ def test_bipartite_single_left_vertex():
     assert out.edges[1][2] == (0, 1)  # and through "w"
 
 
+def test_bipartite_to_cliques_rejects_irregular_degrees():
+    # "u" joins both right vertices, "w" only vertex 1
+    B = BipartiteUlc(("u", "w"), (1, 2), (("u", 1, identity(2)), ("u", 2, identity(2)),
+                                         ("w", 1, identity(2))), 2)
+    with pytest.raises(InputError, match=r"not regular: degrees \[1, 2\]"):
+        bipartite_to_cliques(B)
+
+
 def make_regular_bipartite(rng, n=3, d=3):
     """Delta-regular bipartite ULC on n+n vertices via delta perfect matchings."""
     left = tuple(f"L{i}" for i in range(n))

@@ -233,7 +233,7 @@ def assert_same_tableau(prog):
     assert solver.basis == basis
     assert solver.dual_meta == meta
     assert solver.cost_scale == cost_scale
-    assert solver.den == 1
+    assert solver.dens == [1] * len(T)
 
 
 @pytest.fixture(scope="module")
@@ -242,8 +242,8 @@ def corpus_programs():
 
     The ratio search's program (no demand row) over the first 20 corpus
     instances, re-solved for maximum separated demand as the search does,
-    plus the full Sherali-Adams MaxCut LP of C_5, whose running
-    denominator leaves 1.
+    plus the full Sherali-Adams MaxCut LP of C_5, which pivots on
+    entries above 1.
     """
     out = []
     for inst in acceptance_corpus(0, 20):
@@ -259,10 +259,11 @@ def corpus_programs():
 def test_tableau_matches_dense_construction(corpus_programs):
     for prog, objective, _ in corpus_programs:
         assert_same_tableau(prog)
-        # a declared objective only appends its row
-        carried = Simplex(prog, objectives=(objective,)).T
-        assert carried[:-1] == Simplex(prog).T
-        assert carried[-1] == carried_row(Simplex(prog), objective)
+        # a declared objective only appends its row, over denominator 1
+        carried = Simplex(prog, objectives=(objective,))
+        assert carried.T[:-1] == Simplex(prog).T
+        assert carried.dens == [1] * len(carried.T)
+        assert carried.T[-1] == carried_row(Simplex(prog), objective)
     # the same instances with the demand row (a fractional ">=" right-hand side)
     for inst in acceptance_corpus(0, 20):
         built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
@@ -299,11 +300,11 @@ def assert_certified(solver, res, prog, objective, sense):
         assert flip * colsum[v] >= flip * Fraction(objective.get(v, 0))
     assert res.duality_gap == 0
     assert sum(y * Fraction(rhs) for (_, _, rhs), y in zip(prog.constraints, res.duals)) == ref
-    # integer pivoting keeps den times the identity in the basic columns
-    T, den = solver.T, solver.den
-    assert den > 0
+    # over the rows' positive denominators, the basic columns are the identity
+    T, dens = solver.T, solver.dens
+    assert len(dens) == len(T) and all(d > 0 for d in dens)
     for i, b in enumerate(solver.basis):
-        assert [T[k][b] for k in range(solver.m)] == [den if k == i else 0
+        assert [T[k][b] for k in range(solver.m)] == [dens[k] if k == i else 0
                                                       for k in range(solver.m)]
         # the cost row, the phase-1 row and every carried row
         assert all(row[b] == 0 for row in T[solver.m:])
@@ -321,7 +322,7 @@ def test_solve_and_reoptimize_match_reference(corpus_programs):
        st.sampled_from(["min", "max"]))
 @settings(max_examples=60, deadline=None)
 def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
-    # fractional rows move the running denominator off 1 before the swap
+    # fractional rows move row denominators off 1 before the swap
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     solver = Simplex(prog, objectives=(objective,))
     if not solver.solve().optimal:
@@ -330,53 +331,64 @@ def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     assert_certified(solver, solver.reoptimize((1,), sense=sense), prog, objective, sense)
 
 
-def dense_bareiss(T, den, r, c):
-    """The dense fraction-free pivot on (r, c): every row but r, every column."""
+def dense_bareiss(T, dens, r, c):
+    """The dense fraction-free pivot on (r, c): every row, every column.
+
+    (rows, dens), unreduced: row r over p = T[r][c], and every other row i
+    as a*p - f*b over p*dens[i], with f = T[i][c] and b = T[r][j].
+    """
     prow, p = T[r], T[r][c]
-    out = []
-    for i, row in enumerate(T):
-        if i == r:
-            out.append(list(row))
-            continue
-        f = row[c]
-        nums = [a * p - f * b for a, b in zip(row, prow)]
-        assert all(x % den == 0 for x in nums)  # the division is exact
-        out.append([x // den for x in nums])
-    return out, p
+    rows = [list(prow) if i == r else [a * p - row[c] * b for a, b in zip(row, prow)]
+            for i, row in enumerate(T)]
+    return rows, [p if i == r else p * d for i, d in enumerate(dens)]
+
+
+def same_rationals(T, dens, rows, row_dens):
+    """T[i][j] / dens[i] == rows[i][j] / row_dens[i] for every i and j."""
+    return len(T) == len(rows) and all(
+        [a * e for a in row] == [b * d for b in ref]
+        for row, d, ref, e in zip(T, dens, rows, row_dens))
 
 
 @contextmanager
 def checked_pivots():
     """Check every Simplex._pivot against dense_bareiss on a copy.
 
-    Yields a Counter of the pivots by branch: "p == d == 1",
-    "p == d > 1" and "p != d", with p the pivot entry and d the running
-    denominator.
+    After each pivot every row over its positive denominator holds the
+    reference's exact rationals, and each row with a zero in the pivot
+    column is the same list with the same integers and the same
+    denominator.  Yields a Counter of the pivots by pivot entry p:
+    "p == 1" and "p > 1".
     """
     pivot = Simplex._pivot
-    branches = Counter()
+    kinds = Counter()
 
     def checked(self, r, c):
-        p, d = self.T[r][c], self.den
-        expected = dense_bareiss(self.T, d, r, c)
-        branches["p != d" if p != d else "p == d == 1" if d == 1 else "p == d > 1"] += 1
+        p = self.T[r][c]
+        expected = dense_bareiss(self.T, self.dens, r, c)
+        untouched = [(i, row, list(row), self.dens[i])
+                     for i, row in enumerate(self.T) if row[c] == 0]
+        kinds["p == 1" if p == 1 else "p > 1"] += 1
         pivot(self, r, c)
-        assert (self.T, self.den) == expected
-        assert self.T[r][c] == self.den
+        assert len(self.dens) == len(self.T) and all(d > 0 for d in self.dens)
+        assert same_rationals(self.T, self.dens, *expected)
+        assert self.T[r][c] == self.dens[r] == p
+        for i, row, ints, d in untouched:
+            assert self.T[i] is row and row == ints and self.dens[i] == d
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Simplex, "_pivot", checked)
-        yield branches
+        yield kinds
 
 
 def test_pivots_match_dense_bareiss(corpus_programs):
-    with checked_pivots() as branches:
+    with checked_pivots() as kinds:
         for prog, objective, sense in corpus_programs:
             solver = Simplex(prog, objectives=(objective,))
             assert solver.solve().optimal
             assert solver.reoptimize((1,), sense=sense).optimal
-    # the C_5 program moves the running denominator off 1 and back
-    assert set(branches) == {"p == d == 1", "p == d > 1", "p != d"}
+    # the C_5 program pivots on entries above 1
+    assert set(kinds) == {"p == 1", "p > 1"}
 
 
 @given(random_lp(), st.lists(st.integers(-3, 3), min_size=5, max_size=5),
@@ -392,18 +404,19 @@ def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
 
 def fraction_result(solver, objective):
     """(values, objective, duals, gap) recomputed in Fractions from the tableau."""
-    T, den = solver.T, solver.den
+    T, dens = solver.T, solver.dens
     values = {v: Fraction(0) for v in solver.variables}
     for i, b in enumerate(solver.basis):
         if b < solver.nv:
-            values[solver.variables[b]] = Fraction(T[i][solver.rhs_col], den)
+            values[solver.variables[b]] = Fraction(T[i][solver.rhs_col], dens[i])
     obj = sum((Fraction(c) * values[v] for v, c in objective.items()), Fraction(0))
     crow = T[solver.m]
     constraints = solver.program.constraints
     duals = [Fraction(0)] * len(constraints)
     dual_obj = Fraction(0)
     for orig, scale, sign, col, unit_sign in solver.dual_meta:
-        y_std = -unit_sign * Fraction(crow[col], den * solver.cost_scale) * solver.obj_factor
+        y_std = -unit_sign * Fraction(crow[col], dens[solver.m] * solver.cost_scale) \
+            * solver.obj_factor
         duals[orig] = y_std * scale * sign
         dual_obj += duals[orig] * Fraction(constraints[orig][2])
     return values, obj, duals, obj - dual_obj
@@ -437,39 +450,40 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
 
 
 def carried_row(solver, objective):
-    """den * scale * the objective's reduced costs against the current basis,
-    recomputed densely from the tableau's constraint rows: c_j minus the
-    basic costs times column j of B^-1 A, which is T[i][j] / den, as one
-    Fraction per column; scale is the least common denominator of the
+    """scale * the objective's reduced costs against the current basis, as
+    Fractions, recomputed densely from the tableau's constraint rows: c_j
+    minus the basic costs times column j of B^-1 A, which is
+    T[i][j] / dens[i]; scale is the least common denominator of the
     objective's coefficients."""
-    T, den = solver.T, solver.den
+    T, dens = solver.T, solver.dens
     coeff = [Fraction(0)] * solver.width
     for v, c in objective.items():
         coeff[solver.var_pos[v]] += Fraction(c)
     scale = lcm(1, *(c.denominator for c in coeff))
-    basic = [0] * solver.width  # scale * sum_i c_basis(i) * T[i], in integers
+    den = lcm(1, *dens[:solver.m])
+    basic = [0] * solver.width  # den * scale * sum_i c_basis(i) * T[i] / dens[i]
     for i, b in enumerate(solver.basis):
         if coeff[b]:
-            cb = int(coeff[b] * scale)
+            cb = int(coeff[b] * scale) * (den // dens[i])
             basic = [x + cb * a for x, a in zip(basic, T[i])]
-    reduced = [c - Fraction(x, scale * den) for c, x in zip(coeff, basic)]
-    return [den * scale * x for x in reduced]
+    return [scale * c - Fraction(x, den) for c, x in zip(coeff, basic)]
 
 
 def dense_cost_row(solver, objective, sense):
     """(row, scale): the cost row rebuilt densely against the current basis,
-    as `reoptimize` built it before the objectives rode through the pivots."""
+    as `reoptimize` built it before the objectives rode through the pivots,
+    in Fractions: scale * the reduced costs."""
     factor = -1 if sense == "max" else 1
     cost = {solver.var_pos[v]: factor * Fraction(c) for v, c in objective.items() if c}
     scale = lcm(1, *(c.denominator for c in cost.values()))
-    cost_int = {j: int(c * scale) for j, c in cost.items()}
-    crow = [0] * solver.width
-    for j, c in cost_int.items():
-        crow[j] = c * solver.den
+    crow = [Fraction(0)] * solver.width
+    for j, c in cost.items():
+        crow[j] = c * scale
     for i in range(solver.m):
-        cb = cost_int.get(solver.basis[i])
+        cb = cost.get(solver.basis[i])
         if cb:
-            crow = [a - cb * x for a, x in zip(crow, solver.T[i])]
+            crow = [a - cb * scale * Fraction(x, solver.dens[i])
+                    for a, x in zip(crow, solver.T[i])]
     return crow, scale
 
 
@@ -478,9 +492,10 @@ def checked_carried_rows():
     """Check the carried objective rows after every pivot, and each
     `reoptimize`'s cost row before its first pivot.
 
-    Every carried row must equal `carried_row`, and the cost row must be a
-    positive multiple of `dense_cost_row` for the same weighted objective,
-    with `cost_int / cost_scale` its coefficients.  Yields a Counter of the
+    Every carried row over its denominator must equal `carried_row`, and
+    the cost row over its denominator and `cost_scale` must equal
+    `dense_cost_row` over its scale for the same weighted objective, with
+    `cost_int / cost_scale` its coefficients.  Yields a Counter of the
     checks made.
     """
     init, pivot, reoptimize, run = (Simplex.__init__, Simplex._pivot,
@@ -489,7 +504,9 @@ def checked_carried_rows():
 
     def assert_carried(self):
         for k, objective in enumerate(self.declared):
-            assert self.T[self.m + 2 + k] == carried_row(self, objective)
+            i = self.m + 2 + k
+            assert [Fraction(a, self.dens[i]) for a in self.T[i]] == \
+                carried_row(self, objective)
         checks["carried rows"] += 1
 
     def checked_init(self, program, *args, objectives=(), **kwargs):
@@ -514,8 +531,9 @@ def checked_carried_rows():
                 for v, c in objective.items():
                     combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
             old, old_scale = dense_cost_row(self, combined, sense)
-            assert self.cost_scale > 0
-            assert [a * old_scale for a in self.T[self.m]] == [b * self.cost_scale for b in old]
+            assert self.cost_scale > 0 and self.dens[self.m] > 0
+            assert [Fraction(a * old_scale, self.dens[self.m]) for a in self.T[self.m]] == \
+                [b * self.cost_scale for b in old]
             factor = -1 if sense == "max" else 1
             assert {j: Fraction(c, self.cost_scale) for j, c in self.cost_int.items() if c} == \
                 {self.var_pos[v]: factor * c for v, c in combined.items() if c}
@@ -548,11 +566,11 @@ def dinkelbach_steps(prog, objective, sense):
 
 
 def test_carried_rows_match_dense_reduced_costs(corpus_programs):
-    with checked_pivots() as branches, checked_carried_rows() as checks:
+    with checked_pivots() as kinds, checked_carried_rows() as checks:
         for prog, objective, sense in corpus_programs:
             dinkelbach_steps(prog, objective, sense)
-    # the C_5 program takes the dense p != d branch with the rows aboard
-    assert branches["p != d"] > 0
+    # the C_5 program pivots on entries above 1 with the rows aboard
+    assert kinds["p > 1"] > 0
     assert checks["cost rows"] == 3 * len(corpus_programs)
 
 
