@@ -4,19 +4,29 @@ Variables x(S,T) carry the intended meaning "the chosen side A satisfies
 A cap S = T".  Both the LPs and their solutions index T by its bit mask
 over S, the members of S taken in family order; `restrictions` maps the
 masks over a set onto a subset, and every marginal and consistency row is
-built on it.  Two builders exist:
+built on it.  An LP has no variable names: each set that carries a
+variable block gets a column offset, x(S,T) is the column offset + mask,
+and rows are {column: coefficient} dicts with integer coefficients.
+`format_lp` names column offset + m of set i's block x_i_m.  Two builders
+exist:
 
 * `build_full_sa` emits the complete r-round system (normalization,
-  per-element consistency, nonnegativity) with one variable per (S,T).
+  per-element consistency, nonnegativity) with one block per set, laid
+  out at `SetFamily.offsets`.
 * `build_sparsestcut_lp` emits the pared system over root-path unions of
   a balanced decomposition.  Only inclusion-maximal family sets carry
   variable blocks; every other family set is a marginal of its parent
   block, and blocks sharing a family subset are tied together by
   aggregated-consistency rows.  This is a pure presolve: the projection
-  of the feasible region onto the family variables is unchanged.
+  of the feasible region onto the family variables is unchanged.  Family
+  containment is tested on vertex bitmasks.
 
 Pair values y_uv are never standalone LP variables; objectives and the
-demand constraint substitute their defining sums directly.
+demand constraint substitute their defining sums directly.  Capacity and
+demand are built once as (scale, {column: int}), the sums times the
+smallest integer scale, which is the form `simplex.Simplex` takes
+objectives in; solutions are read back as integer numerators over one
+common denominator.
 """
 
 from __future__ import annotations
@@ -24,13 +34,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import comb, lcm
+from functools import cached_property
+from math import comb, gcd, lcm
 from typing import Iterable
 
 from .decomposition import TreeDecomposition, least_bags
 from .errors import BudgetError, InputError, InvariantError
 from .instance import SparsestCutInstance, as_weight
 from . import simplex
+from .simplex import ZERO  # every zero an LpResult holds; skipping it is exact
 
 DEFAULT_SET_CAP = 22  # vertices in a demand pair's joint family set
 DEFAULT_VARIABLE_BUDGET = 300_000  # variables in one full or pared system
@@ -56,24 +68,37 @@ class SetFamily:
         ordered = sorted(canon, key=lambda s: (len(s), tuple(pos[v] for v in s)))
         return SetFamily(order, tuple(ordered))
 
-    @property
+    @cached_property
     def pos(self) -> dict:
         return {v: i for i, v in enumerate(self.order)}
 
     def canonical(self, vs) -> tuple:
-        pos = self.pos
-        return tuple(sorted(vs, key=pos.__getitem__))
+        return tuple(sorted(vs, key=self.pos.__getitem__))
 
     def frozensets(self) -> list:
         return [frozenset(s) for s in self.sets]
 
+    @cached_property
+    def bits(self) -> list:
+        """Each set as a vertex bitmask over the order."""
+        bit = {v: 1 << i for i, v in enumerate(self.order)}
+        return [sum(map(bit.__getitem__, s)) for s in self.sets]
+
+    @cached_property
+    def offsets(self) -> list:
+        """Each set's column offset when every set carries a block, as in
+        the full system."""
+        return list(itertools.accumulate((1 << len(s) for s in self.sets[:-1]), initial=0))
+
     def maximal_indices(self) -> list:
-        fsets = self.frozensets()
-        out = []
-        for i, s in enumerate(fsets):
-            if not any(i != j and s < t for j, t in enumerate(fsets)):
-                out.append(i)
-        return out
+        """Sets in no other set: larger sets come first, and a set in a
+        larger one is in a maximal one that came before it."""
+        found = []
+        for i in reversed(range(len(self.sets))):
+            b = self.bits[i]
+            if not any(b & c == b for _, c in found):
+                found.append((i, b))
+        return sorted(i for i, _ in found)
 
     def variable_count(self) -> int:
         return sum(1 << len(s) for s in self.sets)
@@ -104,9 +129,9 @@ def restrictions(elems: tuple, q_elems) -> list:
 
 def marginal(elems: tuple, table: list, q_elems) -> list:
     """The table over elems summed onto the subset q_elems."""
-    out = [Fraction(0)] * (1 << len(q_elems))
+    out = [ZERO] * (1 << len(q_elems))
     for qm, val in zip(restrictions(elems, q_elems), table):
-        if val:
+        if val is not ZERO:
             out[qm] += val
     return out
 
@@ -117,33 +142,22 @@ def marginal(elems: tuple, table: list, q_elems) -> list:
 
 @dataclass
 class LpProgram:
-    """min/max of a linear objective over nonnegative variables.
+    """min/max of a linear objective over nonnegative variables, the
+    columns in `variables` (a range from 0).
 
-    constraints: list of (coeff dict, sense in {"<=", ">=", "=="}, rhs).
+    constraints: list of ({column: coefficient}, sense in {"<=", ">=",
+    "=="}, rhs), coefficients and right-hand sides int or Fraction.
+    objective: (scale, {column: int}), the objective times a positive
+    integer scale.  blocks: (family index, width) per variable block in
+    column order, which names the columns in `format_lp`.
     """
 
-    variables: list
+    variables: range
     constraints: list
-    objective: dict
+    objective: tuple
     sense: str = "min"
     name: str = "lp"
-
-    def check(self):
-        declared = set(self.variables)
-        for coeffs, sense, _ in self.constraints:
-            if sense not in ("<=", ">=", "=="):
-                raise InputError(f"bad constraint sense {sense!r}")
-            for v in coeffs:
-                if v not in declared:
-                    raise InputError(f"constraint references undeclared variable {v!r}")
-        for v in self.objective:
-            if v not in declared:
-                raise InputError(f"objective references undeclared variable {v!r}")
-        return self
-
-
-def _var(si: int, mask: int) -> tuple:
-    return ("x", si, mask)
+    blocks: tuple = ()
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +189,10 @@ def build_full_sa(n: int, r: int):
                           limit=DEFAULT_VARIABLE_BUDGET, requested=count)
     family = full_family(range(1, n + 1), r)
     sidx = {s: i for i, s in enumerate(family.sets)}
+    at = family.offsets
     constraints = []
     for i, s in enumerate(family.sets):
-        constraints.append(({_var(i, m): 1 for m in range(1 << len(s))}, "==", 1))
+        constraints.append((dict.fromkeys(range(at[i], at[i] + (1 << len(s))), 1), "==", 1))
     # x(S,T) = x(S+u,T) + x(S+u,T+u) for |S| <= r-1, u not in S
     for i, s in enumerate(family.sets):
         if len(s) >= r:
@@ -188,20 +203,18 @@ def build_full_sa(n: int, r: int):
                 continue
             big = family.canonical(s + (u,))
             j = sidx[big]
-            rows = [{_var(i, m): 1} for m in range(1 << len(s))]
+            rows = [{at[i] + m: 1} for m in range(1 << len(s))]
             for bm, m in enumerate(restrictions(big, s)):
-                rows[m][_var(j, bm)] = -1
+                rows[m][at[j] + bm] = -1
             constraints.extend((row, "==", 0) for row in rows)
     return family, constraints
 
 
-def _pair_expression(family: SetFamily, parent_idx: int, u, v) -> list:
-    """The parent-block variables whose sum is y_uv: those with exactly one
-    endpoint, in mask order."""
-    elems = family.sets[parent_idx]
-    ubit, vbit = 1 << elems.index(u), 1 << elems.index(v)
-    return [_var(parent_idx, m) for m in range(1 << len(elems))
-            if bool(m & ubit) != bool(m & vbit)]
+def _pair_expression(elems: tuple, offset: int, u, v) -> list:
+    """The columns of the block over elems at offset whose sum is y_uv:
+    those with exactly one endpoint, in mask order."""
+    ui, vi = elems.index(u), elems.index(v)
+    return [offset + m for m in range(1 << len(elems)) if ((m >> ui) ^ (m >> vi)) & 1]
 
 
 def build_maxcut_lp(graph, r: int) -> LpProgram:
@@ -216,11 +229,11 @@ def build_maxcut_lp(graph, r: int) -> LpProgram:
     objective: dict = {}
     for u, v in graph.edges:
         pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        for key in _pair_expression(family, pi, relabel[u], relabel[v]):
-            objective[key] = objective.get(key, 0) + 1
-    variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]
-    return LpProgram(variables, constraints, objective, sense="max",
-                     name=f"maxcut_sa_r{r}").check()
+        for j in _pair_expression(family.sets[pi], family.offsets[pi], relabel[u], relabel[v]):
+            objective[j] = objective.get(j, 0) + 1
+    blocks = tuple((i, 1 << len(s)) for i, s in enumerate(family.sets))
+    return LpProgram(range(family.variable_count()), constraints, (1, objective),
+                     sense="max", name=f"maxcut_sa_r{r}", blocks=blocks)
 
 
 # ---------------------------------------------------------------------------
@@ -234,28 +247,35 @@ class SparsestCutLp:
     program: LpProgram
     family: SetFamily
     maximal: list  # family indices carrying variable blocks
-    parent_of: dict  # family index -> chosen maximal family index
-    cap_expr: dict
-    dem_expr: dict
+    offset: dict  # maximal family index -> its block's first column
+    parent_of: list  # family index -> chosen maximal family index
+    cap_expr: tuple  # (scale, {column: int}): capacity times scale
+    dem_expr: tuple  # (scale, {column: int}): demand times scale
     instance: SparsestCutInstance
 
-    def solution_from(self, values: dict) -> "SaSolution":
+    def solution_from(self, values: list) -> "SaSolution":
         """Every family set's table, summed from its parent block's nonzeros
-        (the block's `marginal` onto the set, with one zero test per entry)."""
+        (the block's `marginal` onto the set) as integer numerators over
+        one common denominator, with one Fraction per distinct entry."""
         sets = self.family.sets
+        den = lcm(*(x.denominator for x in values if x is not ZERO))
         nonzeros = {}
         for p in self.maximal:
-            block = (values[_var(p, m)] for m in range(1 << len(sets[p])))
-            nonzeros[p] = [(m, x) for m, x in enumerate(block) if x]
-        tables = {}
+            block = values[self.offset[p]:self.offset[p] + (1 << len(sets[p]))]
+            nonzeros[p] = [(m, x.numerator * (den // x.denominator))
+                           for m, x in enumerate(block) if x is not ZERO]
+        ints = []
         for i, elems in enumerate(sets):
             p = self.parent_of[i]
-            table = [Fraction(0)] * (1 << len(elems))
+            table = [0] * (1 << len(elems))
             restrict = restrictions(sets[p], elems)
-            for m, x in nonzeros[p]:
-                table[restrict[m]] += x
-            tables[frozenset(elems)] = (elems, table)
-        return SaSolution(self.family, tables)
+            for m, n in nonzeros[p]:
+                table[restrict[m]] += n
+            ints.append(table)
+        exact = {n: Fraction(n, den) for n in set().union(*ints)}
+        exact[0] = ZERO
+        return SaSolution(self.family, {frozenset(elems): (elems, [exact[n] for n in table])
+                                        for elems, table in zip(sets, ints)})
 
 
 @dataclass
@@ -355,78 +375,78 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     """
     alpha = as_weight(alpha)
     family = pared_family(instance, dec)
-    fsets = family.frozensets()
+    sets, bits = family.sets, family.bits
     maximal = family.maximal_indices()
-    nvars = sum(1 << len(family.sets[i]) for i in maximal)
-    if nvars > DEFAULT_VARIABLE_BUDGET:
-        raise BudgetError(f"pared system needs {nvars} variables, budget is "
+    offset, ncols = {}, 0
+    for mi in maximal:
+        offset[mi] = ncols
+        ncols += 1 << len(sets[mi])
+    if ncols > DEFAULT_VARIABLE_BUDGET:
+        raise BudgetError(f"pared system needs {ncols} variables, budget is "
                           f"{DEFAULT_VARIABLE_BUDGET}", limit=DEFAULT_VARIABLE_BUDGET,
-                          requested=nvars)
+                          requested=ncols)
 
-    parents: dict = {i: [] for i in range(len(fsets))}
-    for i, s in enumerate(fsets):
-        for mi in maximal:
-            if s <= fsets[mi]:
-                parents[i].append(mi)
-    parent_of = {i: parents[i][0] for i in range(len(fsets))}
+    parents = [[mi for mi in maximal if b & bits[mi] == b] for b in bits]
+    parent_of = [ps[0] for ps in parents]
 
     # The rows are integer (coefficients 1 and -1, right-hand sides 1 and
     # 0), which the simplex takes as they are.
-    constraints = []
-    for mi in maximal:
-        constraints.append(({_var(mi, m): 1 for m in range(1 << len(family.sets[mi]))},
-                            "==", 1))
+    constraints = [(dict.fromkeys(range(offset[mi], offset[mi] + (1 << len(sets[mi]))), 1),
+                    "==", 1) for mi in maximal]
 
     # Agreement rows.  A family set S needs them when it lies in several
-    # blocks and no larger family set covers the same block list.
-    for i, s in enumerate(fsets):
+    # blocks and no larger family set lies in the same blocks.
+    alike: dict = {}  # parent blocks -> the sets in exactly those blocks
+    for b, ps in zip(bits, parents):
+        alike.setdefault(tuple(ps), []).append(b)
+    for i, b in enumerate(bits):
         ps = parents[i]
-        if len(ps) < 2:
+        if len(ps) < 2 or any(b != c and b & c == b for c in alike[tuple(ps)]):
             continue
-        if any(j != i and s < fsets[j] and set(ps) <= set(parents[j])
-               for j in range(len(fsets))):
-            continue
-        elems = family.sets[i]
-        base = ps[0]
+        elems = sets[i]
+        base = [(offset[ps[0]] + bm, m) for bm, m in enumerate(restrictions(sets[ps[0]], elems))]
         for other in ps[1:]:
             rows = [{} for _ in range(1 << len(elems))]
-            for block, sign in ((base, 1), (other, -1)):
-                for bm, m in enumerate(restrictions(family.sets[block], elems)):
-                    rows[m][_var(block, bm)] = sign
+            for j, m in base:
+                rows[m][j] = 1
+            for bm, m in enumerate(restrictions(sets[other], elems)):
+                rows[m][offset[other] + bm] = -1
             constraints.extend((row, "==", 0) for row in rows)
 
-    sidx = {s: i for i, s in enumerate(family.sets)}
+    sidx = {s: i for i, s in enumerate(sets)}
 
-    def pair_sum(edges) -> dict:
-        """sum of w * y_uv over the edges, summed in integers over the
-        weights' common denominator, one Fraction per variable at the end."""
+    def pair_sum(edges) -> tuple:
+        """(scale, {column: int}): the sum of w * y_uv over the edges times
+        the smallest integer scale."""
         scale = lcm(1, *(w.denominator for _, _, w in edges))
         total: dict = {}
         for u, v, w in edges:
             c = w.numerator * (scale // w.denominator)
-            for k in _pair_expression(family, parent_of[sidx[family.canonical((u, v))]],
-                                      u, v):
-                total[k] = total.get(k, 0) + c
-        return {k: Fraction(c, scale) for k, c in total.items()}
+            p = parent_of[sidx[family.canonical((u, v))]]
+            for j in _pair_expression(sets[p], offset[p], u, v):
+                total[j] = total.get(j, 0) + c
+        g = gcd(scale, *total.values())
+        return scale // g, {j: c // g for j, c in total.items()}
 
     cap_expr = pair_sum(instance.supply_edges)
     dem_expr = pair_sum(instance.demand_edges)
 
-    if include_demand_constraint:
-        constraints.append((dict(dem_expr), ">=", alpha))
+    if include_demand_constraint:  # in rationals, as the LP text prints it
+        scale, dem = dem_expr
+        constraints.append(({j: Fraction(c, scale) for j, c in dem.items()}, ">=", alpha))
 
-    variables = [_var(i, m) for i in maximal for m in range(1 << len(family.sets[i]))]
-    program = LpProgram(variables, constraints, dict(cap_expr), sense="min",
-                        name="sparsest_cut_pared").check()
-    return SparsestCutLp(program, family, maximal, parent_of, cap_expr, dem_expr,
+    program = LpProgram(range(ncols), constraints, cap_expr, sense="min",
+                        name="sparsest_cut_pared",
+                        blocks=tuple((mi, 1 << len(sets[mi])) for mi in maximal))
+    return SparsestCutLp(program, family, maximal, offset, parent_of, cap_expr, dem_expr,
                          instance)
 
 
-def full_solution_from(family: SetFamily, values: dict) -> SaSolution:
-    """SaSolution for a full-system solve, where every set has variables."""
+def full_solution_from(family: SetFamily, values: list) -> SaSolution:
+    """SaSolution for a full-system solve, where every set has a block."""
     return SaSolution(family, {
-        frozenset(elems): (elems, [values[_var(i, m)] for m in range(1 << len(elems))])
-        for i, elems in enumerate(family.sets)})
+        frozenset(elems): (elems, values[at:at + (1 << len(elems))])
+        for elems, at in zip(family.sets, family.offsets)})
 
 
 # ---------------------------------------------------------------------------
@@ -471,12 +491,15 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
 
     def values_of(res):
+        """(cap, dem) at the values: integer dot products over the lcm of
+        the values' denominators."""
         values = res.values
-        cap = sum((c * x for k, c in built.cap_expr.items() if (x := values[k])),
-                  Fraction(0))
-        dem = sum((c * x for k, c in built.dem_expr.items() if (x := values[k])),
-                  Fraction(0))
-        return cap, dem
+        nums = {j: x for j, x in enumerate(values) if x is not ZERO}
+        den = lcm(*(x.denominator for x in nums.values()))
+        for j, x in nums.items():
+            nums[j] = x.numerator * (den // x.denominator)
+        return tuple(Fraction(sum(ints.get(j, 0) * n for j, n in nums.items()), scale * den)
+                     for scale, ints in (built.cap_expr, built.dem_expr))
 
     cap, dem = values_of(res)
     if dem <= 0:
@@ -504,30 +527,27 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
 # LP text dump (a small CPLEX-LP dialect; rationals allowed as p/q).
 # ---------------------------------------------------------------------------
 
-def _mangle(key) -> str:
-    if isinstance(key, tuple) and key and key[0] == "x":
-        return f"x_{key[1]}_{key[2]}"
-    return str(key)
-
-
 def format_lp(program: LpProgram) -> str:
-    def term(c, v):
-        c = Fraction(c)
-        sign = "-" if c < 0 else "+"
-        mag = -c if c < 0 else c
-        return f"{sign} {mag} {_mangle(v)}"
+    """Column offset + m of block (i, width) is named x_i_m; a program
+    without blocks names column j xj."""
+    names = ([f"x_{i}_{m}" for i, width in program.blocks for m in range(width)]
+             or [f"x{j}" for j in program.variables])
+
+    def body(coeffs: dict, scale=1) -> str:
+        terms = []
+        for name, c in sorted((names[j], Fraction(c, scale)) for j, c in coeffs.items()):
+            terms.append(f"{'-' if c < 0 else '+'} {abs(c)} {name}")
+        return " ".join(terms)
 
     lines = [f"\\ {program.name}"]
     lines.append("Maximize" if program.sense == "max" else "Minimize")
-    obj = " ".join(term(c, v) for v, c in sorted(program.objective.items(),
-                                                 key=lambda kv: _mangle(kv[0])))
-    lines.append(f" obj: {obj if obj else '0 ' + _mangle(program.variables[0])}")
+    scale, objective = program.objective
+    obj = body(objective, scale)
+    lines.append(f" obj: {obj if obj else '0 ' + names[0]}")
     lines.append("Subject To")
     for i, (coeffs, sense, rhs) in enumerate(program.constraints):
-        body = " ".join(term(c, v) for v, c in sorted(coeffs.items(),
-                                                      key=lambda kv: _mangle(kv[0])))
         op = {"<=": "<=", ">=": ">=", "==": "="}[sense]
-        lines.append(f" c{i}: {body} {op} {Fraction(rhs)}")
+        lines.append(f" c{i}: {body(coeffs)} {op} {Fraction(rhs)}")
     lines.append("Bounds")
     lines.append("\\ all variables >= 0 (solver default)")
     lines.append("End")

@@ -8,7 +8,8 @@ the conditional potential
     W = (capacity cut)/lp_star - 2 (demand cut)/alpha
 
 nonpositive; every conditional expectation is evaluated as an exact Fraction,
-so greedy comparisons can never be flipped by roundoff.
+so greedy comparisons can never be flipped by roundoff.  Each candidate's
+E[W] is summed as one integer numerator over a running denominator.
 """
 
 from __future__ import annotations
@@ -16,12 +17,15 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import gcd
 from typing import Optional
 
 from .decomposition import TreeDecomposition, least_bags
 from .errors import InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
 from .relaxation import SaSolution, subset_from_mask
+
+ONE, ZERO = Fraction(1), Fraction(0)
 
 
 def _remap(mask: int, from_elems, to_elems) -> int:
@@ -165,11 +169,16 @@ class _Derandomizer:
         self.unions = dec.unions
         self.least = least_bags(dec, instance.vertices)
         self.paths = dec.paths
+        # (u, v, numerator, denominator) of each pair's coefficient in W
         self.pairs = []
         for u, v, w in instance.supply_edges:
-            self.pairs.append((u, v, Fraction(w) / lp_star))
+            c = Fraction(w) / lp_star
+            self.pairs.append((u, v, c.numerator, c.denominator))
         for u, v, w in instance.demand_edges:
-            self.pairs.append((u, v, Fraction(-2) * Fraction(w) / alpha))
+            c = Fraction(-2) * Fraction(w) / alpha
+            self.pairs.append((u, v, c.numerator, c.denominator))
+        # v -> (b(v), v's bit in V_b(v)'s elements)
+        self.bit = {v: (b, 1 << self._union_elems(b).index(v)) for v, b in self.least.items()}
         self._psep_memo: dict = {}
 
     # -- helpers ----------------------------------------------------------
@@ -234,7 +243,7 @@ class _Derandomizer:
         if lab_u and lab_v:
             au = self._vertex_value(u, labels)
             av = self._vertex_value(v, labels)
-            return Fraction(1) if au != av else Fraction(0)
+            return ONE if au != av else ZERO
         if lab_u or lab_v:
             if lab_v:
                 u, v = v, u
@@ -277,14 +286,25 @@ class _Derandomizer:
         return longer[:len(shorter)] == shorter
 
     def _vertex_value(self, v, labels: dict) -> bool:
-        b = self.least[v]
-        elems = self._union_elems(b)
-        return bool((labels[b] >> elems.index(v)) & 1)
+        b, bit = self.bit[v]
+        return bool(labels[b] & bit)
 
     # -- greedy -----------------------------------------------------------
 
     def expected_w(self, labels: dict) -> Fraction:
-        return sum((c * self.psep(u, v, labels) for u, v, c in self.pairs), Fraction(0))
+        """sum of c * psep over the pairs, as one integer numerator over a
+        running denominator."""
+        num, den = 0, 1
+        for u, v, cn, cd in self.pairs:
+            p = self.psep(u, v, labels)
+            pn = p.numerator
+            if pn:
+                d = cd * p.denominator
+                if den % d:
+                    grow = d // gcd(den, d)
+                    num, den = num * grow, den * grow
+                num += cn * pn * (den // d)
+        return Fraction(num, den)
 
     def run(self):
         trace = []

@@ -3,9 +3,11 @@
 A dense two-phase primal simplex runs on an integer tableau in which
 every row has its own positive denominator: row i stands for
 T[i] / dens[i], so every intermediate quantity is exact and every sign
-test is an integer sign test.  The tableau is built from the program's
-sparse rows: only each row's nonzero coefficients are scaled and
-scattered into a zero integer row, and every denominator starts at 1.
+test is an integer sign test.  Programs have no variable names: a
+variable is a column, rows are {column: coefficient} dicts and results
+hold values by column.  The tableau is built from those sparse rows:
+only each row's coefficients are scaled and scattered into a zero
+integer row, and every denominator starts at 1.
 A pivot on p = T[r][c] has one update: row r keeps its integers and its
 denominator becomes p, and each row with f = T[i][c] != 0 becomes
 q*T[i] - (f/g)*T[r] over q*dens[i], with g = gcd(p, f) and q = p/g.
@@ -23,7 +25,9 @@ carries exact duals and its duality gap.  The primal objective is summed
 as integers over the lcm of the basic rows' denominators, the dual one
 over the cost row's, and only nonzero values and duals become Fractions.
 
-Objectives declared at construction (`objectives=`) ride through the
+Objectives, the program's own and those declared at construction
+(`objectives=`), come as (scale, {column: int}): the objective times a
+positive integer scale.  The declared ones ride through the
 pivots: each is one more integer row of the tableau, at its own scale,
 updated by every pivot like the constraint rows, so each such row over
 its denominator is always scale times that objective's reduced costs
@@ -56,7 +60,7 @@ ZERO = Fraction(0)  # shared by every zero value and dual of a result
 class LpResult:
     status: str  # optimal | infeasible | unbounded | iteration-limit
     objective: Optional[Fraction]
-    values: dict
+    values: list  # by column
     pivots: int = 0
     duals: Optional[list] = None  # one per original constraint, optimal only
     duality_gap: Optional[Fraction] = None
@@ -66,10 +70,7 @@ class LpResult:
         return self.status == "optimal"
 
 
-def _integer(cols: dict) -> tuple:
-    """(scale, {column: scale * coefficient}) with the smallest integer scale."""
-    scale = lcm(1, *(c.denominator for c in cols.values()))
-    return scale, {j: c.numerator * (scale // c.denominator) for j, c in cols.items()}
+_FLIP = {"<=": ">=", ">=": "<=", "==": "=="}  # each sense, rows negated
 
 
 def _scatter(cols: dict, scale: int, width: int) -> list:
@@ -80,14 +81,20 @@ def _scatter(cols: dict, scale: int, width: int) -> list:
     return row
 
 
+def _check_columns(cols: dict, nv: int) -> dict:
+    if cols and not (0 <= min(cols) and max(cols) < nv):
+        raise InputError(f"coefficients outside the program's {nv} columns")
+    return cols
+
+
 class Simplex:
     """Two-phase primal simplex over a program's standardized rows.
 
     Standardization: rows scaled to integers, right-hand sides made
     nonnegative, slack/surplus columns appended, artificials for rows
     without a natural basic column.  All variables are nonnegative.
-    Each objective in `objectives` (a {variable: coefficient} dict) is
-    carried as a reduced-cost row for `reoptimize`.
+    Each objective in `objectives` (scale, {column: int}) is carried as a
+    reduced-cost row for `reoptimize`.
     """
 
     # Exact rationals are the only number type.  Kept as an attribute
@@ -96,43 +103,27 @@ class Simplex:
 
     def __init__(self, program, objectives=()):
         self.program = program
-        self.variables = list(program.variables)
-        self.var_pos = {v: j for j, v in enumerate(self.variables)}
         self.pivots = 0
         self._build_tableau()
-        self.objectives = []  # per declared objective: (scale, {column: integer coefficient})
-        for objective in objectives:
-            scale, ints = _integer(self._columns(objective, 1))
-            self.objectives.append((scale, ints))
-            self.T.append(_scatter(ints, 1, self.width))
+        self.objectives = list(objectives)  # per declared objective: (scale, {column: int})
+        for _, ints in self.objectives:
+            self.T.append(_scatter(_check_columns(ints, self.nv), 1, self.width))
         self.dens = [1] * len(self.T)  # row i stands for T[i] / dens[i]
 
     # -- construction -----------------------------------------------------
 
-    def _columns(self, coeffs: dict, sign: int) -> dict:
-        """{tableau column: sign * coefficient} over the nonzero coefficients."""
-        cols = {}
-        for var, c in coeffs.items():
-            j = self.var_pos.get(var)
-            if j is None:
-                raise InputError(f"constraint references unknown variable {var!r}")
-            if not isinstance(c, (int, Fraction)):
-                c = Fraction(c)
-            if c:
-                cols[j] = c if sign > 0 else -c
-        return cols
-
     def _build_tableau(self):
-        nv = len(self.variables)
+        nv = len(self.program.variables)
         rows = []
-        for coeffs, sense, rhs in self.program.constraints:
-            if not isinstance(rhs, (int, Fraction)):
-                rhs = Fraction(rhs)
+        for cols, sense, rhs in self.program.constraints:
+            if sense not in _FLIP:
+                raise InputError(f"bad constraint sense {sense!r}")
+            _check_columns(cols, nv)
             sign = 1
             if rhs < 0:
-                rhs, sign = -rhs, -1
-                sense = {"<=": ">=", ">=": "<=", "==": "=="}[sense]
-            rows.append((self._columns(coeffs, sign), sense, rhs, sign))
+                rhs, sign, sense = -rhs, -1, _FLIP[sense]
+                cols = {j: -c for j, c in cols.items()}
+            rows.append((cols, sense, rhs, sign))
 
         self.n_slack = sum(1 for _, s, _, _ in rows if s in ("<=", ">="))
         self.n_art = sum(1 for _, s, _, _ in rows if s != "<=")
@@ -180,8 +171,8 @@ class Simplex:
 
         # real cost row, scaled to integers
         self.obj_factor = -1 if self.program.sense == "max" else 1
-        self.cost_scale, self.cost_int = _integer(
-            self._columns(self.program.objective, self.obj_factor))
+        self.cost_scale, cost = self.program.objective
+        self.cost_int = {j: self.obj_factor * c for j, c in _check_columns(cost, nv).items()}
         T.append(_scatter(self.cost_int, 1, width))
         T.append(prow)
 
@@ -354,13 +345,13 @@ class Simplex:
         objective entry, so the duality gap compares two independent sums.
         """
         T, rhs, dens, nv, cost = self.T, self.rhs_col, self.dens, self.nv, self.cost_int
-        values = dict.fromkeys(self.variables, ZERO)
+        values = [ZERO] * nv
         basic = [(i, b) for i, b in enumerate(self.basis) if b < nv and T[i][rhs]]
         den = lcm(1, *(dens[i] for i, _ in basic))
         total = 0
         for i, b in basic:
             x = T[i][rhs]
-            values[self.variables[b]] = Fraction(x, dens[i])
+            values[b] = Fraction(x, dens[i])
             total += cost.get(b, 0) * x * (den // dens[i])
         obj = None
         if status in ("optimal", "iteration-limit"):

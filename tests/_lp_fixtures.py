@@ -1,11 +1,38 @@
-"""LP helpers only the tests use: the reader for `--dump-lp` text and a
-distortion-embedding feasibility system built on the full r-round LP."""
+"""LP helpers only the tests use: objectives and programs written with
+Fraction coefficients or variable names, the reader for `--dump-lp` text
+and a distortion-embedding feasibility system built on the full r-round
+LP."""
 
 from fractions import Fraction
+from math import lcm
 
 from treecut.errors import InputError
 from treecut.instance import as_weight
-from treecut.relaxation import LpProgram, _pair_expression, _var, build_full_sa
+from treecut.relaxation import LpProgram, _pair_expression, build_full_sa
+
+
+def scaled(coeffs: dict) -> tuple:
+    """(scale, {column: scale * coefficient}) over the nonzero
+    coefficients, with the smallest integer scale: the form LpProgram and
+    Simplex take objectives in."""
+    coeffs = {j: Fraction(c) for j, c in coeffs.items() if c}
+    scale = lcm(1, *(c.denominator for c in coeffs.values()))
+    return scale, {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()}
+
+
+def unscaled(objective: tuple) -> dict:
+    """{column: coefficient} of a (scale, {column: int}) objective."""
+    scale, ints = objective
+    return {j: Fraction(c, scale) for j, c in ints.items()}
+
+
+def named_program(names, constraints, objective: dict, sense="min", name="lp") -> LpProgram:
+    """An LpProgram from rows and an objective keyed by variable name; the
+    names become the columns 0, 1, ... in the order given."""
+    col = {v: j for j, v in enumerate(names)}
+    rows = [({col[v]: c for v, c in coeffs.items()}, s, rhs) for coeffs, s, rhs in constraints]
+    return LpProgram(range(len(col)), rows, scaled({col[v]: c for v, c in objective.items()}),
+                     sense=sense, name=name)
 
 
 def build_distortion_lp(vertices, metric: dict, distortion, scale,
@@ -22,13 +49,12 @@ def build_distortion_lp(vertices, metric: dict, distortion, scale,
     for (u, v), d in metric.items():
         d = as_weight(d)
         pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        expr = dict.fromkeys(_pair_expression(family, pi, relabel[u], relabel[v]),
-                             Fraction(1))
+        expr = dict.fromkeys(_pair_expression(family.sets[pi], family.offsets[pi],
+                                              relabel[u], relabel[v]), 1)
         constraints.append((dict(expr), ">=", C * d))
         constraints.append((dict(expr), "<=", D * C * d))
-    variables = [_var(i, m) for i, s in enumerate(family.sets) for m in range(1 << len(s))]
-    return LpProgram(variables, constraints, {}, sense="min",
-                     name=f"distortion_{distortion}").check()
+    return LpProgram(range(family.variable_count()), constraints, (1, {}), sense="min",
+                     name=f"distortion_{distortion}")
 
 
 def parse_lp(text: str) -> LpProgram:
@@ -89,5 +115,4 @@ def parse_lp(text: str) -> LpProgram:
                     break
             else:
                 raise InputError(f"constraint without relation: {line!r}")
-    return LpProgram(list(variables), constraints, objective, sense=sense,
-                     name="parsed").check()
+    return named_program(variables, constraints, objective, sense=sense, name="parsed")

@@ -1,0 +1,65 @@
+"""Digests of what the pipeline computes, over the acceptance corpus and
+three fractals: the exact derandomization potential traces and the pared
+LPs' shape totals.
+
+Run as a script, it prints the potential-trace digest; it needs only the
+standard library and `treecut` on the path:
+
+    PYTHONPATH=src python tests/_trace_digest.py
+"""
+
+import hashlib
+import os
+import sys
+
+sys.path.insert(0, os.path.dirname(__file__))
+
+from treecut import pipeline  # noqa: E402
+from treecut.decomposition import (balance, exact_decomposition,  # noqa: E402
+                                   format_decomposition, parse_decomposition)
+from treecut.generators import MaxCutInstance, building_block, power  # noqa: E402
+from treecut.instance import format_instance, parse_instance  # noqa: E402
+from treecut.relaxation import build_sparsestcut_lp  # noqa: E402
+
+from corpus import acceptance_corpus  # noqa: E402
+
+FRACTAL_BASES = ("p3", "k3", "k4")
+
+
+def fractal(base: str):
+    """`treecut gen power --maxcut <base> --levels 2` read back through its
+    `.ssc` and `.td`, as `solve --decomposition` sees it."""
+    block, block_dec = building_block(MaxCutInstance.named(base), include_st_demand=False)
+    powered = power(block, 2, block_dec)
+    td = format_decomposition(powered.decomposition, powered.instance)
+    inst = parse_instance(format_instance(powered.instance))
+    return inst, parse_decomposition(td, inst, root=0)
+
+
+def potential_trace_digest() -> str:
+    """sha256 over every potential trace, one line per instance with the
+    `str` of each entry: acceptance_corpus(0, 100), then the fractals."""
+    runs = [(inst, None) for inst in acceptance_corpus(0, 100)]
+    runs += [fractal(base) for base in FRACTAL_BASES]
+    h = hashlib.sha256()
+    for inst, dec in runs:
+        trace = pipeline.solve(inst, dec).potential.trace
+        h.update((" ".join(map(str, trace)) + "\n").encode())
+    return h.hexdigest()
+
+
+def pared_lp_shape_totals() -> tuple:
+    """(rows, columns, nonzeros) summed over the pared LPs the ratio search
+    builds for acceptance_corpus(0, 100)."""
+    rows = cols = nonzeros = 0
+    for inst in acceptance_corpus(0, 100):
+        dec = balance(exact_decomposition(inst))
+        program = build_sparsestcut_lp(inst, dec, 0, include_demand_constraint=False).program
+        rows += len(program.constraints)
+        cols += len(program.variables)
+        nonzeros += sum(len(coeffs) for coeffs, _, _ in program.constraints)
+    return rows, cols, nonzeros
+
+
+if __name__ == "__main__":
+    print(potential_trace_digest())

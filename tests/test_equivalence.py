@@ -16,11 +16,11 @@ from fractions import Fraction
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.instance import SparsestCutInstance
 from treecut.relaxation import (build_sparsestcut_lp, full_family, full_solution_from,
-                                ratio_search, LpProgram, _var)
+                                ratio_search)
 from treecut.rounding import _Derandomizer
 from treecut import simplex
 
-from _lp_fixtures import build_distortion_lp
+from _lp_fixtures import build_distortion_lp, named_program
 
 
 def literal_program(built, alpha):
@@ -72,7 +72,7 @@ def literal_program(built, alpha):
         for k, c in pair_terms(u, v, Fraction(w)).items():
             dem_row[k] = dem_row.get(k, Fraction(0)) + c
     constraints.append((dem_row, ">=", Fraction(alpha)))
-    return LpProgram(variables, constraints, objective, sense="min")
+    return named_program(variables, constraints, objective, sense="min")
 
 
 def test_pared_lp_matches_literal_emission():
@@ -99,15 +99,15 @@ def test_pared_lp_matches_literal_emission():
 
         # the materialized reduced solution satisfies the literal system
         sol = built.solution_from(reduced.values)
-        lit_values = {}
-        for i, elems in enumerate(built.family.sets):
-            for m, x in enumerate(sol.tables[frozenset(elems)][1]):
-                lit_values[("f", i, m)] = x
+        # the literal program's columns are ("f", i, m) in (i, m) order
+        lit_values = [x for elems in built.family.sets
+                      for x in sol.tables[frozenset(elems)][1]]
         # and every block's table is its LP variables, read back unchanged
         for mi in built.maximal:
             elems = built.family.sets[mi]
+            at = built.offset[mi]
             assert sol.tables[frozenset(elems)] == (
-                elems, [reduced.values[_var(mi, m)] for m in range(1 << len(elems))])
+                elems, reduced.values[at:at + (1 << len(elems))])
         prog = literal_program(built, alpha)
         for coeffs, sense, rhs in prog.constraints:
             lhs = sum(c * lit_values[k] for k, c in coeffs.items())

@@ -15,8 +15,7 @@ from treecut.lift import (gap_experiment, lift_distribution,
                           make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp,
                                 build_sparsestcut_lp, full_family,
-                                full_solution_from, mask_of, subset_from_mask,
-                                _var)
+                                full_solution_from, mask_of, subset_from_mask)
 from treecut import simplex
 
 
@@ -175,9 +174,9 @@ def test_lifted_solution_feasible_for_pared_lp():
     values = {}
     for mi in built.maximal:
         for m, x in enumerate(sol.tables[frozenset(built.family.sets[mi])][1]):
-            values[_var(mi, m)] = x
+            values[built.offset[mi] + m] = x
     for coeffs, sense, rhs in built.program.constraints:
-        lhs = sum(Fraction(c) * values[v] for v, c in coeffs.items())
+        lhs = sum(Fraction(c) * values[j] for j, c in coeffs.items())
         if sense == "==":
             assert lhs == Fraction(rhs)
         elif sense == ">=":
@@ -185,7 +184,8 @@ def test_lifted_solution_feasible_for_pared_lp():
         else:
             assert lhs <= Fraction(rhs)
     # and the capacity objective evaluates to the lifted capacity value
-    cap = sum(Fraction(c) * values[v] for v, c in built.program.objective.items())
+    scale, ints = built.program.objective
+    cap = sum(Fraction(c, scale) * values[j] for j, c in ints.items())
     assert cap == lv.capacity_value == 1
 
 

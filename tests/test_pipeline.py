@@ -94,3 +94,18 @@ def test_verify_dump_lp_matches_solve(tmp_path, capsys):
     assert main(["verify", str(inst), "--dump-lp", str(tmp_path / "verify.lp")]) == 0
     capsys.readouterr()
     assert (tmp_path / "verify.lp").read_bytes() == (tmp_path / "solve.lp").read_bytes()
+
+
+# Recorded at 8287866, before the pared LP moved to integer columns.  The
+# potential-trace digest covers the `str` of every trace entry over
+# acceptance_corpus(0, 100) and the p3, k3 and k4 levels-2 fractals through
+# their `.td`; CI recomputes it on Python 3.10 with tests/_trace_digest.py.
+# The shape totals are (rows, columns, nonzeros) over the 100 corpus LPs.
+POTENTIAL_TRACE_DIGEST = "faa5136462a1db1790901137e727704b2f5b843b4989cb34ff4878092b06dd8e"
+PARED_LP_SHAPE_TOTALS = (2621, 10208, 25968)
+
+
+def test_potential_traces_and_lp_shapes_match_recorded_digests():
+    from _trace_digest import pared_lp_shape_totals, potential_trace_digest
+    assert potential_trace_digest() == POTENTIAL_TRACE_DIGEST
+    assert pared_lp_shape_totals() == PARED_LP_SHAPE_TOTALS

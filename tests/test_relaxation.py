@@ -13,17 +13,17 @@ from treecut.instance import SparsestCutInstance, format_instance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
 from treecut.relaxation import (LpProgram, SetFamily, build_full_sa, build_maxcut_lp,
                                 build_sparsestcut_lp, format_lp, full_family,
-                                full_solution_from, ratio_search, subset_from_mask, _var)
+                                full_solution_from, ratio_search, subset_from_mask)
 from treecut import relaxation, simplex
 
-from _lp_fixtures import build_distortion_lp, parse_lp
+from _lp_fixtures import build_distortion_lp, parse_lp, unscaled
 from _reference_simplex import reference_solve
 from corpus import acceptance_corpus
 
 
 def constraints_satisfied(constraints, values):
     for coeffs, sense, rhs in constraints:
-        lhs = sum(Fraction(c) * values.get(v, Fraction(0)) for v, c in coeffs.items())
+        lhs = sum(Fraction(c) * values[j] for j, c in coeffs.items())
         rhs = Fraction(rhs)
         if sense == "==" and lhs != rhs:
             return False
@@ -41,20 +41,16 @@ def test_full_sa_variable_count_n2_r2():
 
 def test_full_sa_empty_set_forced_to_one():
     family, constraints = build_full_sa(2, 2)
-    prog = LpProgram([_var(i, m) for i, s in enumerate(family.sets)
-                      for m in range(1 << len(s))], constraints, {}, "min")
+    prog = LpProgram(range(family.variable_count()), constraints, (1, {}), "min")
     res = simplex.solve(prog)
     assert res.optimal
     empty_idx = family.sets.index(())
-    assert res.values[_var(empty_idx, 0)] == 1
+    assert res.values[family.offsets[empty_idx]] == 1
 
 
 def test_full_sa_uniform_point_is_feasible():
     family, constraints = build_full_sa(4, 2)
-    values = {}
-    for i, s in enumerate(family.sets):
-        for m in range(1 << len(s)):
-            values[_var(i, m)] = Fraction(1, 1 << len(s))
+    values = [Fraction(1, 1 << len(s)) for s in family.sets for m in range(1 << len(s))]
     assert constraints_satisfied(constraints, values)
 
 
@@ -78,12 +74,12 @@ def test_integral_cuts_feasible_at_full_rounds():
         family, constraints = build_full_sa(n, n)
         for bits in range(1 << n):
             side = {v for v in range(1, n + 1) if (bits >> (v - 1)) & 1}
-            values = {}
-            for i, s in enumerate(family.sets):
+            values = []
+            for s in family.sets:
                 inter = frozenset(s) & side
                 for m in range(1 << len(s)):
                     t = subset_from_mask(s, m)
-                    values[_var(i, m)] = Fraction(1 if t == inter else 0)
+                    values.append(Fraction(1 if t == inter else 0))
             assert constraints_satisfied(constraints, values)
 
 
@@ -91,7 +87,8 @@ def test_maxcut_lp_values():
     assert simplex.solve(build_maxcut_lp(MaxCutInstance.complete(2), 2)).objective == 1
     k3 = build_maxcut_lp(MaxCutInstance.complete(3), 2)
     mine = simplex.solve(k3)
-    status, ref = reference_solve(k3.variables, k3.constraints, k3.objective, k3.sense)
+    status, ref = reference_solve(k3.variables, k3.constraints, unscaled(k3.objective),
+                                  k3.sense)
     assert mine.objective == ref  # dual-implementation agreement
     k4 = simplex.solve(build_maxcut_lp(MaxCutInstance.complete(4), 2))
     _, mc = exact_maxcut(MaxCutInstance.complete(4))

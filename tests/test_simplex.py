@@ -13,12 +13,13 @@ from treecut.relaxation import LpProgram, build_maxcut_lp, build_sparsestcut_lp
 from treecut import simplex
 from treecut.simplex import Simplex, solve
 
+from _lp_fixtures import named_program, scaled, unscaled
 from _reference_simplex import reference_solve
 from corpus import acceptance_corpus
 
 
 def lp(variables, constraints, objective, sense="min"):
-    return LpProgram(list(variables), constraints, objective, sense=sense)
+    return named_program(variables, constraints, objective, sense=sense)
 
 
 def test_single_bound():
@@ -55,7 +56,7 @@ def test_maxcut_sa_k5_matches_reference():
     prog = build_maxcut_lp(MaxCutInstance.complete(5), 2)
     res = solve(prog)
     status, ref = reference_solve(prog.variables, prog.constraints,
-                                  prog.objective, prog.sense)
+                                  unscaled(prog.objective), prog.sense)
     assert status == "optimal"
     assert res.objective == ref == 10
 
@@ -71,8 +72,9 @@ def test_strong_duality_on_sa_programs():
         for (coeffs, sense, rhs), y in zip(prog.constraints, res.duals):
             for v, c in coeffs.items():
                 colsum[v] += Fraction(c) * y
+        objective = unscaled(prog.objective)
         for v in prog.variables:
-            assert colsum[v] >= Fraction(prog.objective.get(v, 0))
+            assert colsum[v] >= objective.get(v, 0)
 
 
 def test_bland_rule_terminates_on_degenerate_programs(monkeypatch):
@@ -90,18 +92,19 @@ def test_bland_rule_terminates_on_degenerate_programs(monkeypatch):
                            for name in ("k3", "k4")]:
         res = solve(prog)
         status, ref = reference_solve(prog.variables, prog.constraints,
-                                      prog.objective, prog.sense)
+                                      unscaled(prog.objective), prog.sense)
         assert res.optimal and status == "optimal" and res.objective == ref
         assert res.duality_gap == 0
 
 
 def test_reoptimize_matches_cold_solve():
     prog = build_maxcut_lp(MaxCutInstance.complete(4), 2)
-    new_obj = {v: -c for v, c in prog.objective.items()}
+    scale, ints = prog.objective
+    new_obj = (scale, {j: -c for j, c in ints.items()})
     solver = Simplex(prog, objectives=(new_obj, prog.objective))
     first = solver.solve()
     warm = solver.reoptimize((1, 0), sense="max")
-    cold = solve(lp(prog.variables, prog.constraints, new_obj, "max"))
+    cold = solve(LpProgram(prog.variables, prog.constraints, new_obj, "max"))
     assert warm.objective == cold.objective
     # and back again
     again = solver.reoptimize((0, 1), sense="max")
@@ -117,8 +120,8 @@ def test_reoptimize_rejects_misuse():
     for weights in ((), (1, 0)):
         with pytest.raises(InputError):
             solver.reoptimize(weights)
-    with pytest.raises(InputError):
-        Simplex(prog, objectives=({"nope": 1},))
+    with pytest.raises(InputError):  # a column the program does not have
+        Simplex(prog, objectives=((1, {len(prog.variables): 1}),))
 
 
 def test_iteration_limit_status(monkeypatch):
@@ -133,7 +136,7 @@ def test_iteration_limit_status(monkeypatch):
 @st.composite
 def random_lp(draw):
     nv = draw(st.integers(2, 5))
-    variables = [f"v{i}" for i in range(nv)]
+    variables = range(nv)
     ncons = draw(st.integers(1, 5))
     constraints = []
     for _ in range(ncons):
@@ -149,7 +152,7 @@ def random_lp(draw):
         constraints.append(({v: Fraction(1)}, "<=", Fraction(10)))
     objective = {v: Fraction(draw(st.integers(-3, 3))) for v in variables}
     sense = draw(st.sampled_from(["min", "max"]))
-    return LpProgram(variables, constraints, objective, sense=sense)
+    return LpProgram(variables, constraints, scaled(objective), sense=sense)
 
 
 @given(random_lp())
@@ -157,7 +160,7 @@ def random_lp(draw):
 def test_agrees_with_reference_on_random_lps(prog):
     mine = solve(prog)
     status, ref = reference_solve(prog.variables, prog.constraints,
-                                  prog.objective, prog.sense)
+                                  unscaled(prog.objective), prog.sense)
     assert mine.status == status
     if status == "optimal":
         assert mine.objective == ref
@@ -174,13 +177,12 @@ def test_agrees_with_reference_on_random_lps(prog):
 
 def dense_tableau(prog):
     """(T, basis, dual_meta, cost_scale) built the plain way, from dense Fraction rows."""
-    pos = {v: j for j, v in enumerate(prog.variables)}
     nv = len(prog.variables)
     rows = []
     for coeffs, sense, rhs in prog.constraints:
         vec = [Fraction(0)] * nv
-        for v, c in coeffs.items():
-            vec[pos[v]] += Fraction(c)
+        for j, c in coeffs.items():
+            vec[j] += Fraction(c)
         rhs, sign = Fraction(rhs), 1
         if rhs < 0:
             vec = [-c for c in vec]
@@ -211,8 +213,8 @@ def dense_tableau(prog):
         T.append(row)
     factor = -1 if prog.sense == "max" else 1
     cost = [Fraction(0)] * nv
-    for v, c in prog.objective.items():
-        cost[pos[v]] += factor * Fraction(c)
+    for j, c in unscaled(prog.objective).items():
+        cost[j] += factor * c
     cost_scale = lcm(1, *(c.denominator for c in cost))
     T.append([int(c * cost_scale) for c in cost] + [0] * (width - nv))
     art = range(nv + n_slack, width - 1)
@@ -249,9 +251,9 @@ def corpus_programs():
     for inst in acceptance_corpus(0, 20):
         built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)), 0,
                                      include_demand_constraint=False)
-        out.append((built.program, dict(built.dem_expr), "max"))
+        out.append((built.program, unscaled(built.dem_expr), "max"))
     sa = build_maxcut_lp(MaxCutInstance.named("c5"), 2)
-    weighted = {v: (k % 3 + 1) * Fraction(c) for k, (v, c) in enumerate(sa.objective.items())}
+    weighted = {j: (k % 3 + 1) * c for k, (j, c) in enumerate(unscaled(sa.objective).items())}
     out.append((sa, weighted, "max"))
     return out
 
@@ -260,10 +262,10 @@ def test_tableau_matches_dense_construction(corpus_programs):
     for prog, objective, _ in corpus_programs:
         assert_same_tableau(prog)
         # a declared objective only appends its row, over denominator 1
-        carried = Simplex(prog, objectives=(objective,))
+        carried = Simplex(prog, objectives=(scaled(objective),))
         assert carried.T[:-1] == Simplex(prog).T
         assert carried.dens == [1] * len(carried.T)
-        assert carried.T[-1] == carried_row(Simplex(prog), objective)
+        assert carried.T[-1] == carried_row(Simplex(prog), scaled(objective))
     # the same instances with the demand row (a fractional ">=" right-hand side)
     for inst in acceptance_corpus(0, 20):
         built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
@@ -284,7 +286,7 @@ def assert_certified(solver, res, prog, objective, sense):
     assert res.status == status == "optimal"
     assert res.objective == ref
     values = res.values
-    assert all(x >= 0 for x in values.values())
+    assert all(x >= 0 for x in values)
     assert sum(Fraction(c) * values[v] for v, c in objective.items()) == ref
     for coeffs, s, rhs in prog.constraints:
         lhs = sum(Fraction(c) * values[v] for v, c in coeffs.items())
@@ -312,8 +314,8 @@ def assert_certified(solver, res, prog, objective, sense):
 
 def test_solve_and_reoptimize_match_reference(corpus_programs):
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog, objectives=(objective,))
-        assert_certified(solver, solver.solve(), prog, prog.objective, prog.sense)
+        solver = Simplex(prog, objectives=(scaled(objective),))
+        assert_certified(solver, solver.solve(), prog, unscaled(prog.objective), prog.sense)
         assert_certified(solver, solver.reoptimize((1,), sense=sense),
                          prog, objective, sense)
 
@@ -324,7 +326,7 @@ def test_solve_and_reoptimize_match_reference(corpus_programs):
 def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     # fractional rows move row denominators off 1 before the swap
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
-    solver = Simplex(prog, objectives=(objective,))
+    solver = Simplex(prog, objectives=(scaled(objective),))
     if not solver.solve().optimal:
         return
     # every variable is bounded, so a feasible program stays optimal
@@ -384,7 +386,7 @@ def checked_pivots():
 def test_pivots_match_dense_bareiss(corpus_programs):
     with checked_pivots() as kinds:
         for prog, objective, sense in corpus_programs:
-            solver = Simplex(prog, objectives=(objective,))
+            solver = Simplex(prog, objectives=(scaled(objective),))
             assert solver.solve().optimal
             assert solver.reoptimize((1,), sense=sense).optimal
     # the C_5 program pivots on entries above 1
@@ -397,7 +399,7 @@ def test_pivots_match_dense_bareiss(corpus_programs):
 def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     with checked_pivots():
-        solver = Simplex(prog, objectives=(objective,))
+        solver = Simplex(prog, objectives=(scaled(objective),))
         if solver.solve().optimal:
             solver.reoptimize((1,), sense=sense)
 
@@ -405,10 +407,10 @@ def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
 def fraction_result(solver, objective):
     """(values, objective, duals, gap) recomputed in Fractions from the tableau."""
     T, dens = solver.T, solver.dens
-    values = {v: Fraction(0) for v in solver.variables}
+    values = [Fraction(0)] * solver.nv
     for i, b in enumerate(solver.basis):
         if b < solver.nv:
-            values[solver.variables[b]] = Fraction(T[i][solver.rhs_col], dens[i])
+            values[b] = Fraction(T[i][solver.rhs_col], dens[i])
     obj = sum((Fraction(c) * values[v] for v, c in objective.items()), Fraction(0))
     crow = T[solver.m]
     constraints = solver.program.constraints
@@ -426,7 +428,7 @@ def assert_fraction_result(solver, res, objective):
     values, obj, duals, gap = fraction_result(solver, objective)
     assert res.optimal
     assert (res.values, res.objective, res.duals, res.duality_gap) == (values, obj, duals, gap)
-    assert list(res.values) == solver.variables
+    assert len(res.values) == len(solver.program.variables)
     assert gap == 0
 
 
@@ -434,15 +436,15 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
     # the feasibility solve, the swap to the second objective, then two
     # Dinkelbach steps on first - lambda * second, as the ratio search runs
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog, objectives=(prog.objective, objective))
-        assert_fraction_result(solver, solver.solve(), prog.objective)
+        solver = Simplex(prog, objectives=(prog.objective, scaled(objective)))
+        assert_fraction_result(solver, solver.solve(), unscaled(prog.objective))
         res = solver.reoptimize((0, 1), sense=sense)
         assert_fraction_result(solver, res, objective)
         for _ in range(2):
-            first = sum(Fraction(c) * res.values[v] for v, c in prog.objective.items())
+            first = sum(c * res.values[v] for v, c in unscaled(prog.objective).items())
             second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
             lam = first / second
-            step = dict(prog.objective)
+            step = unscaled(prog.objective)
             for v, c in objective.items():
                 step[v] = step.get(v, Fraction(0)) - lam * c
             res = solver.reoptimize((1, -lam), sense="min")
@@ -453,13 +455,13 @@ def carried_row(solver, objective):
     """scale * the objective's reduced costs against the current basis, as
     Fractions, recomputed densely from the tableau's constraint rows: c_j
     minus the basic costs times column j of B^-1 A, which is
-    T[i][j] / dens[i]; scale is the least common denominator of the
-    objective's coefficients."""
+    T[i][j] / dens[i]; objective is (scale, {column: int}), the
+    objective's coefficients times scale."""
     T, dens = solver.T, solver.dens
+    scale, ints = objective
     coeff = [Fraction(0)] * solver.width
-    for v, c in objective.items():
-        coeff[solver.var_pos[v]] += Fraction(c)
-    scale = lcm(1, *(c.denominator for c in coeff))
+    for j, c in ints.items():
+        coeff[j] += Fraction(c, scale)
     den = lcm(1, *dens[:solver.m])
     basic = [0] * solver.width  # den * scale * sum_i c_basis(i) * T[i] / dens[i]
     for i, b in enumerate(solver.basis):
@@ -474,7 +476,7 @@ def dense_cost_row(solver, objective, sense):
     as `reoptimize` built it before the objectives rode through the pivots,
     in Fractions: scale * the reduced costs."""
     factor = -1 if sense == "max" else 1
-    cost = {solver.var_pos[v]: factor * Fraction(c) for v, c in objective.items() if c}
+    cost = {j: factor * Fraction(c) for j, c in objective.items() if c}
     scale = lcm(1, *(c.denominator for c in cost.values()))
     crow = [Fraction(0)] * solver.width
     for j, c in cost.items():
@@ -528,7 +530,7 @@ def checked_carried_rows():
             weights, sense = pending
             combined = {}
             for w, objective in zip(weights, self.declared):
-                for v, c in objective.items():
+                for v, c in unscaled(objective).items():
                     combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
             old, old_scale = dense_cost_row(self, combined, sense)
             assert self.cost_scale > 0 and self.dens[self.m] > 0
@@ -536,7 +538,7 @@ def checked_carried_rows():
                 [b * self.cost_scale for b in old]
             factor = -1 if sense == "max" else 1
             assert {j: Fraction(c, self.cost_scale) for j, c in self.cost_int.items() if c} == \
-                {self.var_pos[v]: factor * c for v, c in combined.items() if c}
+                {v: factor * c for v, c in combined.items() if c}
             checks["cost rows"] += 1
         return run(self, cost_row)
 
@@ -551,14 +553,14 @@ def checked_carried_rows():
 def dinkelbach_steps(prog, objective, sense):
     """Solve, swap to objective, then two Dinkelbach steps on
     prog.objective - lambda * objective, as the ratio search runs."""
-    solver = Simplex(prog, objectives=(prog.objective, objective))
+    solver = Simplex(prog, objectives=(prog.objective, scaled(objective)))
     if not solver.solve().optimal:
         return
     res = solver.reoptimize((0, 1), sense=sense)
     for _ in range(2):
         if not res.optimal:
             return
-        first = sum(Fraction(c) * res.values[v] for v, c in prog.objective.items())
+        first = sum(c * res.values[v] for v, c in unscaled(prog.objective).items())
         second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
         if not second:
             return
