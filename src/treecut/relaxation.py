@@ -258,12 +258,11 @@ class SparsestCutLp:
         (the block's `marginal` onto the set) as integer numerators over
         one common denominator, with one Fraction per distinct entry."""
         sets = self.family.sets
-        den = lcm(*(x.denominator for x in values if x is not ZERO))
+        den, nums = _numerators(values)
         nonzeros = {}
         for p in self.maximal:
-            block = values[self.offset[p]:self.offset[p] + (1 << len(sets[p]))]
-            nonzeros[p] = [(m, x.numerator * (den // x.denominator))
-                           for m, x in enumerate(block) if x is not ZERO]
+            block = nums[self.offset[p]:self.offset[p] + (1 << len(sets[p]))]
+            nonzeros[p] = [(m, n) for m, n in enumerate(block) if n]
         ints = []
         for i, elems in enumerate(sets):
             p = self.parent_of[i]
@@ -276,6 +275,13 @@ class SparsestCutLp:
         exact[0] = ZERO
         return SaSolution(self.family, {frozenset(elems): (elems, [exact[n] for n in table])
                                         for elems, table in zip(sets, ints)})
+
+
+def _numerators(values: list) -> tuple:
+    """(den, numerators by column): the values as integers over the lcm of
+    their denominators."""
+    den = lcm(*(x.denominator for x in values if x is not ZERO))
+    return den, [0 if x is ZERO else x.numerator * (den // x.denominator) for x in values]
 
 
 @dataclass
@@ -493,12 +499,8 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     def values_of(res):
         """(cap, dem) at the values: integer dot products over the lcm of
         the values' denominators."""
-        values = res.values
-        nums = {j: x for j, x in enumerate(values) if x is not ZERO}
-        den = lcm(*(x.denominator for x in nums.values()))
-        for j, x in nums.items():
-            nums[j] = x.numerator * (den // x.denominator)
-        return tuple(Fraction(sum(ints.get(j, 0) * n for j, n in nums.items()), scale * den)
+        den, nums = _numerators(res.values)
+        return tuple(Fraction(sum(c * nums[j] for j, c in ints.items()), scale * den)
                      for scale, ints in (built.cap_expr, built.dem_expr))
 
     cap, dem = values_of(res)
