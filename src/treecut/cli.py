@@ -22,11 +22,11 @@ from .generators import (MaxCutInstance, UlcInstance, building_block, check_gadg
                          check_labeling_budget, power, random_delta_nice_ulc, ug_gadget,
                          ulc_to_json_dict)
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
-from .lift import gap_experiment, GapReport
+from .lift import gap_experiment
 from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, exact_maxcut,
                      sparsest_cut_by_elimination)
 from .relaxation import build_sparsestcut_lp, format_lp
-from .rounding import embed_l1, sample_cut
+from .rounding import check_sample_budget, embed_l1, sample_cut
 
 
 def _read(path: str) -> str:
@@ -230,17 +230,13 @@ def cmd_gen(args) -> int:
 
 def cmd_gap(args) -> int:
     H = MaxCutInstance.named(args.base)
-    report = gap_experiment(H, args.rounds, args.levels, name=args.base)
-    payload = report.to_dict()
-    if args.format == "csv":
-        _write(getattr(args, "output", None),
-               GapReport.csv_header() + "\n" + report.csv_row() + "\n")
-        return 0
+    payload = gap_experiment(H, args.rounds, args.levels, name=args.base).to_dict()
     _emit(args, payload, [f"{k:18} {v}" for k, v in sorted(payload.items())])
     return 0
 
 
 def cmd_embed(args) -> int:
+    check_sample_budget(args.samples)
     _, res = _solve_pipeline(args)
     emb = embed_l1(res.lp.solution, res.dec, args.samples, seed=args.seed)
     _write(args.output, emb.to_csv())

@@ -393,14 +393,8 @@ class _Balancer:
         me = self.emit(boundary | self.bags[c], parent)
         comps = self.components(nodes, c)
         old_doors = [d for d in doors if d != c]
-        if len(comps) == 1:
-            comp = comps[0]
-            door_in = [d for d in old_doors if d in comp]
-            gate = next(iter(j for j in self.adj[c] if j in comp))
-            self.recurse(comp, me, self._doors(door_in, gate))
-            return
         # Two groups, an old door in each at most once; components are
-        # balanced greedily by size.
+        # balanced greedily by size, and a lone component goes to group 0.
         groups: list = [[], []]
         sizes = [0, 0]
         door_of = [next((d for d in old_doors if d in comp), None) for comp in comps]

@@ -377,27 +377,23 @@ class UlcInstance:
                 best, best_lab = val, lab
         return best_lab, best
 
-    def delta_niceness(self):
-        """(delta, None) when the witness checks out, else (None, reason)."""
+    def require_delta_nice(self) -> int:
+        """delta, once the clique witness shows the instance delta-nice."""
         if self.cliques is not None and len(self.cliques) != len(self.vertices):
-            return None, (f"{len(self.cliques)} cliques != {len(self.vertices)} vertices")
+            raise InputError(f"instance is not delta-nice: {len(self.cliques)} cliques "
+                             f"!= {len(self.vertices)} vertices")
         try:
             delta = self.clique_union_delta()
         except InputError as exc:
-            return None, str(exc)
+            raise InputError(f"instance is not delta-nice: {exc}") from exc
         membership = {v: 0 for v in self.vertices}
         for edge_indices in self.cliques:
             for v in {x for i in edge_indices for x in self.edges[i][:2]}:
                 membership[v] += 1
         bad = {v: c for v, c in membership.items() if c != delta}
         if bad:
-            return None, f"vertices not in exactly {delta} cliques: {bad}"
-        return delta, None
-
-    def require_delta_nice(self) -> int:
-        delta, reason = self.delta_niceness()
-        if delta is None:
-            raise InputError(f"instance is not delta-nice: {reason}")
+            raise InputError(f"instance is not delta-nice: vertices not in exactly "
+                             f"{delta} cliques: {bad}")
         return delta
 
     def clique_union_delta(self) -> int:

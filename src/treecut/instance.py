@@ -22,6 +22,18 @@ Weight = Fraction
 # enumeration oracle stops at 26 vertices by default and the exact
 # decomposition at 18.  The header is checked before any vertex is built.
 MAX_INSTANCE_VERTICES = 150_000
+# The most digits of a weight literal: `1e5000` spells an integer Python
+# refuses to print, and a longer exponent one it takes unbounded time to build.
+MAX_WEIGHT_DIGITS = 1000
+MAX_DINKELBACH_ITERATIONS = 60  # steps of either exact ratio search
+
+
+def _literal_digits(literal: str) -> int:
+    """The mantissa's digits plus the exponent, at least the digits of the
+    numerator and of the denominator; 19 exponent digits exceed any bound."""
+    mantissa, _, exponent = literal.lower().partition("e")
+    exponent = exponent.strip().lstrip("+-").replace("_", "").lstrip("0")[:19]
+    return sum(map(str.isdecimal, mantissa)) + (int(exponent) if exponent.isdecimal() else 0)
 
 
 def as_weight(value) -> Fraction:
@@ -36,6 +48,8 @@ def as_weight(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
+        if _literal_digits(value) > MAX_WEIGHT_DIGITS:
+            raise InputError(f"rational literal of more than {MAX_WEIGHT_DIGITS} digits")
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
@@ -110,19 +124,6 @@ class SparsestCutInstance:
             adj[v].append((u, w))
         return adj
 
-    def supply_connected(self) -> bool:
-        if not self.vertices:
-            return True
-        adj = self.supply_adjacency()
-        seen = {self.vertices[0]}
-        stack = [self.vertices[0]]
-        while stack:
-            for w, _ in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.vertices)
-
 
 @dataclass(frozen=True)
 class Cut:
@@ -170,6 +171,31 @@ def evaluate_cut(instance: SparsestCutInstance, cut: Cut) -> Sparsity:
     return Sparsity(cap, dem, ratio)
 
 
+def dinkelbach(minimize, weights, witness) -> tuple:
+    """Dinkelbach's exact ratio iteration (Management Science 13, 1967).
+
+    weights(w) is a witness's (cap, dem), and minimize(lam) the exact
+    minimum of cap - lam*dem with a minimizer, whose strictly lower ratio
+    each step moves to until the minimum is 0.  Returns the optimal witness
+    and (lam, cap, dem) per minimization, the last at that witness.
+    """
+    cap, dem = weights(witness)
+    if dem <= 0:
+        raise InputError("no cut distribution separates any demand")
+    lam = Fraction(cap, dem)
+    trace = [(lam, cap, dem)]
+    for _ in range(MAX_DINKELBACH_ITERATIONS):
+        value, point = minimize(lam)
+        if value == 0:
+            return witness, trace
+        cap, dem = weights(point)
+        if value > 0 or cap - lam * dem != value:
+            raise InvariantError(f"dinkelbach minimum {value} at {lam} not attained below 0")
+        witness, lam = point, Fraction(cap, dem)
+        trace.append((lam, cap, dem))
+    raise InvariantError(f"dinkelbach did not converge in {len(trace)} steps: {trace}")
+
+
 def is_admissible(instance: SparsestCutInstance, cut: Cut) -> bool:
     """True iff the cut separates the designated terminals."""
     if instance.terminals is None:
@@ -208,7 +234,7 @@ def connected_refinement(instance: SparsestCutInstance, cut: Cut) -> Cut:
     side).  If no component has positive demand the undefined flag
     propagates and the input comes back unchanged.
     """
-    if not instance.supply_connected():
+    if len(_components(instance, frozenset(instance.vertices))) > 1:
         raise InputError("connected_refinement requires a connected supply graph")
     current = cut
     all_v = frozenset(instance.vertices)

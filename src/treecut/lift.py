@@ -95,10 +95,7 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     vertex is charged to a distinct member of T (terminals are pinned and
     never drawn).
     """
-    if rounds > H.n:
-        rounds_eff = H.n
-    else:
-        rounds_eff = rounds
+    rounds_eff = min(rounds, H.n)
     prog = build_maxcut_lp(H, rounds_eff)
     res = simplex.solve(prog)
     if not res.optimal:

@@ -5,11 +5,12 @@ Gray code, updating cut capacity and demand incrementally as scaled
 integers.  It backs the cut audits and `exact_sparsest_cut`, whose
 witness is the lexicographically smallest optimal side.
 
-`sparsest_cut_by_elimination` gets the optimal ratio without enumerating:
-Dinkelbach's iteration (Dinkelbach 1967) turns the ratio into a few
-problems min cap - lambda*dem, each a pairwise min-sum problem solved
-exactly by variable elimination (nonserial dynamic programming, Bertele
-and Brioschi 1972) in greedy min-degree order over the supply and demand
+`sparsest_cut_by_elimination` gets the optimal ratio without enumerating.
+Dinkelbach's iteration (Dinkelbach 1967), the one `instance.dinkelbach`
+that the LP ratio search also runs, turns the ratio into a few problems
+min cap - lambda*dem.  Each is a pairwise min-sum problem solved exactly
+by variable elimination (nonserial dynamic programming, Bertele and
+Brioschi 1972) in greedy min-degree order over the supply and demand
 pairs.  Its cost is exponential only in the elimination width, which
 stays small on the powered instances; scopes above MAX_ELIMINATION_SCOPE
 are refused.
@@ -23,7 +24,7 @@ from math import lcm
 from typing import Optional
 
 from .errors import BudgetError, InputError, InvariantError
-from .instance import Cut, SparsestCutInstance, Sparsity, evaluate_cut
+from .instance import Cut, SparsestCutInstance, Sparsity, dinkelbach, evaluate_cut
 
 DEFAULT_ENUM_BOUND = 26
 MAX_ELIMINATION_SCOPE = 16
@@ -288,12 +289,12 @@ def _eliminate(n: int, plan, pairs, p: int, q: int) -> tuple:
 
 
 def sparsest_cut_by_elimination(instance: SparsestCutInstance):
-    """Global sparsest cut by Dinkelbach's iteration over variable elimination.
+    """Global sparsest cut by `instance.dinkelbach` over variable elimination.
 
-    From the ratio p/q of a cut that separates demand, each step minimizes
-    q*cap - p*dem exactly over all cuts and moves to the minimizer's
-    ratio, until the minimum is 0.  Cost is exponential only in the
-    elimination width.  The witness has no tie-break guarantee.
+    From a cut that separates demand, each minimum of cap - (p/q)*dem over
+    all cuts is that of q*cap - p*dem, found exactly by elimination, over
+    q.  Cost is exponential only in the elimination width.  The witness
+    has no tie-break guarantee.
     """
     if instance.total_demand <= 0:
         raise InputError("instance has zero total demand")
@@ -310,21 +311,17 @@ def sparsest_cut_by_elimination(instance: SparsestCutInstance):
         return sum(c for c, _ in cut), sum(d for _, d in cut)
 
     plan = _elimination_plan(n, pairs)
+
+    def minimize(lam):
+        value, y = _eliminate(n, plan, pairs, lam.numerator, lam.denominator)
+        return Fraction(value, lam.denominator), y
+
     x = [0] * n
     x[next(v for (_, v), (_, d) in pairs.items() if d)] = 1
-    lam = Fraction(*weights(x))
-    while True:
-        value, y = _eliminate(n, plan, pairs, lam.numerator, lam.denominator)
-        if value == 0:
-            break
-        cap, dem = weights(y)
-        if value > 0 or lam.denominator * cap - lam.numerator * dem != value:
-            raise InvariantError(f"elimination minimum {value} at ratio {lam} "
-                                 f"is not attained by its witness")
-        x, lam = y, Fraction(cap, dem)
+    x, trace = dinkelbach(minimize, weights, x)
     cut = Cut(frozenset(instance.vertices[j] for j in range(n) if not x[j]))
     sparsity = evaluate_cut(instance, cut)
-    ratio = lam * scales[1] / scales[0]  # back from scaled integer units
+    ratio = trace[-1][0] * scales[1] / scales[0]  # back from scaled integer units
     if sparsity.ratio != ratio:
         raise InvariantError(f"elimination ratio {ratio} != witness ratio {sparsity.ratio}")
     return cut, sparsity

@@ -8,18 +8,19 @@ built on it.  An LP has no variable names: each set that carries a
 variable block gets a column offset, x(S,T) is the column offset + mask,
 and rows are {column: coefficient} dicts with integer coefficients.
 `format_lp` names column offset + m of set i's block x_i_m.  Two builders
-exist:
+exist, and `agreement_rows` writes the consistency rows of both, each row
+equating two blocks' marginals on a set:
 
 * `build_full_sa` emits the complete r-round system (normalization,
   per-element consistency, nonnegativity) with one block per set, laid
-  out at `SetFamily.offsets`.
+  out at `SetFamily.offsets`; S agrees with each S + u.
 * `build_sparsestcut_lp` emits the pared system over root-path unions of
   a balanced decomposition.  Only inclusion-maximal family sets carry
   variable blocks; every other family set is a marginal of its parent
-  block, and blocks sharing a family subset are tied together by
-  aggregated-consistency rows.  This is a pure presolve: the projection
-  of the feasible region onto the family variables is unchanged.  Family
-  containment is tested on vertex bitmasks.
+  block, and a set's first parent block agrees on it with each other
+  parent.  This is a pure presolve: the projection of the feasible
+  region onto the family variables is unchanged.  Family containment is
+  tested on vertex bitmasks.
 
 Pair values y_uv are never standalone LP variables; objectives and the
 demand constraint substitute their defining sums directly.  Capacity and
@@ -40,13 +41,12 @@ from typing import Iterable
 
 from .decomposition import TreeDecomposition, least_bags
 from .errors import BudgetError, InputError, InvariantError
-from .instance import SparsestCutInstance, as_weight
+from .instance import SparsestCutInstance, as_weight, dinkelbach
 from . import simplex
 from .simplex import ZERO  # every zero an LpResult holds; skipping it is exact
 
 DEFAULT_SET_CAP = 22  # vertices in a demand pair's joint family set
 DEFAULT_VARIABLE_BUDGET = 300_000  # variables in one full or pared system
-MAX_DINKELBACH_ITERATIONS = 60
 
 
 # ---------------------------------------------------------------------------
@@ -160,6 +160,18 @@ class LpProgram:
     blocks: tuple = ()
 
 
+def agreement_rows(elems: tuple, a_elems: tuple, a_at: int, b_elems: tuple, b_at: int) -> list:
+    """The rows equating, on elems, the marginals of the block over a_elems
+    at column a_at and the block over b_elems at column b_at: one row per
+    mask over elems, the a columns at 1 before the b columns at -1."""
+    rows = [{} for _ in range(1 << len(elems))]
+    for j, m in enumerate(restrictions(a_elems, elems), a_at):
+        rows[m][j] = 1
+    for j, m in enumerate(restrictions(b_elems, elems), b_at):
+        rows[m][j] = -1
+    return [(row, "==", 0) for row in rows]
+
+
 # ---------------------------------------------------------------------------
 # Full r-round system.
 # ---------------------------------------------------------------------------
@@ -202,11 +214,7 @@ def build_full_sa(n: int, r: int):
             if u in smem:
                 continue
             big = family.canonical(s + (u,))
-            j = sidx[big]
-            rows = [{at[i] + m: 1} for m in range(1 << len(s))]
-            for bm, m in enumerate(restrictions(big, s)):
-                rows[m][at[j] + bm] = -1
-            constraints.extend((row, "==", 0) for row in rows)
+            constraints += agreement_rows(s, s, at[i], big, at[sidx[big]])
     return family, constraints
 
 
@@ -409,15 +417,10 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
         ps = parents[i]
         if len(ps) < 2 or any(b != c and b & c == b for c in alike[tuple(ps)]):
             continue
-        elems = sets[i]
-        base = [(offset[ps[0]] + bm, m) for bm, m in enumerate(restrictions(sets[ps[0]], elems))]
+        first = ps[0]
         for other in ps[1:]:
-            rows = [{} for _ in range(1 << len(elems))]
-            for j, m in base:
-                rows[m][j] = 1
-            for bm, m in enumerate(restrictions(sets[other], elems)):
-                rows[m][offset[other] + bm] = -1
-            constraints.extend((row, "==", 0) for row in rows)
+            constraints += agreement_rows(sets[i], sets[first], offset[first],
+                                          sets[other], offset[other])
 
     sidx = {s: i for i, s in enumerate(sets)}
 
@@ -481,13 +484,10 @@ def _certified(res: simplex.LpResult, what: str) -> simplex.LpResult:
 def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> RatioSearchResult:
     """Minimize (capacity value)/(demand value) over the pared polytope.
 
-    Dinkelbach's exact parametric iteration: lambda <- cap(y)/dem(y) on the
-    objective cap - lambda*dem, warm-restarting the tableau, which carries
-    cap and dem as reduced-cost rows through its pivots.  Each iterate
-    is a strictly better vertex, so the search ends, exactly, when that
-    objective's minimum reaches 0.  Every solve must end optimal with an
-    exact duality gap of 0, and the search must end within
-    MAX_DINKELBACH_ITERATIONS re-solves, or InvariantError is raised.
+    Runs `instance.dinkelbach` from the max-demand vertex.  Each minimum
+    of cap - lambda*dem is a re-solve that warm-restarts the tableau, which
+    carries cap and dem as reduced-cost rows through its pivots, and must
+    end optimal with an exact duality gap of 0, or InvariantError is raised.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
@@ -496,33 +496,18 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     _certified(solver.solve(), "feasibility")
     res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
 
-    def values_of(res):
-        """(cap, dem) at the values: integer dot products over the lcm of
-        the values' denominators."""
-        den, nums = _numerators(res.values)
+    def minimize(lam):
+        res = _certified(solver.reoptimize((1, -lam), "min"), "dinkelbach")
+        return res.objective, res.values
+
+    def values_of(values):  # integer dot products over the values' lcm denominator
+        den, nums = _numerators(values)
         return tuple(Fraction(sum(c * nums[j] for j, c in ints.items()), scale * den)
                      for scale, ints in (built.cap_expr, built.dem_expr))
 
-    cap, dem = values_of(res)
-    if dem <= 0:
-        raise InputError("no cut distribution separates any demand")
-    lam = cap / dem
-    best = (res.values, cap, dem)
-    trace = [(lam, cap, dem)]
-    for it in range(MAX_DINKELBACH_ITERATIONS):
-        res = _certified(solver.reoptimize((1, -lam), "min"), "dinkelbach")
-        if res.objective == 0:
-            sol = built.solution_from(best[0])
-            return RatioSearchResult(best[2], sol, best[1], lam, it + 1, trace)
-        cap, dem = values_of(res)
-        lam_new = cap / dem
-        if lam_new >= lam:
-            raise InvariantError("dinkelbach ratio failed to decrease")
-        lam = lam_new
-        best = (res.values, cap, dem)
-        trace.append((lam, cap, dem))
-    raise InvariantError(f"dinkelbach did not converge in {MAX_DINKELBACH_ITERATIONS} "
-                         f"iterations; trace: {trace}")
+    values, trace = dinkelbach(minimize, values_of, res.values)
+    lam, cap, dem = trace[-1]
+    return RatioSearchResult(dem, built.solution_from(values), cap, lam, len(trace), trace)
 
 
 # ---------------------------------------------------------------------------

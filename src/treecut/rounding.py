@@ -9,7 +9,9 @@ the conditional potential
 
 nonpositive; every conditional expectation is evaluated as an exact Fraction,
 so greedy comparisons can never be flipped by roundoff.  Each candidate's
-E[W] is summed as one integer numerator over a running denominator.
+E[W] is summed as one integer numerator over a running denominator.  A
+pair's endpoints are independent given V_g, g where their least bags' root
+paths meet; until g is fixed, the lowest fixed bag above g conditions both.
 """
 
 from __future__ import annotations
@@ -18,14 +20,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Optional
 
 from .decomposition import TreeDecomposition, least_bags
-from .errors import InputError, InvariantError
+from .errors import BudgetError, InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
 from .relaxation import SaSolution, subset_from_mask
 
-ONE, ZERO = Fraction(1), Fraction(0)
+EMBED_SAMPLE_BUDGET = 100_000  # samples in one embedding
 
 
 def _remap(mask: int, from_elems, to_elems) -> int:
@@ -179,28 +180,24 @@ class _Derandomizer:
             self.pairs.append((u, v, c.numerator, c.denominator))
         # v -> (b(v), v's bit in V_b(v)'s elements)
         self.bit = {v: (b, 1 << self._union_elems(b).index(v)) for v, b in self.least.items()}
+        # (u, v) -> (g, deep): g is the bag where the root paths of b(u) and
+        # b(v) meet, and deep the deeper of the two when g is one of them
+        self.meet = {}
+        for u, v, _, _ in self.pairs:
+            pu, pv = sorted((self.paths[self.least[u]], self.paths[self.least[v]]), key=len)
+            k = len(pu) - 1
+            while pu[k] != pv[k]:  # root paths part once, so scan up from the shorter's end
+                k -= 1
+            self.meet[u, v] = (pu[k], pv[-1] if k == len(pu) - 1 else None)
         self._psep_memo: dict = {}
 
     # -- helpers ----------------------------------------------------------
 
-    def _lca(self, a: int, b: int) -> int:
-        pa, pb = self.paths[a], self.paths[b]
-        top = None
-        for x, y in zip(pa, pb):
-            if x == y:
-                top = x
-            else:
-                break
-        return top
-
-    def _lowest_labeled(self, a: int, labels: dict) -> Optional[int]:
-        low = None
-        for node in self.paths[a]:
-            if node in labels:
-                low = node
-            else:
-                break
-        return low
+    def _lowest_labeled(self, a: int, labels: dict) -> int:
+        path, k = self.paths[a], 0
+        while path[k] in labels:  # a itself is unlabeled
+            k += 1
+        return path[k - 1]
 
     def _union_elems(self, a: int):
         return self.sol.block_table(self.unions[a])[0]
@@ -236,32 +233,29 @@ class _Derandomizer:
 
     # -- separation probabilities ------------------------------------------
 
-    def psep(self, u, v, labels: dict) -> Fraction:
-        bu, bv = self.least[u], self.least[v]
-        lab_u = bu in labels
-        lab_v = bv in labels
-        if lab_u and lab_v:
-            au = self._vertex_value(u, labels)
-            av = self._vertex_value(v, labels)
-            return ONE if au != av else ZERO
-        if lab_u or lab_v:
-            if lab_v:
-                u, v = v, u
-            p = self._prob_memo(v, labels)
-            return (1 - p) if self._vertex_value(u, labels) else p
-        # both unlabeled
-        if self._on_common_path(bu, bv):
-            deep = bv if len(self.paths[bv]) >= len(self.paths[bu]) else bu
-            ell = self._lowest_labeled(deep, labels)
+    def _prob(self, v, labels: dict):
+        """P[v in A | labels]; v's bit once b(v) is labeled."""
+        b, bit = self.bit[v]
+        if b in labels:
+            return 1 if labels[b] & bit else 0
+        ell = self._lowest_labeled(b, labels)
+        return self._cached(self._prob_in, v, ell, labels[ell])
+
+    def psep(self, u, v, labels: dict):
+        """P[u, v separated | labels].  Given V_g, u and v are independent;
+        while g is unlabeled, the lowest labeled bag above it conditions."""
+        g, deep = self.meet[u, v]
+        if g not in labels:
+            ell = self._lowest_labeled(g, labels)
+            if deep is None:
+                return self._cached(self._psep_via_lca, u, v, g, ell, labels[ell])
             return self._cached(self._psep_joint, u, v, deep, ell, labels[ell])
-        anc = self._lca(bu, bv)
-        if anc in labels:
-            pu = self._prob_memo(u, labels)
-            pv = self._prob_memo(v, labels)
-            return pu * (1 - pv) + (1 - pu) * pv
-        # lca unlabeled: condition on the full assignment of V_anc
-        ell = self._lowest_labeled(anc, labels)
-        return self._cached(self._psep_via_lca, u, v, anc, ell, labels[ell])
+        pu, pv = self._prob(u, labels), self._prob(v, labels)
+        if pv in (0, 1):  # a fixed endpoint
+            pu, pv = pv, pu
+        if pu in (0, 1):
+            return 1 - pv if pu else pv
+        return pu * (1 - pv) + (1 - pu) * pv
 
     def _psep_via_lca(self, u, v, anc: int, ell: int, ell_mask: int) -> Fraction:
         a_elems, a_table = self.sol.block_table(self.unions[anc])
@@ -275,19 +269,6 @@ class _Derandomizer:
         if total == 0:
             raise InvariantError("conditioning event has probability zero")
         return acc / total
-
-    def _prob_memo(self, v, labels: dict) -> Fraction:
-        ell = self._lowest_labeled(self.least[v], labels)
-        return self._cached(self._prob_in, v, ell, labels[ell])
-
-    def _on_common_path(self, bu: int, bv: int) -> bool:
-        pa, pb = self.paths[bu], self.paths[bv]
-        shorter, longer = (pa, pb) if len(pa) <= len(pb) else (pb, pa)
-        return longer[:len(shorter)] == shorter
-
-    def _vertex_value(self, v, labels: dict) -> bool:
-        b, bit = self.bit[v]
-        return bool(labels[b] & bit)
 
     # -- greedy -----------------------------------------------------------
 
@@ -379,6 +360,15 @@ class Embedding:
         return "\n".join(lines) + "\n"
 
 
+def check_sample_budget(num_samples: int):
+    """Refuse no samples, or more than EMBED_SAMPLE_BUDGET (cost is quadratic)."""
+    if num_samples <= 0:
+        raise InputError("num_samples must be positive")
+    if num_samples > EMBED_SAMPLE_BUDGET:
+        raise BudgetError(f"{num_samples} samples exceed budget {EMBED_SAMPLE_BUDGET}",
+                          limit=EMBED_SAMPLE_BUDGET, requested=num_samples)
+
+
 def embed_l1(solution: SaSolution, dec: TreeDecomposition, num_samples: int,
              seed: int = 0) -> Embedding:
     """Concatenate sampled cut indicators into a scaled 0/1 embedding.
@@ -386,8 +376,7 @@ def embed_l1(solution: SaSolution, dec: TreeDecomposition, num_samples: int,
     Coordinate j of f(u) is [u in A_j]/num_samples; distances are exact
     separation frequencies.
     """
-    if num_samples <= 0:
-        raise InputError("num_samples must be positive")
+    check_sample_budget(num_samples)
     sampler = PropagationSampler(solution, dec)
     rng = random.Random(seed)
     vertices = tuple(sorted(solution.family.order,

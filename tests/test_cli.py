@@ -211,31 +211,40 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     assert "budget refusal" in err
 
 
-@pytest.mark.parametrize("argv", [
+@pytest.mark.parametrize("argv, code", [
     # 6^6000 supply edges, refused without computing the power
-    ["gen", "power", "--maxcut", "p3", "--levels", "6000"],
-    ["gap", "--base", "p3", "--levels", "6000"],
+    (["gen", "power", "--maxcut", "p3", "--levels", "6000"], 3),
+    (["gap", "--base", "p3", "--levels", "6000"], 3),
     # exact MaxCut refuses 1000 vertices before the block is built
-    ["gen", "block", "--maxcut", "k1000"],
+    (["gen", "block", "--maxcut", "k1000"], 3),
     # 2^(10^9) cube nodes, refused before the ULC is built
-    ["gen", "gadget", "--labels", str(10**9)],
+    (["gen", "gadget", "--labels", str(10**9)], 3),
     # a header naming 10^12 vertices, refused before any is built
-    ["oracle", "{tmp}/huge.ssc"],
+    (["oracle", "{tmp}/huge.ssc"], 3),
     # 6 * 10^6 permutation entries, refused before the ULC is drawn
-    ["gen", "ulc", "--ulc-vertices", "3", "--labels", str(10**6)],
-    ["gen", "gadget", "--random-ulc", "--ulc-vertices", str(10**9)],
+    (["gen", "ulc", "--ulc-vertices", "3", "--labels", str(10**6)], 3),
+    (["gen", "gadget", "--random-ulc", "--ulc-vertices", str(10**9)], 3),
     # an optimum over 2^3000 labelings, refused before the ULC is written
-    ["gen", "ulc", "--ulc-vertices", "3000", "--sidecar", "{tmp}/side.json"],
+    (["gen", "ulc", "--ulc-vertices", "3000", "--sidecar", "{tmp}/side.json"], 3),
     # 460,800 gadget edges over a 1200-vertex ULC
-    ["gen", "gadget", "--random-ulc", "--ulc-vertices", "1200", "--labels", "6"],
+    (["gen", "gadget", "--random-ulc", "--ulc-vertices", "1200", "--labels", "6"], 3),
+    # 10^9 samples, refused before the instance is solved
+    (["embed", "{tmp}/pair.ssc", "--samples", str(10**9)], 3),
+    # weights of 10^8 and 5001 digits, input errors before the integers are built
+    (["gen", "gadget", "--alpha", "1e100000000"], 2),
+    (["solve", "{tmp}/wide.ssc"], 2),
 ], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
         "ssc_header_1e12", "ulc_labels_1e6", "random_ulc_gadget_vertices_1e9",
-        "ulc_sidecar_labelings", "gadget_edges"])
-def test_budget_refusals_never_show_a_traceback(argv, tmp_path, capsys):
+        "ulc_sidecar_labelings", "gadget_edges", "embed_samples_1e9",
+        "gadget_alpha_1e100000000", "ssc_weight_1e5000"])
+def test_budget_refusals_never_show_a_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
+    (tmp_path / "pair.ssc").write_text("p ssc 2\ne 1 2 1\nd 1 2 1\n")
+    (tmp_path / "wide.ssc").write_text("p ssc 2\ne 1 2 1e5000\nd 1 2 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
-    code, _, err = run(capsys, *argv)
-    assert code == 3 and err.startswith("budget refusal: "), err
+    got, _, err = run(capsys, *argv)
+    prefix = {3: "budget refusal: ", 2: "input error: "}[code]
+    assert got == code and err.startswith(prefix), err
     assert not (tmp_path / "out").exists()
 
 

@@ -8,8 +8,10 @@ never shows a traceback.  The examples are derandomized, so each run draws
 the same inputs, and few enough to keep the whole file to a few seconds.
 The pools hold a few huge numbers where a budget refuses them before any
 work: a `p ssc` vertex count, `--levels`, `--labels`, `--delta`,
-`--ulc-vertices` and a ULC's "d".  The other numbers stay small, since a
-large valid one only costs time.
+`--ulc-vertices`, `--samples` and a ULC's "d".  They also hold weights of
+more than 1000 digits (`1e5000`, `1e-5000`, `1e100000000`), which are input
+errors before their integers are built.  The other numbers stay small,
+since a large valid one only costs time.
 """
 
 import contextlib
@@ -37,7 +39,8 @@ VALID_ULC = json.dumps({"vertices": [1, 2, 3], "d": 2,
 HUGE = str(10**9)
 TOKEN = st.sampled_from(["0", "1", "2", "3", "5", "6", "-1", "99", "1/3", "-2/3", "1/0",
                          "0.5", "1e3", "abc", "nan", "inf", "p", "e", "d", "t", "s", "b",
-                         "c", "ssc", "td", "#", str(10**12)])
+                         "c", "ssc", "td", "#", str(10**12), "1e5000", "1e-5000",
+                         "1e100000000"])
 JSON_VALUE = st.sampled_from([0, 1, 2, 3, -1, 99, 2.5, "2", "", None, True, [], {}, [0],
                               [0, 1], [1, 0], [[0]], [[0, 1]], [1, 2, [0, 1]], 10**9])
 
@@ -122,7 +125,7 @@ SEEDED = ("solve", "verify", "round", "embed")  # oracle and decompose take no -
        budget=flag("--budget-vertices", "-1", "0", "1", "5", "x"),
        seed=flag("--seed", "0", "3", "-1", "x"),
        fmt=flag("--format", "json", "csv", "text", "xml"),
-       samples=flag("--samples", "0", "1", "5", "-1", "x"))
+       samples=flag("--samples", "0", "1", "5", "-1", "x", HUGE))
 def test_malformed_instances_keep_the_exit_contract(text, command, budget, seed, fmt, samples):
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "in.ssc")

@@ -121,6 +121,18 @@ def test_weight_literals():
         as_weight("3//5")
 
 
+def test_weight_literals_above_the_digit_bound_are_input_errors():
+    # 1000 digits in all are accepted; one more digit, in the mantissa or
+    # the exponent, is refused before the integer is built
+    assert as_weight("9" * 1000) == 10**1000 - 1
+    assert as_weight("1e999") == 10**999
+    assert as_weight("1/" + "3" * 999) == Fraction(1, int("3" * 999))
+    for literal in ("9" * 1001, "1e1000", "1e-1000", "1/" + "3" * 1000, "1e1_000",
+                    "2.5e" + "0" * 30 + "999", "1e" + "9" * 40):
+        with pytest.raises(InputError, match="more than 1000 digits"):
+            as_weight(literal)
+
+
 def test_format_parse_round_trip():
     inst = SparsestCutInstance.build(
         [1, 2, 3], [(1, 2, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 3, 2)],

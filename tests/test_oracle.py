@@ -5,11 +5,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from treecut.errors import BudgetError, InputError
+from treecut import instance as instance_module, oracle
+from treecut.cli import main
+from treecut.decomposition import balance, exact_decomposition
+from treecut.errors import BudgetError, InputError, InvariantError
 from treecut.generators import MaxCutInstance, building_block, power
-from treecut.instance import Cut, SparsestCutInstance, evaluate_cut
+from treecut.instance import Cut, SparsestCutInstance, evaluate_cut, format_instance
 from treecut.oracle import (audit_cuts, exact_maxcut, exact_sparsest_cut,
                             sparsest_cut_by_elimination)
+from treecut.relaxation import ratio_search
 
 from corpus import acceptance_corpus, random_rational
 
@@ -183,3 +187,34 @@ def test_elimination_refuses_wide_instances():
         [(1, n, 1)])
     with pytest.raises(BudgetError):
         sparsest_cut_by_elimination(inst)
+
+
+# A path 1-2-3-4 with capacities 3, 1, 3 and one demand pair (1, 4): the
+# optimum cuts the middle edge at ratio 1, and both ratio searches start
+# from a cut at ratio 3, so each needs two Dinkelbach steps.
+TWO_STEP_PATH = SparsestCutInstance.build(
+    [1, 2, 3, 4], [(1, 2, 3), (2, 3, 1), (3, 4, 3)], [(1, 4, 1)])
+
+
+def test_elimination_refuses_a_positive_minimum(monkeypatch, tmp_path, capsys):
+    # A minimum above 0 means the minimizer misses the current witness's
+    # own value of 0: the search raises instead of taking its ratio.
+    real = oracle._eliminate
+    monkeypatch.setattr(oracle, "_eliminate", lambda *a: (1, real(*a)[1]))
+    with pytest.raises(InvariantError):
+        sparsest_cut_by_elimination(TWO_STEP_PATH)
+    path = tmp_path / "path.ssc"
+    path.write_text(format_instance(TWO_STEP_PATH))
+    assert main(["verify", str(path)]) == 4
+    assert "internal invariant violated" in capsys.readouterr().err
+
+
+def test_dinkelbach_bound_holds_for_both_ratio_searches(monkeypatch):
+    dec = balance(exact_decomposition(TWO_STEP_PATH))
+    assert ratio_search(TWO_STEP_PATH, dec).iterations == 2
+    assert sparsest_cut_by_elimination(TWO_STEP_PATH)[1].ratio == 1
+    monkeypatch.setattr(instance_module, "MAX_DINKELBACH_ITERATIONS", 1)
+    with pytest.raises(InvariantError, match="did not converge"):
+        ratio_search(TWO_STEP_PATH, dec)
+    with pytest.raises(InvariantError, match="did not converge"):
+        sparsest_cut_by_elimination(TWO_STEP_PATH)
