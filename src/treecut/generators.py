@@ -355,14 +355,6 @@ class UlcInstance:
                     raise InputError(f"clique entry {i!r} is not an edge index "
                                      f"0..{len(self.edges) - 1}")
 
-    def sigma(self, u, v, index: int) -> tuple:
-        eu, ev, s = self.edges[index]
-        if (eu, ev) == (u, v):
-            return s
-        if (ev, eu) == (u, v):
-            return invert_sigma(s)
-        raise InputError(f"edge {index} does not join ({u},{v})")
-
     def satisfied_fraction(self, labeling: dict) -> Fraction:
         good = sum(1 for u, v, s in self.edges if s[labeling[u]] == labeling[v])
         return Fraction(good, len(self.edges))

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import lcm
 from typing import Hashable, Iterable, Optional
 
 from .errors import BudgetError, InputError, InvariantError
@@ -22,8 +23,10 @@ Weight = Fraction
 # enumeration oracle stops at 26 vertices by default and the exact
 # decomposition at 18.  The header is checked before any vertex is built.
 MAX_INSTANCE_VERTICES = 150_000
-# The most digits of a weight literal: `1e5000` spells an integer Python
-# refuses to print, and a longer exponent one it takes unbounded time to build.
+# The most digits of a weight literal, and of the lcm of an instance's weight
+# denominators: `1e5000` spells an integer Python refuses to print, a longer
+# exponent one it takes unbounded time to build, and a sum of five weights
+# over coprime 999-digit denominators has a 5000-digit one.
 MAX_WEIGHT_DIGITS = 1000
 MAX_DINKELBACH_ITERATIONS = 60  # steps of either exact ratio search
 
@@ -328,7 +331,12 @@ def parse_instance(text: str) -> SparsestCutInstance:
             raise InputError(f"line {lineno}: {raw!r}") from exc
     if n is None:
         raise InputError("missing `p ssc <n>` header")
-    for u, v, _ in supply + demand:
+    den, bound = 1, 10 ** MAX_WEIGHT_DIGITS
+    for u, v, w in supply + demand:
         if not (1 <= u <= n and 1 <= v <= n):
             raise InputError(f"vertex id out of range 1..{n}: ({u},{v})")
+        den = lcm(den, w.denominator)
+        if den >= bound:
+            raise InputError(f"weight denominators have an lcm of more than "
+                             f"{MAX_WEIGHT_DIGITS} digits")
     return SparsestCutInstance.build(range(1, n + 1), supply, demand, terminals)

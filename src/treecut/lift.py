@@ -42,8 +42,8 @@ from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
 from .oracle import exact_maxcut, sparsest_cut_by_elimination
-from .relaxation import (SaSolution, SetFamily, build_maxcut_lp, full_family,
-                         full_solution_from, mask_of, subset_from_mask)
+from .relaxation import (SaSolution, SetFamily, build_maxcut_lp, full_family, mask_of,
+                         subset_from_mask)
 from . import simplex
 
 # powered instances up to this many vertices get phi from the oracle
@@ -100,13 +100,13 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     res = simplex.solve(prog)
     if not res.optimal:
         raise InvariantError(f"base MaxCut solve failed: {res.status}")
-    family = full_family(range(1, H.n + 1), rounds_eff)
-    solution = full_solution_from(family, res.values)
+    solution = SaSolution.read(full_family(range(1, H.n + 1), rounds_eff), prog.blocks,
+                               res.values)
     problems = solution.validate()
     if problems:
         raise InputError(f"solution is infeasible: first violation {problems[0]}")
     dists = {s: {subset_from_mask(elems, m): x for m, x in enumerate(table)}
-             for s, (elems, table) in solution.tables.items()}
+             for s, (elems, table) in solution.blocks.items()}
     block, block_dec = building_block(H, include_st_demand=False)
     powered = power(block, levels, block_dec)
     return LiftContext(H, rounds, levels, dists, powered, res.objective)

@@ -16,18 +16,19 @@ equating two blocks' marginals on a set:
   out at `SetFamily.offsets`; S agrees with each S + u.
 * `build_sparsestcut_lp` emits the pared system over root-path unions of
   a balanced decomposition.  Only inclusion-maximal family sets carry
-  variable blocks; every other family set is a marginal of its parent
-  block, and a set's first parent block agrees on it with each other
-  parent.  This is a pure presolve: the projection of the feasible
-  region onto the family variables is unchanged.  Family containment is
-  tested on vertex bitmasks.
+  variable blocks; every other family set is a marginal of the first
+  block holding it, which agrees on it with each other block holding it.
+  This is a pure presolve: the projection of the feasible region onto
+  the family variables is unchanged.  Family containment is tested on
+  vertex bitmasks.
 
 Pair values y_uv are never standalone LP variables; objectives and the
 demand constraint substitute their defining sums directly.  Capacity and
 demand are built once as (scale, {column: int}), the sums times the
 smallest integer scale, which is the form `simplex.Simplex` takes
-objectives in; solutions are read back as integer numerators over one
-common denominator.
+objectives in.  A solution, `SaSolution`, is the blocks an LP solved,
+read from its values over `LpProgram.blocks`; any other family set's
+table is read on demand as the marginal of the first block holding it.
 """
 
 from __future__ import annotations
@@ -250,39 +251,13 @@ def build_maxcut_lp(graph, r: int) -> LpProgram:
 
 @dataclass
 class SparsestCutLp:
-    """The pared program plus everything needed to read solutions back."""
+    """The pared program, its family and the objectives the search carries."""
 
     program: LpProgram
     family: SetFamily
-    maximal: list  # family indices carrying variable blocks
-    offset: dict  # maximal family index -> its block's first column
-    parent_of: list  # family index -> chosen maximal family index
     cap_expr: tuple  # (scale, {column: int}): capacity times scale
     dem_expr: tuple  # (scale, {column: int}): demand times scale
     instance: SparsestCutInstance
-
-    def solution_from(self, values: list) -> "SaSolution":
-        """Every family set's table, summed from its parent block's nonzeros
-        (the block's `marginal` onto the set) as integer numerators over
-        one common denominator, with one Fraction per distinct entry."""
-        sets = self.family.sets
-        den, nums = _numerators(values)
-        nonzeros = {}
-        for p in self.maximal:
-            block = nums[self.offset[p]:self.offset[p] + (1 << len(sets[p]))]
-            nonzeros[p] = [(m, n) for m, n in enumerate(block) if n]
-        ints = []
-        for i, elems in enumerate(sets):
-            p = self.parent_of[i]
-            table = [0] * (1 << len(elems))
-            restrict = restrictions(sets[p], elems)
-            for m, n in nonzeros[p]:
-                table[restrict[m]] += n
-            ints.append(table)
-        exact = {n: Fraction(n, den) for n in set().union(*ints)}
-        exact[0] = ZERO
-        return SaSolution(self.family, {frozenset(elems): (elems, [exact[n] for n in table])
-                                        for elems, table in zip(sets, ints)})
 
 
 def _numerators(values: list) -> tuple:
@@ -294,56 +269,77 @@ def _numerators(values: list) -> tuple:
 
 @dataclass
 class SaSolution:
-    """A valuation x(S,T) over a declared family, with derived pair values.
+    """A valuation x(S,T) over a declared family, held as the blocks an LP
+    solved, with every other family set's table read as a marginal.
 
-    tables[frozenset(S)] = (elems, table): elems is S in family order and
-    table[m] = x(S, T) for the T that mask m picks out of elems.
+    blocks[frozenset(P)] = (elems, table), in column order: elems is P in
+    family order and table[m] = x(P, T) for the T that mask m picks out of
+    elems.  A family set's table is the marginal of the first block that
+    holds it; no block holds a later one, so a block's table is its own.
     """
 
     family: SetFamily
-    tables: dict
+    blocks: dict
     _marginals: dict = field(default_factory=dict, repr=False)
 
+    @classmethod
+    def read(cls, family: SetFamily, blocks, values: list) -> "SaSolution":
+        """The solution whose blocks are an LP's columns: blocks lists
+        (family index, width) in column order, as `LpProgram.blocks` does."""
+        out, at = {}, 0
+        for i, width in blocks:
+            elems = family.sets[i]
+            out[frozenset(elems)] = (elems, values[at:at + width])
+            at += width
+        return cls(family, out)
+
     def y_value(self, u, v) -> Fraction:
-        table = self.tables[frozenset((u, v))][1]
+        table = self.block_table((u, v))[1]
         return table[1] + table[2]
 
     def block_table(self, S) -> tuple:
         """(elements, list-of-values indexed by subset mask) for a family set."""
-        return self.tables[frozenset(S)]
+        return self.aggregate(S, S)
 
     def aggregate(self, S, Q) -> tuple:
-        """Marginal of the S-block onto Q (a subset of S); cached.
+        """Marginal onto Q (a subset of S) of the first block holding S;
+        cached.  KeyError when no block holds S.
 
         Returns (q_elems, list indexed by Q-subset mask).
         """
         key = (frozenset(S), frozenset(Q))
         hit = self._marginals.get(key)
         if hit is None:
-            elems, table = self.tables[key[0]]
-            q_elems = self.family.canonical(Q)
-            hit = self._marginals[key] = (q_elems, marginal(elems, table, q_elems))
+            s, q = key
+            p = next((p for p in self.blocks if s <= p), None)
+            if p is None:
+                raise KeyError(s)
+            elems, table = hit = self.blocks[p]
+            if p != q:
+                q_elems = self.family.canonical(q)
+                hit = (q_elems, marginal(elems, table, q_elems))
+            self._marginals[key] = hit
         return hit
 
     def validate(self) -> list:
-        """All violated conditions: normalization, nonnegativity, and the
-        aggregated consistency between every nested family pair."""
+        """All violated conditions: nonnegativity and normalization of each
+        block, which every marginal inherits, and the consistency of each
+        family set with each block that strictly contains it."""
         problems = []
-        fsets = self.family.frozensets()
-        for s in fsets:
-            elems, table = self.tables[s]
+        for p, (elems, table) in self.blocks.items():
             for m, v in enumerate(table):
                 if v < 0:
-                    problems.append(("negative", s, subset_from_mask(elems, m), v))
+                    problems.append(("negative", p, subset_from_mask(elems, m), v))
             total = sum(table, Fraction(0))
             if total != 1:
-                problems.append(("normalization", s, None, total))
-        for small in fsets:
-            for big in fsets:
+                problems.append(("normalization", p, None, total))
+        for small in self.family.frozensets():
+            table = self.block_table(small)[1]
+            for big in self.blocks:
                 if not small < big:
                     continue
                 q_elems, agg = self.aggregate(big, small)
-                for m, (a, x) in enumerate(zip(agg, self.tables[small][1])):
+                for m, (a, x) in enumerate(zip(agg, table)):
                     if a != x:
                         problems.append(("consistency", small,
                                          (big, subset_from_mask(q_elems, m)), a - x))
@@ -401,7 +397,6 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
                           requested=ncols)
 
     parents = [[mi for mi in maximal if b & bits[mi] == b] for b in bits]
-    parent_of = [ps[0] for ps in parents]
 
     # The rows are integer (coefficients 1 and -1, right-hand sides 1 and
     # 0), which the simplex takes as they are.
@@ -431,7 +426,7 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
         total: dict = {}
         for u, v, w in edges:
             c = w.numerator * (scale // w.denominator)
-            p = parent_of[sidx[family.canonical((u, v))]]
+            p = parents[sidx[family.canonical((u, v))]][0]
             for j in _pair_expression(sets[p], offset[p], u, v):
                 total[j] = total.get(j, 0) + c
         g = gcd(scale, *total.values())
@@ -447,15 +442,7 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
     program = LpProgram(range(ncols), constraints, cap_expr, sense="min",
                         name="sparsest_cut_pared",
                         blocks=tuple((mi, 1 << len(sets[mi])) for mi in maximal))
-    return SparsestCutLp(program, family, maximal, offset, parent_of, cap_expr, dem_expr,
-                         instance)
-
-
-def full_solution_from(family: SetFamily, values: list) -> SaSolution:
-    """SaSolution for a full-system solve, where every set has a block."""
-    return SaSolution(family, {
-        frozenset(elems): (elems, values[at:at + (1 << len(elems))])
-        for elems, at in zip(family.sets, family.offsets)})
+    return SparsestCutLp(program, family, cap_expr, dem_expr, instance)
 
 
 # ---------------------------------------------------------------------------
@@ -507,7 +494,8 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
 
     values, trace = dinkelbach(minimize, values_of, res.values)
     lam, cap, dem = trace[-1]
-    return RatioSearchResult(dem, built.solution_from(values), cap, lam, len(trace), trace)
+    solution = SaSolution.read(built.family, built.program.blocks, values)
+    return RatioSearchResult(dem, solution, cap, lam, len(trace), trace)
 
 
 # ---------------------------------------------------------------------------

@@ -110,11 +110,6 @@ class PropagationSampler:
             chosen[a] = masks[lo]
         return chosen
 
-    def sample(self, rng: random.Random) -> frozenset:
-        chosen = self.sample_masks(rng)
-        return frozenset().union(*(subset_from_mask(self._blocks[a][0], mask)
-                                   for a, mask in chosen.items()))
-
 
 @dataclass(frozen=True)
 class RoundingState:
@@ -351,17 +346,15 @@ class Embedding:
 
     def to_csv(self) -> str:
         lines = ["vertex," + ",".join(f"c{j}" for j in range(self.num_samples))]
-        unit = 1.0 / self.num_samples
+        cell = {"0": "0", "1": str(1.0 / self.num_samples)}
         for v in self.vertices:
-            m = self.membership[v]
-            row = ",".join(str(unit) if (m >> j) & 1 else "0"
-                           for j in range(self.num_samples))
-            lines.append(f"{v},{row}")
+            bits = format(self.membership[v], f"0{self.num_samples}b")[::-1]  # bit j at j
+            lines.append(f"{v}," + ",".join(map(cell.__getitem__, bits)))
         return "\n".join(lines) + "\n"
 
 
 def check_sample_budget(num_samples: int):
-    """Refuse no samples, or more than EMBED_SAMPLE_BUDGET (cost is quadratic)."""
+    """Refuse no samples, or more than EMBED_SAMPLE_BUDGET (the CSV has a column each)."""
     if num_samples <= 0:
         raise InputError("num_samples must be positive")
     if num_samples > EMBED_SAMPLE_BUDGET:
@@ -379,11 +372,16 @@ def embed_l1(solution: SaSolution, dec: TreeDecomposition, num_samples: int,
     check_sample_budget(num_samples)
     sampler = PropagationSampler(solution, dec)
     rng = random.Random(seed)
-    vertices = tuple(sorted(solution.family.order,
-                            key=solution.family.pos.__getitem__))
-    membership = {v: 0 for v in vertices}
-    for j in range(num_samples):
-        side = sampler.sample(rng)
-        for v in side:
-            membership[v] |= 1 << j
+    vertices = solution.family.order
+    # a child's mask extends its parent's, so v's least bag decides v
+    least = least_bags(dec, vertices)
+    drawn = {a: [] for a in least.values()}
+    for _ in range(num_samples):
+        masks = sampler.sample_masks(rng)
+        for a, seen in drawn.items():
+            seen.append(masks[a])
+    membership = {}
+    for v, a in least.items():
+        bit = 1 << sampler._blocks[a][0].index(v)
+        membership[v] = int("".join("1" if m & bit else "0" for m in reversed(drawn[a])), 2)
     return Embedding(vertices, num_samples, membership)

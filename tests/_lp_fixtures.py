@@ -53,8 +53,9 @@ def build_distortion_lp(vertices, metric: dict, distortion, scale,
                                               relabel[u], relabel[v]), 1)
         constraints.append((dict(expr), ">=", C * d))
         constraints.append((dict(expr), "<=", D * C * d))
+    blocks = tuple((i, 1 << len(s)) for i, s in enumerate(family.sets))
     return LpProgram(range(family.variable_count()), constraints, (1, {}), sense="min",
-                     name=f"distortion_{distortion}")
+                     name=f"distortion_{distortion}", blocks=blocks)
 
 
 def parse_lp(text: str) -> LpProgram:

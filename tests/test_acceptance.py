@@ -338,19 +338,19 @@ def test_criterion_7_total_capacity_as_pinned():
 
 def test_criterion_8_lift():
     t0 = time.monotonic()
-    from treecut.relaxation import (build_maxcut_lp, full_family, full_solution_from,
-                                    subset_from_mask)
+    from treecut.relaxation import SaSolution, build_maxcut_lp, full_family, subset_from_mask
 
     ok = True
     # the base distributions are the solved x(S,T), D_S(T) = x(S,T)
     for name in ("k3", "p3"):
         H = MaxCutInstance.named(name)
-        res = simplex.solve(build_maxcut_lp(H, 3))
-        sol = full_solution_from(full_family(range(1, H.n + 1), 3), res.values)
+        prog = build_maxcut_lp(H, 3)
+        res = simplex.solve(prog)
+        sol = SaSolution.read(full_family(range(1, H.n + 1), 3), prog.blocks, res.values)
         ok &= sol.validate() == []
         dists = make_lift_context(H, 3, 2).base_dists
         ok &= all(dists[S][subset_from_mask(elems, m)] == x
-                  for S, (elems, table) in sol.tables.items()
+                  for S, (elems, table) in sol.blocks.items()
                   for m, x in enumerate(table))
 
     # exhaustive consistency on G_2(P_3) for all |T| <= 3

@@ -233,19 +233,39 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     # weights of 10^8 and 5001 digits, input errors before the integers are built
     (["gen", "gadget", "--alpha", "1e100000000"], 2),
     (["solve", "{tmp}/wide.ssc"], 2),
+    # ten coprime 999-digit denominators, which a cut capacity sums into one
+    # of 5000 digits
+    (["solve", "{tmp}/coprime.ssc"], 2),
+    (["oracle", "{tmp}/coprime.ssc"], 2),
 ], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
         "ssc_header_1e12", "ulc_labels_1e6", "random_ulc_gadget_vertices_1e9",
         "ulc_sidecar_labelings", "gadget_edges", "embed_samples_1e9",
-        "gadget_alpha_1e100000000", "ssc_weight_1e5000"])
+        "gadget_alpha_1e100000000", "ssc_weight_1e5000", "ssc_denominators_solve",
+        "ssc_denominators_oracle"])
 def test_budget_refusals_never_show_a_traceback(argv, code, tmp_path, capsys):
     (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
     (tmp_path / "pair.ssc").write_text("p ssc 2\ne 1 2 1\nd 1 2 1\n")
     (tmp_path / "wide.ssc").write_text("p ssc 2\ne 1 2 1e5000\nd 1 2 1\n")
+    (tmp_path / "coprime.ssc").write_text("p ssc 3\n" + "".join(
+        f"e {1 + k // 5} {2 + k // 5} 1/{10**998 + k + 1}\n" for k in range(10)) + "d 1 3 1\n")
     argv = [a.format(tmp=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
     got, _, err = run(capsys, *argv)
     prefix = {3: "budget refusal: ", 2: "input error: "}[code]
     assert got == code and err.startswith(prefix), err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["solve", "oracle", "round", "verify"])
+def test_weights_at_the_digit_bounds_print_without_a_traceback(command, tmp_path, capsys):
+    # 1000-digit integers and 999-digit denominators, whose lcm is within
+    # the bound: the printed ratios reach 1999 digits
+    den = 10**998 + 1
+    inst = tmp_path / "edge.ssc"
+    inst.write_text(f"p ssc 3\ne 1 2 {10**1000 - 1}\ne 2 3 1/{den}\ne 2 3 {10**1000 - 3}\n"
+                    f"e 1 3 1/{den}\nd 1 3 {10**1000 - 7}\nd 1 2 1/{den}\nd 2 3 3/{den}\n")
+    code, out, err = run(capsys, command, str(inst), "--format", "json")
+    assert code == 0 and not err
+    assert json.loads(out)
 
 
 def test_exit_code_missing_file(capsys):

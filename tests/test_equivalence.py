@@ -15,8 +15,7 @@ from fractions import Fraction
 
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.instance import SparsestCutInstance
-from treecut.relaxation import (build_sparsestcut_lp, full_family, full_solution_from,
-                                ratio_search)
+from treecut.relaxation import SaSolution, build_sparsestcut_lp, full_family, ratio_search
 from treecut.rounding import _Derandomizer
 from treecut import simplex
 
@@ -98,16 +97,15 @@ def test_pared_lp_matches_literal_emission():
         assert reduced.objective == literal.objective
 
         # the materialized reduced solution satisfies the literal system
-        sol = built.solution_from(reduced.values)
+        sol = SaSolution.read(built.family, built.program.blocks, reduced.values)
         # the literal program's columns are ("f", i, m) in (i, m) order
-        lit_values = [x for elems in built.family.sets
-                      for x in sol.tables[frozenset(elems)][1]]
+        lit_values = [x for elems in built.family.sets for x in sol.block_table(elems)[1]]
         # and every block's table is its LP variables, read back unchanged
-        for mi in built.maximal:
-            elems = built.family.sets[mi]
-            at = built.offset[mi]
-            assert sol.tables[frozenset(elems)] == (
-                elems, reduced.values[at:at + (1 << len(elems))])
+        at = 0
+        for i, width in built.program.blocks:
+            elems = built.family.sets[i]
+            assert sol.block_table(elems) == (elems, reduced.values[at:at + width])
+            at += width
         prog = literal_program(built, alpha)
         for coeffs, sense, rhs in prog.constraints:
             lhs = sum(c * lit_values[k] for k, c in coeffs.items())
@@ -170,7 +168,7 @@ def star_solution():
     prog = build_distortion_lp(verts, metric, 1, Fraction(1), r=4)
     res = simplex.solve(prog)
     assert res.optimal
-    sol = full_solution_from(full_family(range(1, 5), 4), res.values)
+    sol = SaSolution.read(full_family(range(1, 5), 4), prog.blocks, res.values)
     dec = TreeDecomposition.build([{1, 2}, {1, 3}, {1, 4}], [(0, 1), (0, 2)])
     return inst, dec, sol
 

@@ -133,6 +133,15 @@ def test_weight_literals_above_the_digit_bound_are_input_errors():
             as_weight(literal)
 
 
+def test_weight_denominators_above_the_digit_bound_are_input_errors():
+    # the lcm of all supply and demand denominators may have 1000 digits
+    ok = parse_instance(f"p ssc 2\ne 1 2 1/{2**999}\nd 1 2 1/{5**999}\n")
+    assert ok.total_demand == Fraction(1, 5**999)
+    for a, b in (("e", "d"), ("e", "e")):
+        with pytest.raises(InputError, match="lcm of more than 1000 digits"):
+            parse_instance(f"p ssc 2\n{a} 1 2 1/{2**1000}\n{b} 1 2 1/{5**1000}\nd 1 2 1\n")
+
+
 def test_format_parse_round_trip():
     inst = SparsestCutInstance.build(
         [1, 2, 3], [(1, 2, Fraction(1, 3)), (1, 2, Fraction(1, 3)), (2, 3, 2)],

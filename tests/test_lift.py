@@ -13,17 +13,15 @@ from treecut.generators import MaxCutInstance
 from treecut.lift import (gap_experiment, lift_distribution,
                           lift_pair_value, lifted_family_solution, lifted_value,
                           make_lift_context)
-from treecut.relaxation import (SaSolution, build_maxcut_lp,
-                                build_sparsestcut_lp, full_family,
-                                full_solution_from, mask_of, subset_from_mask)
+from treecut.relaxation import (SaSolution, build_maxcut_lp, build_sparsestcut_lp,
+                                full_family, mask_of, subset_from_mask)
 from treecut import simplex
 
 
 def solved_maxcut_solution(H, r):
     prog = build_maxcut_lp(H, r)
     res = simplex.solve(prog)
-    family = full_family(range(1, H.n + 1), r)
-    return full_solution_from(family, res.values)
+    return SaSolution.read(full_family(range(1, H.n + 1), r), prog.blocks, res.values)
 
 
 def integral_solution(n, side):
@@ -49,7 +47,7 @@ def test_integral_solution_gives_point_masses():
     sol = integral_solution(3, side)
     assert sol.validate() == []
     for s in sol.family.frozensets():
-        elems, table = sol.tables[s]
+        elems, table = sol.block_table(s)
         support = [subset_from_mask(elems, m) for m, p in enumerate(table) if p > 0]
         assert support == [s & side]
 
@@ -58,7 +56,7 @@ def test_uniform_solution_gives_uniform_distributions():
     sol = uniform_solution(4, 2)
     assert sol.validate() == []
     for s in sol.family.frozensets():
-        assert set(sol.tables[s][1]) == {Fraction(1, 1 << len(s))}
+        assert set(sol.block_table(s)[1]) == {Fraction(1, 1 << len(s))}
 
 
 def test_solved_maxcut_family_passes_validator():
@@ -68,7 +66,7 @@ def test_solved_maxcut_family_passes_validator():
 def test_inconsistent_family_rejected_with_witness():
     sol = uniform_solution(3, 2)
     s = frozenset({1, 2})
-    elems, table = sol.tables[s]
+    elems, table = sol.blocks[s]
     table[mask_of(elems, {1})] += Fraction(1, 100)
     table[mask_of(elems, {2})] -= Fraction(1, 100)
     problems = sol.validate()
@@ -79,7 +77,7 @@ def test_inconsistent_family_rejected_with_witness():
 def test_validator_reports_each_problem_kind():
     sol = uniform_solution(3, 2)
     s = frozenset({1, 2})
-    elems, table = sol.tables[s]
+    elems, table = sol.blocks[s]
     # moving mass from T = {} to T = {1, 2} drives x(S, {}) negative but
     # keeps the table's sum at 1
     table[0] -= Fraction(1, 2)
@@ -89,7 +87,7 @@ def test_validator_reports_each_problem_kind():
     assert "normalization" not in {kind for kind, *_ in problems}
 
     sol = uniform_solution(3, 2)
-    table = sol.tables[frozenset({3})][1]
+    table = sol.blocks[frozenset({3})][1]
     table[1] += Fraction(1, 3)
     problems = sol.validate()
     assert ("normalization", frozenset({3}), None, Fraction(4, 3)) in problems
@@ -172,9 +170,11 @@ def test_lifted_solution_feasible_for_pared_lp():
     assert sol.validate() == []
     # block variables drawn from the lift satisfy every LP row exactly
     values = {}
-    for mi in built.maximal:
-        for m, x in enumerate(sol.tables[frozenset(built.family.sets[mi])][1]):
-            values[built.offset[mi] + m] = x
+    at = 0
+    for i, width in built.program.blocks:
+        for m, x in enumerate(sol.block_table(built.family.sets[i])[1]):
+            values[at + m] = x
+        at += width
     for coeffs, sense, rhs in built.program.constraints:
         lhs = sum(Fraction(c) * values[j] for j, c in coeffs.items())
         if sense == "==":

@@ -11,9 +11,10 @@ from treecut.errors import BudgetError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, format_instance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
-from treecut.relaxation import (LpProgram, SetFamily, build_full_sa, build_maxcut_lp,
-                                build_sparsestcut_lp, format_lp, full_family,
-                                full_solution_from, ratio_search, subset_from_mask)
+from treecut.relaxation import (LpProgram, SaSolution, SetFamily, build_full_sa,
+                                build_maxcut_lp, build_sparsestcut_lp, format_lp,
+                                full_family, marginal, ratio_search, restrictions,
+                                subset_from_mask)
 from treecut import relaxation, simplex
 
 from _lp_fixtures import build_distortion_lp, parse_lp, unscaled
@@ -105,7 +106,7 @@ def test_pared_lp_single_edge():
     built = build_sparsestcut_lp(inst, dec, 1)
     res = simplex.solve(built.program)
     assert res.objective == Fraction(7, 3)
-    sol = built.solution_from(res.values)
+    sol = SaSolution.read(built.family, built.program.blocks, res.values)
     assert not sol.validate()
     assert sol.y_value(1, 2) == 1
 
@@ -129,6 +130,34 @@ def test_solution_consistency_every_nested_pair():
     inst, dec = g1prime_k3()
     rs = ratio_search(inst, dec)
     assert rs.solution.validate() == []
+
+
+def test_pared_solution_reads_every_set_from_its_blocks():
+    inst = acceptance_corpus(0, 1)[0]
+    sol = ratio_search(inst, balance(exact_decomposition(inst))).solution
+    blocks = list(sol.blocks)
+    assert 1 < len(blocks) < len(sol.family.sets)
+    # each family set's table is the marginal of every block holding it
+    for elems in sol.family.sets:
+        holders = [p for p in blocks if set(elems) <= p]
+        assert holders
+        for p in holders:
+            assert sol.block_table(elems) == (elems, marginal(*sol.blocks[p], elems))
+    with pytest.raises(KeyError):
+        sol.block_table(inst.vertices)
+    # moving mass within a block that shares a set with an earlier block
+    # breaks their agreement on it, and validate names the moved block
+    p, elems = next((p, elems) for i, p in enumerate(blocks) for elems in sol.family.sets
+                    if elems and set(elems) < p and any(set(elems) <= q for q in blocks[:i]))
+    pelems, table = sol.blocks[p]
+    restrict = restrictions(pelems, elems)
+    m1 = next(m for m, x in enumerate(table) if x > 0)
+    m2 = next(m for m in range(len(table)) if restrict[m] != restrict[m1])
+    table = list(table)
+    table[m1], table[m2] = 0, table[m1] + table[m2]
+    problems = SaSolution(sol.family, {**sol.blocks, p: (pelems, table)}).validate()
+    assert problems and {kind for kind, *_ in problems} == {"consistency"}
+    assert any(big == p for _, _, (big, _), _ in problems)
 
 
 def test_triangle_inequality_on_in_family_triples():
@@ -226,7 +255,7 @@ def test_distortion_lp_feasible_for_path_metric():
     res = simplex.solve(prog)
     assert res.status == "optimal"
     family = full_family(range(1, 5), 4)
-    sol = full_solution_from(family, res.values)
+    sol = SaSolution.read(family, prog.blocks, res.values)
     assert sol.validate() == []
     # and an impossible demand: contract by half while expanding is capped
     bad = build_distortion_lp(verts, {(1, 4): Fraction(2)}, 1, Fraction(1), r=4)

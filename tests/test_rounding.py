@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import math
 import random
@@ -10,7 +11,7 @@ from treecut.errors import InputError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, evaluate_cut
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import full_family, full_solution_from, ratio_search
+from treecut.relaxation import SaSolution, full_family, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
 
@@ -34,7 +35,7 @@ def path_metric_solution():
     prog = build_distortion_lp(verts, metric, 1, Fraction(1), r=4)
     res = simplex.solve(prog)
     assert res.optimal
-    sol = full_solution_from(full_family(range(1, 5), 4), res.values)
+    sol = SaSolution.read(full_family(range(1, 5), 4), prog.blocks, res.values)
     dec = TreeDecomposition.build([{1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2)])
     return inst, dec, sol, metric
 
@@ -53,24 +54,19 @@ def test_seed_determinism():
     c = sample_cut(sol, dec, seed=14)
     assert a == b
     sampler = PropagationSampler(sol, dec)
-    r1 = [sampler.sample(random.Random(5)) for _ in range(4)]
-    r2 = [sampler.sample(random.Random(5)) for _ in range(4)]
+    r1 = [sampler.sample_masks(random.Random(5)) for _ in range(4)]
+    r2 = [sampler.sample_masks(random.Random(5)) for _ in range(4)]
     assert r1 == r2
 
 
 def test_fractional_marginals_match_lemma_bounds():
     inst, dec, sol, metric = path_metric_solution()
-    sampler = PropagationSampler(sol, dec)
-    rng = random.Random(0)
     n = 20000
-    sep = {p: 0 for p in metric}
-    for _ in range(n):
-        side = sampler.sample(rng)
-        for u, v in metric:
-            sep[(u, v)] += (u in side) != (v in side)
+    # the embedding's distances are the sampled cuts' separation frequencies
+    emb = embed_l1(sol, dec, n, seed=0)
     for (u, v), d in metric.items():
         y = float(d)  # the distortion LP pins y_uv = d(u,v)
-        emp = sep[(u, v)] / n
+        emp = float(emb.distance(u, v))
         sigma = math.sqrt(y * (1 - y) / n)
         if (u, v) in {(1, 2), (2, 3), (3, 4)}:  # supply edges: exact marginal
             assert abs(emp - y) <= 4 * sigma + 1e-9
@@ -168,6 +164,18 @@ def test_embedding_csv_shape():
     lines = emb.to_csv().strip().split("\n")
     assert len(lines) == 1 + len(inst.vertices)
     assert lines[0].count(",") == 8
+
+
+# sha256 of the CSV of 1000 samples (seed 5) of the path-metric solution,
+# whose sampled cuts differ, recorded while embed_l1 still built a vertex
+# set per sample.
+PATH_METRIC_EMBED_DIGEST = "88922fef3c5dda894fc201f570a31cb759d156f1c8dc0549c4437c0b3437e85f"
+
+
+def test_embedding_csv_matches_recorded_digest():
+    inst, dec, sol, _ = path_metric_solution()
+    csv = embed_l1(sol, dec, 1000, seed=5).to_csv()
+    assert hashlib.sha256(csv.encode()).hexdigest() == PATH_METRIC_EMBED_DIGEST
 
 
 def test_rounding_state_extension_invariant():
