@@ -9,8 +9,8 @@ oracles that check every constructive claim at desk scale.
 from .instance import (Cut, SparsestCutInstance, Sparsity, connected_refinement,
                        evaluate_cut, format_instance, is_admissible, parse_instance)
 from .decomposition import TreeDecomposition, balance, exact_decomposition, validate
-from .relaxation import (LpProgram, SaSolution, SetFamily, build_full_sa,
-                         build_maxcut_lp, build_sparsestcut_lp, ratio_search)
+from .relaxation import (LpProgram, SaSolution, SetFamily, build_maxcut_lp,
+                         build_sparsestcut_lp, ratio_search)
 from .simplex import LpResult, Simplex, solve
 from .rounding import (DerandPotential, Embedding, RoundingState, derandomize,
                        embed_l1, sample_cut, sample_state)

@@ -42,8 +42,7 @@ from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
 from .oracle import exact_maxcut, sparsest_cut_by_elimination
-from .relaxation import (SaSolution, SetFamily, build_maxcut_lp, full_family, mask_of,
-                         subset_from_mask)
+from .relaxation import SaSolution, build_maxcut_lp, subset_from_mask
 from . import simplex
 
 # powered instances up to this many vertices get phi from the oracle
@@ -100,11 +99,10 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     res = simplex.solve(prog)
     if not res.optimal:
         raise InvariantError(f"base MaxCut solve failed: {res.status}")
-    solution = SaSolution.read(full_family(range(1, H.n + 1), rounds_eff), prog.blocks,
-                               res.values)
+    solution = SaSolution.read(prog, res.values)
     problems = solution.validate()
     if problems:
-        raise InputError(f"solution is infeasible: first violation {problems[0]}")
+        raise InvariantError(f"solution is infeasible: first violation {problems[0]}")
     dists = {s: {subset_from_mask(elems, m): x for m, x in enumerate(table)}
              for s, (elems, table) in solution.blocks.items()}
     block, block_dec = building_block(H, include_st_demand=False)
@@ -307,18 +305,6 @@ def lifted_value(ctx: LiftContext) -> LiftedValue:
     if dem <= 0:
         raise InvariantError("lifted solution separates no demand")
     return LiftedValue(cap, dem, cap / dem)
-
-
-def lifted_family_solution(ctx: LiftContext, family: SetFamily) -> SaSolution:
-    """Evaluate the lift on every set of an arbitrary family (for feeding
-    the pared LP's feasibility check)."""
-    tables = {}
-    for elems in family.sets:
-        table = [Fraction(0)] * (1 << len(elems))
-        for sel, p in lift_distribution(ctx, elems).items():
-            table[mask_of(elems, sel)] += p
-        tables[frozenset(elems)] = (elems, table)
-    return SaSolution(family, tables)
 
 
 # ---------------------------------------------------------------------------

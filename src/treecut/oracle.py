@@ -337,23 +337,32 @@ def audit_cuts(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND) -
 
 
 def exact_maxcut(graph, bound: int = DEFAULT_ENUM_BOUND):
-    """Exact MaxCut of an unweighted graph by enumeration.
+    """Exact MaxCut of an unweighted graph, walking the cut classes in
+    Gray-code order.  `graph` needs `.vertices` and `.edges` (pairs).
 
-    `graph` needs `.vertices` and `.edges` (pairs); returns (set, size).
-    """
+    Returns (set, size): the least vertex mask among the maximum cuts that
+    leave the last vertex out."""
     verts = list(graph.vertices)
     n = len(verts)
     if n > bound:
         raise BudgetError(f"maxcut enumeration over {n} vertices exceeds bound {bound}",
                           limit=bound, requested=n)
     index = {v: i for i, v in enumerate(verts)}
-    pairs = [(index[u], index[v]) for u, v in graph.edges]
-    best, best_mask = -1, 0
-    for mask in range(1 << max(n - 1, 0)):
-        size = 0
-        for iu, iv in pairs:
-            size += ((mask >> iu) ^ (mask >> iv)) & 1
-        if size > best:
+    adj = [[] for _ in verts]
+    for u, v in graph.edges:
+        if u != v:  # a loop is never cut
+            adj[index[u]].append(index[v])
+            adj[index[v]].append(index[u])
+    side = [0] * n
+    size = best = mask = best_mask = 0
+    for k in range(1, 1 << max(n - 1, 0)):
+        b = (k & -k).bit_length() - 1
+        s = side[b]
+        side[b] = 1 - s
+        mask ^= 1 << b
+        for v in adj[b]:
+            size += 1 if side[v] == s else -1
+        if size > best or (size == best and mask < best_mask):
             best, best_mask = size, mask
     side = {verts[i] for i in range(n) if (best_mask >> i) & 1}
     return side, best

@@ -7,27 +7,30 @@ masks over a set onto a subset, and every marginal and consistency row is
 built on it.  An LP has no variable names: each set that carries a
 variable block gets a column offset, x(S,T) is the column offset + mask,
 and rows are {column: coefficient} dicts with integer coefficients.
-`format_lp` names column offset + m of set i's block x_i_m.  Two builders
-exist, and `agreement_rows` writes the consistency rows of both, each row
-equating two blocks' marginals on a set:
+`format_lp` names column offset + m of set i's block x_i_m.
 
-* `build_full_sa` emits the complete r-round system (normalization,
-  per-element consistency, nonnegativity) with one block per set, laid
-  out at `SetFamily.offsets`; S agrees with each S + u.
-* `build_sparsestcut_lp` emits the pared system over root-path unions of
-  a balanced decomposition.  Only inclusion-maximal family sets carry
-  variable blocks; every other family set is a marginal of the first
-  block holding it, which agrees on it with each other block holding it.
-  This is a pure presolve: the projection of the feasible region onto
-  the family variables is unchanged.  Family containment is tested on
-  vertex bitmasks.
+Both LPs are one block system over a family (Sherali and Adams, SIAM J.
+Discrete Math. 3, 1990): `lifted_rows` lays out the carrier sets' blocks
+and writes one normalization row per carrier and the `agreement_rows` of
+each tie, equating two blocks' marginals on a set.  They differ only in
+their carriers and ties:
 
-Pair values y_uv are never standalone LP variables; objectives and the
-demand constraint substitute their defining sums directly.  Capacity and
-demand are built once as (scale, {column: int}), the sums times the
-smallest integer scale, which is the form `simplex.Simplex` takes
-objectives in.  A solution, `SaSolution`, is the blocks an LP solved,
-read from its values over `LpProgram.blocks`; any other family set's
+* `build_maxcut_lp` takes the complete r-round system
+  (`every_set_blocks`): every set carries a block; S agrees with each S + u.
+* `build_sparsestcut_lp` takes the pared system over root-path unions of
+  a balanced decomposition (`maximal_blocks`).  Only inclusion-maximal
+  family sets carry blocks; every other family set is a marginal of the
+  first block holding it, which agrees on it with each other block
+  holding it.  This is a pure presolve: the projection of the feasible
+  region onto the family variables is unchanged.  Family containment is
+  tested on vertex bitmasks.
+
+Pair values y_uv are never LP variables: `pair_sum` reads each from the
+first block holding {u, v}, and every objective and the demand row
+substitute those sums, as (scale, {column: int}) with the smallest
+integer scale, the form `simplex.Simplex` takes objectives in.  A
+program carries its family and carriers, so a solution, `SaSolution`, is
+read from the program and its values alone; any other family set's
 table is read on demand as the marginal of the first block holding it.
 """
 
@@ -38,7 +41,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .decomposition import TreeDecomposition, least_bags
 from .errors import BudgetError, InputError, InvariantError
@@ -85,12 +88,6 @@ class SetFamily:
         bit = {v: 1 << i for i, v in enumerate(self.order)}
         return [sum(map(bit.__getitem__, s)) for s in self.sets]
 
-    @cached_property
-    def offsets(self) -> list:
-        """Each set's column offset when every set carries a block, as in
-        the full system."""
-        return list(itertools.accumulate((1 << len(s) for s in self.sets[:-1]), initial=0))
-
     def maximal_indices(self) -> list:
         """Sets in no other set: larger sets come first, and a set in a
         larger one is in a maximal one that came before it."""
@@ -100,9 +97,6 @@ class SetFamily:
             if not any(b & c == b for _, c in found):
                 found.append((i, b))
         return sorted(i for i, _ in found)
-
-    def variable_count(self) -> int:
-        return sum(1 << len(s) for s in self.sets)
 
 
 def subset_from_mask(elems: tuple, mask: int) -> frozenset:
@@ -149,8 +143,10 @@ class LpProgram:
     constraints: list of ({column: coefficient}, sense in {"<=", ">=",
     "=="}, rhs), coefficients and right-hand sides int or Fraction.
     objective: (scale, {column: int}), the objective times a positive
-    integer scale.  blocks: (family index, width) per variable block in
-    column order, which names the columns in `format_lp`.
+    integer scale.  A lifted program also carries the family its columns
+    are over, and blocks: the indices of the family sets that carry a
+    block of 2^|S| columns, in column order.  `SaSolution.read` and
+    `format_lp` read the columns through them.
     """
 
     variables: range
@@ -158,7 +154,15 @@ class LpProgram:
     objective: tuple
     sense: str = "min"
     name: str = "lp"
+    family: Optional[SetFamily] = None
     blocks: tuple = ()
+
+
+def _check_budget(what: str, count: int) -> None:
+    if count > DEFAULT_VARIABLE_BUDGET:
+        raise BudgetError(f"{what} needs {count} variables, budget is "
+                          f"{DEFAULT_VARIABLE_BUDGET}", limit=DEFAULT_VARIABLE_BUDGET,
+                          requested=count)
 
 
 def agreement_rows(elems: tuple, a_elems: tuple, a_at: int, b_elems: tuple, b_at: int) -> list:
@@ -173,76 +177,83 @@ def agreement_rows(elems: tuple, a_elems: tuple, a_at: int, b_elems: tuple, b_at
     return [(row, "==", 0) for row in rows]
 
 
+def lifted_rows(family: SetFamily, carriers, ties) -> tuple:
+    """(offset, rows) of a lifted system.  The carriers, family indices in
+    order, each carry a block of 2^|S| columns, laid out one after another;
+    offset maps each carrier to its first column.  The rows are one
+    normalization row per carrier, then the agreement rows of each tie
+    (set, block a, block b) in order.  They are integer (coefficients 1
+    and -1, right-hand sides 1 and 0), which the simplex takes as they
+    are; nonnegativity is the solver's default."""
+    sets = family.sets
+    offset = dict(zip(carriers, itertools.accumulate((1 << len(sets[c]) for c in carriers),
+                                                     initial=0)))
+    rows = [(dict.fromkeys(range(at, at + (1 << len(sets[c]))), 1), "==", 1)
+            for c, at in offset.items()]
+    for i, a, b in ties:
+        rows += agreement_rows(sets[i], sets[a], offset[a], sets[b], offset[b])
+    return offset, rows
+
+
+def pair_sum(family: SetFamily, offset: dict, edges) -> tuple:
+    """(scale, {column: int}): the sum of w * y_uv over the edges (u, v, w)
+    times the smallest integer scale.  y_uv sums the columns, in mask
+    order, of the first block in `offset` holding {u, v} whose mask has
+    exactly one of u and v."""
+    bits, pos = family.bits, family.pos
+    scale = lcm(1, *(w.denominator for _, _, w in edges))
+    total: dict = {}
+    for u, v, w in edges:
+        c = w.numerator * (scale // w.denominator)
+        b = (1 << pos[u]) | (1 << pos[v])
+        p = next(p for p in offset if b & bits[p] == b)
+        elems = family.sets[p]
+        ui, vi = elems.index(u), elems.index(v)
+        for m in range(1 << len(elems)):
+            if ((m >> ui) ^ (m >> vi)) & 1:
+                total[offset[p] + m] = total.get(offset[p] + m, 0) + c
+    g = gcd(scale, *total.values())
+    return scale // g, {j: c // g for j, c in total.items()}
+
+
 # ---------------------------------------------------------------------------
 # Full r-round system.
 # ---------------------------------------------------------------------------
 
 def full_family(vertices: Iterable, r: int) -> SetFamily:
     order = tuple(vertices)
-    sets = []
-    for k in range(r + 1):
-        sets.extend(itertools.combinations(order, k))
-    return SetFamily.build(order, sets)
+    return SetFamily.build(order, (s for k in range(r + 1)
+                                   for s in itertools.combinations(order, k)))
 
 
-def build_full_sa(n: int, r: int):
-    """Family of all S with |S| <= r over vertices 1..n, plus the
-    normalization and per-element consistency rows.
-
-    Returns (family, constraints); nonnegativity is implicit (the solver
-    keeps every variable >= 0).  The rows are integer (coefficients 1 and
-    -1, right-hand sides 1 and 0), which the simplex takes as they are.
-    """
-    if r > n:
-        raise InputError(f"rounds r={r} exceed vertex count n={n}")
-    count = sum(comb(n, k) * (1 << k) for k in range(r + 1))
-    if count > DEFAULT_VARIABLE_BUDGET:
-        raise BudgetError(f"full {r}-round system needs {count} variables, "
-                          f"budget is {DEFAULT_VARIABLE_BUDGET}",
-                          limit=DEFAULT_VARIABLE_BUDGET, requested=count)
-    family = full_family(range(1, n + 1), r)
-    sidx = {s: i for i, s in enumerate(family.sets)}
-    at = family.offsets
-    constraints = []
-    for i, s in enumerate(family.sets):
-        constraints.append((dict.fromkeys(range(at[i], at[i] + (1 << len(s))), 1), "==", 1))
-    # x(S,T) = x(S+u,T) + x(S+u,T+u) for |S| <= r-1, u not in S
-    for i, s in enumerate(family.sets):
-        if len(s) >= r:
-            continue
-        smem = set(s)
-        for u in family.order:
-            if u in smem:
-                continue
-            big = family.canonical(s + (u,))
-            constraints += agreement_rows(s, s, at[i], big, at[sidx[big]])
-    return family, constraints
-
-
-def _pair_expression(elems: tuple, offset: int, u, v) -> list:
-    """The columns of the block over elems at offset whose sum is y_uv:
-    those with exactly one endpoint, in mask order."""
-    ui, vi = elems.index(u), elems.index(v)
-    return [offset + m for m in range(1 << len(elems)) if ((m >> ui) ^ (m >> vi)) & 1]
+def every_set_blocks(family: SetFamily) -> tuple:
+    """(carriers, ties) of the complete system: every set carries a block,
+    and each set below the largest size agrees on itself with each S + u."""
+    sets = family.sets
+    sidx = {s: i for i, s in enumerate(sets)}
+    r = len(sets[-1])
+    ties = [(i, i, sidx[family.canonical(s + (u,))])
+            for i, s in enumerate(sets) if len(s) < r
+            for u in family.order if u not in s]
+    return range(len(sets)), ties
 
 
 def build_maxcut_lp(graph, r: int) -> LpProgram:
     """Maximize the total y over the graph's edges subject to the full
-    r-round system."""
+    r-round system over its vertices."""
     if r < 2:
         raise InputError(f"the MaxCut LP needs rounds r >= 2 to see edges, got r={r}")
     n = len(graph.vertices)
-    family, constraints = build_full_sa(n, r)
-    relabel = {v: i + 1 for i, v in enumerate(graph.vertices)}
-    sidx = {s: i for i, s in enumerate(family.sets)}
-    objective: dict = {}
-    for u, v in graph.edges:
-        pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        for j in _pair_expression(family.sets[pi], family.offsets[pi], relabel[u], relabel[v]):
-            objective[j] = objective.get(j, 0) + 1
-    blocks = tuple((i, 1 << len(s)) for i, s in enumerate(family.sets))
-    return LpProgram(range(family.variable_count()), constraints, (1, objective),
-                     sense="max", name=f"maxcut_sa_r{r}", blocks=blocks)
+    if r > n:
+        raise InputError(f"rounds r={r} exceed vertex count n={n}")
+    count = sum(comb(n, k) << k for k in range(r + 1))
+    _check_budget(f"full {r}-round system", count)
+    family = full_family(graph.vertices, r)
+    carriers, ties = every_set_blocks(family)
+    offset, constraints = lifted_rows(family, carriers, ties)
+    objective = pair_sum(family, offset, [(u, v, 1) for u, v in graph.edges])
+    return LpProgram(range(count), constraints, objective, sense="max",
+                     name=f"maxcut_sa_r{r}", family=family, blocks=tuple(carriers))
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +262,10 @@ def build_maxcut_lp(graph, r: int) -> LpProgram:
 
 @dataclass
 class SparsestCutLp:
-    """The pared program, its family and the objectives the search carries."""
+    """The pared program (capacity its objective) and its demand objective."""
 
     program: LpProgram
-    family: SetFamily
-    cap_expr: tuple  # (scale, {column: int}): capacity times scale
     dem_expr: tuple  # (scale, {column: int}): demand times scale
-    instance: SparsestCutInstance
 
 
 def _numerators(values: list) -> tuple:
@@ -283,15 +291,14 @@ class SaSolution:
     _marginals: dict = field(default_factory=dict, repr=False)
 
     @classmethod
-    def read(cls, family: SetFamily, blocks, values: list) -> "SaSolution":
-        """The solution whose blocks are an LP's columns: blocks lists
-        (family index, width) in column order, as `LpProgram.blocks` does."""
+    def read(cls, program: LpProgram, values: list) -> "SaSolution":
+        """The solution whose blocks are a lifted program's columns."""
         out, at = {}, 0
-        for i, width in blocks:
-            elems = family.sets[i]
-            out[frozenset(elems)] = (elems, values[at:at + width])
-            at += width
-        return cls(family, out)
+        for i in program.blocks:
+            elems = program.family.sets[i]
+            out[frozenset(elems)] = (elems, values[at:at + (1 << len(elems))])
+            at += 1 << len(elems)
+        return cls(program.family, out)
 
     def y_value(self, u, v) -> Fraction:
         table = self.block_table((u, v))[1]
@@ -374,75 +381,43 @@ def pared_family(instance: SparsestCutInstance, dec: TreeDecomposition):
     return SetFamily.build(order, sets)
 
 
-def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
-                         alpha, include_demand_constraint: bool = True) -> SparsestCutLp:
-    """Pared LP: minimize cut capacity subject to separated demand >= alpha.
-
-    Maximal family sets carry the variable blocks; nested family sets are
-    marginals.  Agreement rows tie any two blocks together on the largest
-    family sets they share, which implies the aggregated consistency
-    (Lemma-style) equalities for every nested family pair.
-    """
-    alpha = as_weight(alpha)
-    family = pared_family(instance, dec)
-    sets, bits = family.sets, family.bits
+def maximal_blocks(family: SetFamily) -> tuple:
+    """(carriers, ties) of the pared system: the inclusion-maximal sets
+    carry blocks.  A family set is tied when it lies in several blocks and
+    no larger family set lies in the same blocks: the first block holding
+    it agrees on it with each other one.  These ties imply the aggregated
+    consistency equalities for every nested family pair."""
+    bits = family.bits
     maximal = family.maximal_indices()
-    offset, ncols = {}, 0
-    for mi in maximal:
-        offset[mi] = ncols
-        ncols += 1 << len(sets[mi])
-    if ncols > DEFAULT_VARIABLE_BUDGET:
-        raise BudgetError(f"pared system needs {ncols} variables, budget is "
-                          f"{DEFAULT_VARIABLE_BUDGET}", limit=DEFAULT_VARIABLE_BUDGET,
-                          requested=ncols)
-
     parents = [[mi for mi in maximal if b & bits[mi] == b] for b in bits]
-
-    # The rows are integer (coefficients 1 and -1, right-hand sides 1 and
-    # 0), which the simplex takes as they are.
-    constraints = [(dict.fromkeys(range(offset[mi], offset[mi] + (1 << len(sets[mi]))), 1),
-                    "==", 1) for mi in maximal]
-
-    # Agreement rows.  A family set S needs them when it lies in several
-    # blocks and no larger family set lies in the same blocks.
     alike: dict = {}  # parent blocks -> the sets in exactly those blocks
     for b, ps in zip(bits, parents):
         alike.setdefault(tuple(ps), []).append(b)
-    for i, b in enumerate(bits):
-        ps = parents[i]
-        if len(ps) < 2 or any(b != c and b & c == b for c in alike[tuple(ps)]):
-            continue
-        first = ps[0]
-        for other in ps[1:]:
-            constraints += agreement_rows(sets[i], sets[first], offset[first],
-                                          sets[other], offset[other])
+    ties = []
+    for i, (b, ps) in enumerate(zip(bits, parents)):
+        if len(ps) > 1 and not any(b != c and b & c == b for c in alike[tuple(ps)]):
+            ties += [(i, ps[0], other) for other in ps[1:]]
+    return maximal, ties
 
-    sidx = {s: i for i, s in enumerate(sets)}
 
-    def pair_sum(edges) -> tuple:
-        """(scale, {column: int}): the sum of w * y_uv over the edges times
-        the smallest integer scale."""
-        scale = lcm(1, *(w.denominator for _, _, w in edges))
-        total: dict = {}
-        for u, v, w in edges:
-            c = w.numerator * (scale // w.denominator)
-            p = parents[sidx[family.canonical((u, v))]][0]
-            for j in _pair_expression(sets[p], offset[p], u, v):
-                total[j] = total.get(j, 0) + c
-        g = gcd(scale, *total.values())
-        return scale // g, {j: c // g for j, c in total.items()}
-
-    cap_expr = pair_sum(instance.supply_edges)
-    dem_expr = pair_sum(instance.demand_edges)
-
-    if include_demand_constraint:  # in rationals, as the LP text prints it
+def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
+                         alpha=None) -> SparsestCutLp:
+    """Pared LP: minimize cut capacity, subject to separated demand >= alpha
+    when alpha is given."""
+    family = pared_family(instance, dec)
+    carriers, ties = maximal_blocks(family)
+    count = sum(1 << len(family.sets[c]) for c in carriers)
+    _check_budget("pared system", count)
+    offset, constraints = lifted_rows(family, carriers, ties)
+    cap_expr = pair_sum(family, offset, instance.supply_edges)
+    dem_expr = pair_sum(family, offset, instance.demand_edges)
+    if alpha is not None:  # in rationals, as the LP text prints it
         scale, dem = dem_expr
-        constraints.append(({j: Fraction(c, scale) for j, c in dem.items()}, ">=", alpha))
-
-    program = LpProgram(range(ncols), constraints, cap_expr, sense="min",
-                        name="sparsest_cut_pared",
-                        blocks=tuple((mi, 1 << len(sets[mi])) for mi in maximal))
-    return SparsestCutLp(program, family, cap_expr, dem_expr, instance)
+        constraints.append(({j: Fraction(c, scale) for j, c in dem.items()}, ">=",
+                            as_weight(alpha)))
+    program = LpProgram(range(count), constraints, cap_expr, sense="min",
+                        name="sparsest_cut_pared", family=family, blocks=tuple(carriers))
+    return SparsestCutLp(program, dem_expr)
 
 
 # ---------------------------------------------------------------------------
@@ -478,8 +453,9 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
-    built = build_sparsestcut_lp(instance, dec, 0, include_demand_constraint=False)
-    solver = simplex.Simplex(built.program, objectives=(built.cap_expr, built.dem_expr))
+    built = build_sparsestcut_lp(instance, dec)
+    objectives = (built.program.objective, built.dem_expr)
+    solver = simplex.Simplex(built.program, objectives=objectives)
     _certified(solver.solve(), "feasibility")
     res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
 
@@ -490,11 +466,11 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
     def values_of(values):  # integer dot products over the values' lcm denominator
         den, nums = _numerators(values)
         return tuple(Fraction(sum(c * nums[j] for j, c in ints.items()), scale * den)
-                     for scale, ints in (built.cap_expr, built.dem_expr))
+                     for scale, ints in objectives)
 
     values, trace = dinkelbach(minimize, values_of, res.values)
     lam, cap, dem = trace[-1]
-    solution = SaSolution.read(built.family, built.program.blocks, values)
+    solution = SaSolution.read(built.program, values)
     return RatioSearchResult(dem, solution, cap, lam, len(trace), trace)
 
 
@@ -503,9 +479,10 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
 # ---------------------------------------------------------------------------
 
 def format_lp(program: LpProgram) -> str:
-    """Column offset + m of block (i, width) is named x_i_m; a program
-    without blocks names column j xj."""
-    names = ([f"x_{i}_{m}" for i, width in program.blocks for m in range(width)]
+    """Column offset + m of the block of family set i is named x_i_m; a
+    program without blocks names column j xj."""
+    names = ([f"x_{i}_{m}" for i in program.blocks
+              for m in range(1 << len(program.family.sets[i]))]
              or [f"x{j}" for j in program.variables])
 
     def body(coeffs: dict, scale=1) -> str:

@@ -8,7 +8,8 @@ from math import lcm
 
 from treecut.errors import InputError
 from treecut.instance import as_weight
-from treecut.relaxation import LpProgram, _pair_expression, build_full_sa
+from treecut.relaxation import (LpProgram, every_set_blocks, full_family, lifted_rows,
+                                pair_sum)
 
 
 def scaled(coeffs: dict) -> tuple:
@@ -38,24 +39,21 @@ def named_program(names, constraints, objective: dict, sense="min", name="lp") -
 def build_distortion_lp(vertices, metric: dict, distortion, scale,
                         r: int) -> LpProgram:
     """Feasibility system for a distortion-D cut embedding of a metric:
-    the full r-round system plus scale*d <= y <= D*scale*d per pair."""
-    verts = list(vertices)
-    n = len(verts)
-    family, constraints = build_full_sa(n, r)
-    relabel = {v: i + 1 for i, v in enumerate(verts)}
-    sidx = {s: i for i, s in enumerate(family.sets)}
+    the full r-round system over the vertices plus scale*d <= y <= D*scale*d
+    per pair."""
+    family = full_family(vertices, r)
+    carriers, ties = every_set_blocks(family)
+    offset, constraints = lifted_rows(family, carriers, ties)
     D = as_weight(distortion)
     C = as_weight(scale)
     for (u, v), d in metric.items():
         d = as_weight(d)
-        pi = sidx[family.canonical((relabel[u], relabel[v]))]
-        expr = dict.fromkeys(_pair_expression(family.sets[pi], family.offsets[pi],
-                                              relabel[u], relabel[v]), 1)
+        _, expr = pair_sum(family, offset, [(u, v, 1)])
         constraints.append((dict(expr), ">=", C * d))
         constraints.append((dict(expr), "<=", D * C * d))
-    blocks = tuple((i, 1 << len(s)) for i, s in enumerate(family.sets))
-    return LpProgram(range(family.variable_count()), constraints, (1, {}), sense="min",
-                     name=f"distortion_{distortion}", blocks=blocks)
+    ncols = sum(1 << len(s) for s in family.sets)
+    return LpProgram(range(ncols), constraints, (1, {}), sense="min",
+                     name=f"distortion_{distortion}", family=family, blocks=tuple(carriers))
 
 
 def parse_lp(text: str) -> LpProgram:

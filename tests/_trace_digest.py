@@ -1,11 +1,17 @@
 """Digests of what the pipeline computes, over the acceptance corpus and
 three fractals: the exact derandomization potential traces and the pared
-LPs' shape totals.
+LPs' shape totals; and the text of the full Sherali-Adams MaxCut LPs the
+gap table solves.
 
 Run as a script, it prints the potential-trace digest; it needs only the
 standard library and `treecut` on the path:
 
     PYTHONPATH=src python tests/_trace_digest.py
+
+and the MaxCut LP text digest by
+
+    PYTHONPATH=src:tests python -c \
+        'import _trace_digest; print(_trace_digest.maxcut_lp_text_digest())'
 """
 
 import hashlib
@@ -19,11 +25,14 @@ from treecut.decomposition import (balance, exact_decomposition,  # noqa: E402
                                    format_decomposition, parse_decomposition)
 from treecut.generators import MaxCutInstance, building_block, power  # noqa: E402
 from treecut.instance import format_instance, parse_instance  # noqa: E402
-from treecut.relaxation import build_sparsestcut_lp  # noqa: E402
+from treecut.relaxation import build_maxcut_lp, build_sparsestcut_lp, format_lp  # noqa: E402
 
 from corpus import acceptance_corpus  # noqa: E402
 
 FRACTAL_BASES = ("p3", "k3", "k4")
+# the nine gap-table (base, rounds) configurations, in this order
+MAXCUT_CONFIGS = [("p3", 2), ("p3", 3), ("k3", 2), ("k3", 3), ("k4", 2),
+                  ("k5", 2), ("k5", 3), ("c5", 2), ("c5", 3)]
 
 
 def fractal(base: str):
@@ -54,11 +63,19 @@ def pared_lp_shape_totals() -> tuple:
     rows = cols = nonzeros = 0
     for inst in acceptance_corpus(0, 100):
         dec = balance(exact_decomposition(inst))
-        program = build_sparsestcut_lp(inst, dec, 0, include_demand_constraint=False).program
+        program = build_sparsestcut_lp(inst, dec).program
         rows += len(program.constraints)
         cols += len(program.variables)
         nonzeros += sum(len(coeffs) for coeffs, _, _ in program.constraints)
     return rows, cols, nonzeros
+
+
+def maxcut_lp_text_digest() -> str:
+    """sha256 of `format_lp(build_maxcut_lp(H, r))` over MAXCUT_CONFIGS."""
+    h = hashlib.sha256()
+    for name, rounds in MAXCUT_CONFIGS:
+        h.update(format_lp(build_maxcut_lp(MaxCutInstance.named(name), rounds)).encode())
+    return h.hexdigest()
 
 
 if __name__ == "__main__":

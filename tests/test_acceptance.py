@@ -338,7 +338,7 @@ def test_criterion_7_total_capacity_as_pinned():
 
 def test_criterion_8_lift():
     t0 = time.monotonic()
-    from treecut.relaxation import SaSolution, build_maxcut_lp, full_family, subset_from_mask
+    from treecut.relaxation import SaSolution, build_maxcut_lp, subset_from_mask
 
     ok = True
     # the base distributions are the solved x(S,T), D_S(T) = x(S,T)
@@ -346,7 +346,7 @@ def test_criterion_8_lift():
         H = MaxCutInstance.named(name)
         prog = build_maxcut_lp(H, 3)
         res = simplex.solve(prog)
-        sol = SaSolution.read(full_family(range(1, H.n + 1), 3), prog.blocks, res.values)
+        sol = SaSolution.read(prog, res.values)
         ok &= sol.validate() == []
         dists = make_lift_context(H, 3, 2).base_dists
         ok &= all(dists[S][subset_from_mask(elems, m)] == x

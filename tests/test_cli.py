@@ -211,6 +211,30 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     assert "budget refusal" in err
 
 
+def test_infeasible_base_solve_is_an_invariant_fault(monkeypatch, capsys):
+    # the base MaxCut LP comes from our own simplex, so a solution that
+    # fails validation is an internal fault (exit 4), not an input error
+    from treecut import simplex
+    solve = simplex.solve
+
+    def off_by_one(program):
+        res = solve(program)
+        res.values[0] += 1
+        return res
+
+    monkeypatch.setattr(simplex, "solve", off_by_one)
+    code, _, err = run(capsys, "gap", "--base", "p3")
+    assert code == 4
+    assert err.startswith("internal invariant violated: solution is infeasible"), err
+
+
+# the whole message of the one refusal both column budgets share
+COLUMN_REFUSALS = {
+    "pared_columns_c5_levels_3": "pared system needs 392320 variables, budget is 300000",
+    "full_columns_k30_rounds_5": "full 5-round system needs 5032953 variables, budget is 300000",
+}
+
+
 @pytest.mark.parametrize("argv, code", [
     # 6^6000 supply edges, refused without computing the power
     (["gen", "power", "--maxcut", "p3", "--levels", "6000"], 3),
@@ -237,22 +261,31 @@ def test_exit_code_budget_refusal(tmp_path, capsys):
     # of 5000 digits
     (["solve", "{tmp}/coprime.ssc"], 2),
     (["oracle", "{tmp}/coprime.ssc"], 2),
+    # the pared LP of the c5 levels-3 fractal, through its .td
+    (["solve", "{tmp}/c5.ssc", "--decomposition", "{tmp}/c5.td"], 3),
+    # the full 5-round system over K30, refused before its family is built
+    (["gap", "--base", "k30", "--rounds", "5"], 3),
 ], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
         "ssc_header_1e12", "ulc_labels_1e6", "random_ulc_gadget_vertices_1e9",
         "ulc_sidecar_labelings", "gadget_edges", "embed_samples_1e9",
         "gadget_alpha_1e100000000", "ssc_weight_1e5000", "ssc_denominators_solve",
-        "ssc_denominators_oracle"])
-def test_budget_refusals_never_show_a_traceback(argv, code, tmp_path, capsys):
+        "ssc_denominators_oracle", "pared_columns_c5_levels_3", "full_columns_k30_rounds_5"])
+def test_budget_refusals_never_show_a_traceback(argv, code, tmp_path, capsys, request):
     (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
     (tmp_path / "pair.ssc").write_text("p ssc 2\ne 1 2 1\nd 1 2 1\n")
     (tmp_path / "wide.ssc").write_text("p ssc 2\ne 1 2 1e5000\nd 1 2 1\n")
     (tmp_path / "coprime.ssc").write_text("p ssc 3\n" + "".join(
         f"e {1 + k // 5} {2 + k // 5} 1/{10**998 + k + 1}\n" for k in range(10)) + "d 1 3 1\n")
+    if "{tmp}/c5.ssc" in argv:
+        run(capsys, "gen", "power", "--maxcut", "c5", "--levels", "3",
+            "-o", str(tmp_path / "c5.ssc"), "--td-out", str(tmp_path / "c5.td"))
     argv = [a.format(tmp=tmp_path) for a in argv] + ["-o", str(tmp_path / "out")]
     got, _, err = run(capsys, *argv)
     prefix = {3: "budget refusal: ", 2: "input error: "}[code]
     assert got == code and err.startswith(prefix), err
     assert not (tmp_path / "out").exists()
+    says = COLUMN_REFUSALS.get(request.node.callspec.id)
+    assert says is None or err == prefix + says + "\n", err
 
 
 @pytest.mark.parametrize("command", ["solve", "oracle", "round", "verify"])

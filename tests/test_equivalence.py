@@ -15,16 +15,16 @@ from fractions import Fraction
 
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.instance import SparsestCutInstance
-from treecut.relaxation import SaSolution, build_sparsestcut_lp, full_family, ratio_search
+from treecut.relaxation import SaSolution, build_sparsestcut_lp, ratio_search
 from treecut.rounding import _Derandomizer
 from treecut import simplex
 
 from _lp_fixtures import build_distortion_lp, named_program
 
 
-def literal_program(built, alpha):
+def literal_program(built, inst, alpha):
     """The unreduced system over the same family."""
-    family = built.family
+    family = built.program.family
     fsets = family.frozensets()
     variables = []
     constraints = []
@@ -63,7 +63,6 @@ def literal_program(built, alpha):
 
     objective = {}
     dem_row = {}
-    inst = built.instance
     for u, v, w in inst.supply_edges:
         for k, c in pair_terms(u, v, Fraction(w)).items():
             objective[k] = objective.get(k, Fraction(0)) + c
@@ -92,21 +91,23 @@ def test_pared_lp_matches_literal_emission():
         alpha = Fraction(1, 2)
         built = build_sparsestcut_lp(inst, dec, alpha)
         reduced = simplex.solve(built.program)
-        literal = simplex.solve(literal_program(built, alpha))
+        literal = simplex.solve(literal_program(built, inst, alpha))
         assert reduced.status == literal.status == "optimal"
         assert reduced.objective == literal.objective
 
         # the materialized reduced solution satisfies the literal system
-        sol = SaSolution.read(built.family, built.program.blocks, reduced.values)
+        sol = SaSolution.read(built.program, reduced.values)
+        family = built.program.family
         # the literal program's columns are ("f", i, m) in (i, m) order
-        lit_values = [x for elems in built.family.sets for x in sol.block_table(elems)[1]]
+        lit_values = [x for elems in family.sets for x in sol.block_table(elems)[1]]
         # and every block's table is its LP variables, read back unchanged
         at = 0
-        for i, width in built.program.blocks:
-            elems = built.family.sets[i]
+        for i in built.program.blocks:
+            elems = family.sets[i]
+            width = 1 << len(elems)
             assert sol.block_table(elems) == (elems, reduced.values[at:at + width])
             at += width
-        prog = literal_program(built, alpha)
+        prog = literal_program(built, inst, alpha)
         for coeffs, sense, rhs in prog.constraints:
             lhs = sum(c * lit_values[k] for k, c in coeffs.items())
             if sense == "==":
@@ -168,7 +169,7 @@ def star_solution():
     prog = build_distortion_lp(verts, metric, 1, Fraction(1), r=4)
     res = simplex.solve(prog)
     assert res.optimal
-    sol = SaSolution.read(full_family(range(1, 5), 4), prog.blocks, res.values)
+    sol = SaSolution.read(prog, res.values)
     dec = TreeDecomposition.build([{1, 2}, {1, 3}, {1, 4}], [(0, 1), (0, 2)])
     return inst, dec, sol
 

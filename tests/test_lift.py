@@ -10,8 +10,7 @@ from treecut import lift
 from treecut.decomposition import balance
 from treecut.errors import InputError, InvariantError
 from treecut.generators import MaxCutInstance
-from treecut.lift import (gap_experiment, lift_distribution,
-                          lift_pair_value, lifted_family_solution, lifted_value,
+from treecut.lift import (gap_experiment, lift_distribution, lift_pair_value, lifted_value,
                           make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp, build_sparsestcut_lp,
                                 full_family, mask_of, subset_from_mask)
@@ -21,7 +20,19 @@ from treecut import simplex
 def solved_maxcut_solution(H, r):
     prog = build_maxcut_lp(H, r)
     res = simplex.solve(prog)
-    return SaSolution.read(full_family(range(1, H.n + 1), r), prog.blocks, res.values)
+    return SaSolution.read(prog, res.values)
+
+
+def lifted_family_solution(ctx, family):
+    """The lift evaluated on every set of a family, as an SaSolution whose
+    every set is a block."""
+    tables = {}
+    for elems in family.sets:
+        table = [Fraction(0)] * (1 << len(elems))
+        for sel, p in lift_distribution(ctx, elems).items():
+            table[mask_of(elems, sel)] += p
+        tables[frozenset(elems)] = (elems, table)
+    return SaSolution(family, tables)
 
 
 def integral_solution(n, side):
@@ -166,15 +177,11 @@ def test_lifted_solution_feasible_for_pared_lp():
     dec = balance(powered.decomposition)
     lv = lifted_value(ctx)
     built = build_sparsestcut_lp(powered.instance, dec, lv.demand_value)
-    sol = lifted_family_solution(ctx, built.family)
+    family = built.program.family
+    sol = lifted_family_solution(ctx, family)
     assert sol.validate() == []
     # block variables drawn from the lift satisfy every LP row exactly
-    values = {}
-    at = 0
-    for i, width in built.program.blocks:
-        for m, x in enumerate(sol.block_table(built.family.sets[i])[1]):
-            values[at + m] = x
-        at += width
+    values = [x for i in built.program.blocks for x in sol.block_table(family.sets[i])[1]]
     for coeffs, sense, rhs in built.program.constraints:
         lhs = sum(Fraction(c) * values[j] for j, c in coeffs.items())
         if sense == "==":

@@ -46,6 +46,35 @@ def test_maxcut_budget():
         exact_maxcut(complete(27))
 
 
+def reference_maxcut(graph):
+    """Every cut class evaluated edge by edge, the first maximum kept: the
+    masks over all vertices but the last, in increasing order."""
+    verts = list(graph.vertices)
+    n = len(verts)
+    index = {v: i for i, v in enumerate(verts)}
+    pairs = [(index[u], index[v]) for u, v in graph.edges]
+    best, best_mask = -1, 0
+    for mask in range(1 << max(n - 1, 0)):
+        size = 0
+        for iu, iv in pairs:
+            size += ((mask >> iu) ^ (mask >> iv)) & 1
+        if size > best:
+            best, best_mask = size, mask
+    return {verts[i] for i in range(n) if (best_mask >> i) & 1}, best
+
+
+def test_maxcut_gray_walk_matches_reference():
+    # multigraphs with parallel edges over shuffled labels, connected or not
+    rng = random.Random(11)
+    for _ in range(300):
+        n = rng.randint(1, 9)
+        verts = rng.sample(range(1, 20), n)
+        m = rng.randint(0, 3 * n) if n > 1 else 0
+        edges = [tuple(rng.sample(verts, 2)) for _ in range(m)]
+        graph = Graph(tuple(verts), tuple(edges))
+        assert exact_maxcut(graph) == reference_maxcut(graph)
+
+
 def test_sparsest_cut_single_edge():
     inst = SparsestCutInstance.build([1, 2], [(1, 2, Fraction(3, 7))], [(1, 2, 1)])
     cut, sp = exact_sparsest_cut(inst)

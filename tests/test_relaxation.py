@@ -11,13 +11,13 @@ from treecut.errors import BudgetError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, format_instance
 from treecut.oracle import exact_maxcut, exact_sparsest_cut
-from treecut.relaxation import (LpProgram, SaSolution, SetFamily, build_full_sa,
-                                build_maxcut_lp, build_sparsestcut_lp, format_lp,
-                                full_family, marginal, ratio_search, restrictions,
-                                subset_from_mask)
+from treecut.relaxation import (SaSolution, SetFamily, build_maxcut_lp,
+                                build_sparsestcut_lp, format_lp, marginal, ratio_search,
+                                restrictions, subset_from_mask)
 from treecut import relaxation, simplex
 
 from _lp_fixtures import build_distortion_lp, parse_lp, unscaled
+from _trace_digest import MAXCUT_CONFIGS, maxcut_lp_text_digest
 from _reference_simplex import reference_solve
 from corpus import acceptance_corpus
 
@@ -35,53 +35,60 @@ def constraints_satisfied(constraints, values):
     return True
 
 
+def full_sa(n, r):
+    """The full r-round system over vertices 1..n, as the MaxCut LP of K_n
+    carries it."""
+    return build_maxcut_lp(MaxCutInstance.complete(n), r)
+
+
 def test_full_sa_variable_count_n2_r2():
-    family, constraints = build_full_sa(2, 2)
-    assert family.variable_count() == 9  # x(emptyset,.) + two singletons + the pair
+    prog = full_sa(2, 2)
+    assert len(prog.variables) == 9  # x(emptyset,.) + two singletons + the pair
+    assert prog.blocks == (0, 1, 2, 3)  # every set carries a block
 
 
 def test_full_sa_empty_set_forced_to_one():
-    family, constraints = build_full_sa(2, 2)
-    prog = LpProgram(range(family.variable_count()), constraints, (1, {}), "min")
+    prog = full_sa(2, 2)
     res = simplex.solve(prog)
     assert res.optimal
-    empty_idx = family.sets.index(())
-    assert res.values[family.offsets[empty_idx]] == 1
+    assert res.values[0] == 1  # the empty set's block comes first
+    assert SaSolution.read(prog, res.values).block_table(())[1] == [1]
 
 
 def test_full_sa_uniform_point_is_feasible():
-    family, constraints = build_full_sa(4, 2)
-    values = [Fraction(1, 1 << len(s)) for s in family.sets for m in range(1 << len(s))]
-    assert constraints_satisfied(constraints, values)
+    prog = full_sa(4, 2)
+    values = [Fraction(1, 1 << len(s)) for s in prog.family.sets for m in range(1 << len(s))]
+    assert constraints_satisfied(prog.constraints, values)
 
 
 def test_full_sa_budget_error():
     # 22,600,737 variables, refused before any set is built
     with pytest.raises(BudgetError) as exc:
-        build_full_sa(40, 5)
+        full_sa(40, 5)
     assert exc.value.requested == 22_600_737
     assert exc.value.limit == relaxation.DEFAULT_VARIABLE_BUDGET
+    assert str(exc.value) == "full 5-round system needs 22600737 variables, budget is 300000"
 
 
 def test_full_sa_rejects_r_over_n():
     from treecut.errors import InputError
     with pytest.raises(InputError):
-        build_full_sa(2, 3)
+        full_sa(2, 3)
 
 
 def test_integral_cuts_feasible_at_full_rounds():
     # every 0/1 indicator valuation x(S,T) = [A cap S == T] satisfies the system
     for n in (2, 3, 4):
-        family, constraints = build_full_sa(n, n)
+        prog = full_sa(n, n)
         for bits in range(1 << n):
             side = {v for v in range(1, n + 1) if (bits >> (v - 1)) & 1}
             values = []
-            for s in family.sets:
+            for s in prog.family.sets:
                 inter = frozenset(s) & side
                 for m in range(1 << len(s)):
                     t = subset_from_mask(s, m)
                     values.append(Fraction(1 if t == inter else 0))
-            assert constraints_satisfied(constraints, values)
+            assert constraints_satisfied(prog.constraints, values)
 
 
 def test_maxcut_lp_values():
@@ -106,7 +113,7 @@ def test_pared_lp_single_edge():
     built = build_sparsestcut_lp(inst, dec, 1)
     res = simplex.solve(built.program)
     assert res.objective == Fraction(7, 3)
-    sol = SaSolution.read(built.family, built.program.blocks, res.values)
+    sol = SaSolution.read(built.program, res.values)
     assert not sol.validate()
     assert sol.y_value(1, 2) == 1
 
@@ -254,8 +261,7 @@ def test_distortion_lp_feasible_for_path_metric():
     prog = build_distortion_lp(verts, metric, 1, Fraction(1), r=4)
     res = simplex.solve(prog)
     assert res.status == "optimal"
-    family = full_family(range(1, 5), 4)
-    sol = SaSolution.read(family, prog.blocks, res.values)
+    sol = SaSolution.read(prog, res.values)
     assert sol.validate() == []
     # and an impossible demand: contract by half while expanding is capped
     bad = build_distortion_lp(verts, {(1, 4): Fraction(2)}, 1, Fraction(1), r=4)
@@ -281,7 +287,7 @@ def test_lp_text_matches_recorded_digests(tmp_path, capsys):
     digests = {name: hashlib.sha256() for name in LP_TEXT_DIGESTS}
     for i, inst in enumerate(acceptance_corpus(0, 20)):
         dec = balance(exact_decomposition(inst))
-        built = build_sparsestcut_lp(inst, dec, 0, include_demand_constraint=False)
+        built = build_sparsestcut_lp(inst, dec)
         digests["without_demand_row"].update(format_lp(built.program).encode())
         built = build_sparsestcut_lp(inst, dec, inst.total_demand / 3)
         digests["with_demand_row"].update(format_lp(built.program).encode())
@@ -294,21 +300,15 @@ def test_lp_text_matches_recorded_digests(tmp_path, capsys):
 
 
 # sha256 of `format_lp(build_maxcut_lp(H, r))` over the nine gap-table
-# (base, rounds) configurations, in this order, recorded while the full
-# Sherali-Adams rows still carried Fraction coefficients; and the pivots
-# their solves make in total.
-MAXCUT_CONFIGS = [("p3", 2), ("p3", 3), ("k3", 2), ("k3", 3), ("k4", 2),
-                  ("k5", 2), ("k5", 3), ("c5", 2), ("c5", 3)]
+# (base, rounds) configurations (`_trace_digest.maxcut_lp_text_digest`),
+# recorded while the full Sherali-Adams rows still carried Fraction
+# coefficients; and the pivots their solves make in total.
 MAXCUT_LP_TEXT_DIGEST = "3c5d38b103d5e49fbae03d660fee6df0b2a73732ff191315dcac9b4d038e3e45"
 MAXCUT_LP_PIVOTS = 599
 
 
 def test_maxcut_lp_text_matches_recorded_digest():
-    h = hashlib.sha256()
-    pivots = 0
-    for name, rounds in MAXCUT_CONFIGS:
-        prog = build_maxcut_lp(MaxCutInstance.named(name), rounds)
-        h.update(format_lp(prog).encode())
-        pivots += simplex.solve(prog).pivots
-    assert h.hexdigest() == MAXCUT_LP_TEXT_DIGEST
+    assert maxcut_lp_text_digest() == MAXCUT_LP_TEXT_DIGEST
+    pivots = sum(simplex.solve(build_maxcut_lp(MaxCutInstance.named(name), rounds)).pivots
+                 for name, rounds in MAXCUT_CONFIGS)
     assert pivots == MAXCUT_LP_PIVOTS

@@ -11,7 +11,7 @@ from treecut.errors import InputError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, evaluate_cut
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import SaSolution, full_family, ratio_search
+from treecut.relaxation import SaSolution, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
 
@@ -35,7 +35,7 @@ def path_metric_solution():
     prog = build_distortion_lp(verts, metric, 1, Fraction(1), r=4)
     res = simplex.solve(prog)
     assert res.optimal
-    sol = SaSolution.read(full_family(range(1, 5), 4), prog.blocks, res.values)
+    sol = SaSolution.read(prog, res.values)
     dec = TreeDecomposition.build([{1, 2}, {2, 3}, {3, 4}], [(0, 1), (1, 2)])
     return inst, dec, sol, metric
 

@@ -249,8 +249,7 @@ def corpus_programs():
     """
     out = []
     for inst in acceptance_corpus(0, 20):
-        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)), 0,
-                                     include_demand_constraint=False)
+        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)))
         out.append((built.program, unscaled(built.dem_expr), "max"))
     sa = build_maxcut_lp(MaxCutInstance.named("c5"), 2)
     weighted = {j: (k % 3 + 1) * c for k, (j, c) in enumerate(unscaled(sa.objective).items())}
