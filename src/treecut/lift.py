@@ -41,7 +41,7 @@ from typing import Optional
 from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
-from .oracle import exact_maxcut, sparsest_cut_by_elimination
+from .oracle import check_maxcut_bound, exact_maxcut, sparsest_cut_by_elimination
 from .relaxation import SaSolution, build_maxcut_lp, subset_from_mask
 from . import simplex
 
@@ -369,6 +369,7 @@ def gap_experiment(H: MaxCutInstance, rounds: int, levels: int,
     bookkeeping is right.  Powered instances of at most ENUMERATE_BOUND
     vertices also get their exact optimum phi from the elimination oracle.
     """
+    check_maxcut_bound(H.n)  # before the base LP is solved
     ctx = make_lift_context(H, rounds, levels)
     _, mc = exact_maxcut(H)
     m = H.m

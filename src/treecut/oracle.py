@@ -336,6 +336,13 @@ def audit_cuts(instance: SparsestCutInstance, bound: int = DEFAULT_ENUM_BOUND) -
     return _enumerate_extrema(instance, bound)
 
 
+def check_maxcut_bound(n: int, bound: int = DEFAULT_ENUM_BOUND) -> None:
+    """Refuse an exact MaxCut over n vertices above bound, before any work."""
+    if n > bound:
+        raise BudgetError(f"maxcut enumeration over {n} vertices exceeds bound {bound}",
+                          limit=bound, requested=n)
+
+
 def exact_maxcut(graph, bound: int = DEFAULT_ENUM_BOUND):
     """Exact MaxCut of an unweighted graph, walking the cut classes in
     Gray-code order.  `graph` needs `.vertices` and `.edges` (pairs).
@@ -344,9 +351,7 @@ def exact_maxcut(graph, bound: int = DEFAULT_ENUM_BOUND):
     leave the last vertex out."""
     verts = list(graph.vertices)
     n = len(verts)
-    if n > bound:
-        raise BudgetError(f"maxcut enumeration over {n} vertices exceeds bound {bound}",
-                          limit=bound, requested=n)
+    check_maxcut_bound(n, bound)
     index = {v: i for i, v in enumerate(verts)}
     adj = [[] for _ in verts]
     for u, v in graph.edges:

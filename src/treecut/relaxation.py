@@ -103,14 +103,6 @@ def subset_from_mask(elems: tuple, mask: int) -> frozenset:
     return frozenset(elems[b] for b in range(len(elems)) if (mask >> b) & 1)
 
 
-def mask_of(elems: tuple, subset) -> int:
-    at = {v: b for b, v in enumerate(elems)}
-    m = 0
-    for v in subset:
-        m |= 1 << at[v]
-    return m
-
-
 def restrictions(elems: tuple, q_elems) -> list:
     """For every mask over elems, its restriction to the subset q_elems,
     as a mask over q_elems."""
@@ -300,10 +292,6 @@ class SaSolution:
             at += 1 << len(elems)
         return cls(program.family, out)
 
-    def y_value(self, u, v) -> Fraction:
-        table = self.block_table((u, v))[1]
-        return table[1] + table[2]
-
     def block_table(self, S) -> tuple:
         """(elements, list-of-values indexed by subset mask) for a family set."""
         return self.aggregate(S, S)
@@ -448,14 +436,15 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
 
     Runs `instance.dinkelbach` from the max-demand vertex.  Each minimum
     of cap - lambda*dem is a re-solve that warm-restarts the tableau, which
-    carries cap and dem as reduced-cost rows through its pivots, and must
-    end optimal with an exact duality gap of 0, or InvariantError is raised.
+    carries cap (the program's objective) and dem as reduced-cost rows
+    through its pivots, and must end optimal with an exact duality gap of
+    0, or InvariantError is raised.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
     built = build_sparsestcut_lp(instance, dec)
-    objectives = (built.program.objective, built.dem_expr)
-    solver = simplex.Simplex(built.program, objectives=objectives)
+    solver = simplex.Simplex(built.program, objectives=(built.dem_expr,))
+    objectives = solver.objectives  # (cap, dem)
     _certified(solver.solve(), "feasibility")
     res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
 

@@ -25,20 +25,24 @@ carries exact duals and its duality gap.  The primal objective is summed
 as integers over the lcm of the basic rows' denominators, the dual one
 over the cost row's, and only nonzero values and duals become Fractions.
 
-Objectives, the program's own and those declared at construction
-(`objectives=`), come as (scale, {column: int}): the objective times a
-positive integer scale.  The declared ones ride through the
-pivots: each is one more integer row of the tableau, at its own scale,
-updated by every pivot like the constraint rows, so each such row over
-its denominator is always scale times that objective's reduced costs
-against the current basis.  `reoptimize(weights, sense)` prices a
-weighted sum of the declared objectives on a solved tableau as one
-integer combination of those rows, over the lcm of their denominators,
-and resumes from the previous optimal vertex, which is what makes exact
-Dinkelbach ratio searches cheap.  The combined row is a positive multiple
-of the reduced costs, so the pivots it picks are the ones a cost row
-rebuilt from scratch would pick.  Without declared objectives the
-tableau carries nothing extra.
+The tableau has one cost row, T[m], below its m constraint rows, and
+pricing reads only that row.  Objectives, the program's own and those
+declared at construction (`objectives=`), come as (scale, {column: int}):
+the objective times a positive integer scale.  Each rides through the
+pivots as one more integer row, objective k at T[m + 1 + k] with the
+program's own first, at its own scale, updated by every pivot like the
+constraint rows, so each such row over its denominator is always scale
+times that objective's reduced costs against the current basis.  Phase 1
+starts with the sum of the artificials' reduced costs in the cost row;
+once it ends, the artificials, the last columns before the right-hand
+side, are no longer priced.  Pricing then writes a weighted sum of the
+carried rows into the cost row as one integer combination, over the lcm
+of their denominators: `solve()` prices the program's objective, and
+`reoptimize(weights, sense)` any weighted sum, resuming from the previous
+optimal vertex, which is what makes exact Dinkelbach ratio searches
+cheap.  The combined row is a positive multiple of the reduced costs, so
+the pivots it picks are the ones a cost row rebuilt from scratch would
+pick.
 """
 
 from __future__ import annotations
@@ -93,8 +97,8 @@ class Simplex:
     Standardization: rows scaled to integers, right-hand sides made
     nonnegative, slack/surplus columns appended, artificials for rows
     without a natural basic column.  All variables are nonnegative.
-    Each objective in `objectives` (scale, {column: int}) is carried as a
-    reduced-cost row for `reoptimize`.
+    The program's objective and each one in `objectives` (scale,
+    {column: int}) are carried as reduced-cost rows for pricing.
     """
 
     # Exact rationals are the only number type.  Kept as an attribute
@@ -104,11 +108,11 @@ class Simplex:
     def __init__(self, program, objectives=()):
         self.program = program
         self.pivots = 0
+        self._feasible_basis = False  # phase 1 has ended feasible
+        self.objectives = [program.objective, *objectives]  # (scale, {column: int}) each
         self._build_tableau()
-        self.objectives = list(objectives)  # per declared objective: (scale, {column: int})
-        for _, ints in self.objectives:
-            self.T.append(_scatter(_check_columns(ints, self.nv), 1, self.width))
         self.dens = [1] * len(self.T)  # row i stands for T[i] / dens[i]
+        self._price((1,), program.sense)  # what results report before phase 2
 
     # -- construction -----------------------------------------------------
 
@@ -125,18 +129,17 @@ class Simplex:
                 cols = {j: -c for j, c in cols.items()}
             rows.append((cols, sense, rhs, sign))
 
-        self.n_slack = sum(1 for _, s, _, _ in rows if s in ("<=", ">="))
-        self.n_art = sum(1 for _, s, _, _ in rows if s != "<=")
+        n_slack = sum(1 for _, s, _, _ in rows if s in ("<=", ">="))
         m = len(rows)
-        width = nv + self.n_slack + self.n_art + 1
+        width = nv + n_slack + sum(1 for _, s, _, _ in rows if s != "<=") + 1
         self.m, self.nv, self.width = m, nv, width
         self.rhs_col = width - 1
-        self.art_cols = set()
 
         T = []
         basis = []
         slack_at = nv
-        art_at = nv + self.n_slack
+        # the artificials are the columns from here to the right-hand side
+        self.first_art = art_at = nv + n_slack
         prow = [0] * width  # phase-1 cost row: minimize the sum of artificials
         # per original row, for the duals; unit columns survive row drops, so
         # this keeps every row: (constraint index, scale, sign, unit col, unit sign)
@@ -162,23 +165,16 @@ class Simplex:
                     self.dual_meta.append((orig, scale, sign, art_at, 1))
                 irow[art_at] = 1
                 basis.append(art_at)
-                self.art_cols.add(art_at)
                 art_at += 1
                 for j in cols:
                     prow[j] -= irow[j]
                 prow[-1] -= irow[-1]
             T.append(irow)
 
-        # real cost row, scaled to integers
-        self.obj_factor = -1 if self.program.sense == "max" else 1
-        self.cost_scale, cost = self.program.objective
-        self.cost_int = {j: self.obj_factor * c for j, c in _check_columns(cost, nv).items()}
-        T.append(_scatter(self.cost_int, 1, width))
-        T.append(prow)
-
+        T.append(prow)  # the cost row
+        T += [_scatter(_check_columns(ints, nv), 1, width) for _, ints in self.objectives]
         self.T = T
         self.basis = basis
-        self.barred = set()
 
     # -- pivoting ---------------------------------------------------------
 
@@ -203,13 +199,12 @@ class Simplex:
         self.basis[r] = c
         self.pivots += 1
 
-    def _choose_entering(self, cost_row: int, bland: bool) -> int:
-        row = self.T[cost_row]
-        barred = self.barred
+    def _choose_entering(self, bland: bool) -> int:
+        row = self.T[self.m]
         best, best_j = 0, -1
-        for j in range(self.width - 1):
+        for j in range(self.first_art if self._feasible_basis else self.rhs_col):
             v = row[j]
-            if v < best and j not in barred:
+            if v < best:
                 if bland:
                     return j
                 best, best_j = v, j
@@ -234,11 +229,11 @@ class Simplex:
                     best_num, best_den, best_i = num, a, i
         return best_i
 
-    def _run(self, cost_row: int) -> str:
+    def _run(self) -> str:
         bland = False
         stall = 0
         while self.pivots < MAX_ITERS:
-            c = self._choose_entering(cost_row, bland)
+            c = self._choose_entering(bland)
             if c < 0:
                 return "optimal"
             r = self._choose_leaving(c)
@@ -257,23 +252,24 @@ class Simplex:
     # -- solving ----------------------------------------------------------
 
     def solve(self) -> LpResult:
-        status = self._run(self.m + 1)
+        status = self._run()  # phase 1: minimize the sum of the artificials
         if status != "optimal":
             return self._result(status)
-        infeas = sum(self.T[i][self.rhs_col] for i in range(self.m)
-                     if self.basis[i] in self.art_cols)
+        infeas = sum(self.T[i][self.rhs_col] for i, b in enumerate(self.basis)
+                     if b >= self.first_art)
         if infeas > 0:
             return self._result("infeasible")
         self._clear_artificials()
         self._feasible_basis = True
-        return self._result(self._run(self.m))
+        self.T[self.m], self.dens[self.m] = self._price((1,), self.program.sense)
+        return self._result(self._run())
 
     def _clear_artificials(self):
         """Pivot basic artificials out; drop rows that turn out redundant."""
         drop = []
-        prefix = range(self.nv + self.n_slack)  # structural and slack columns
+        prefix = range(self.first_art)  # structural and slack columns
         for i in range(self.m):
-            if self.basis[i] not in self.art_cols:
+            if self.basis[i] < self.first_art:
                 continue
             # the first positive column, else the first negative one, read
             # off the row's nonzeros only
@@ -296,21 +292,24 @@ class Simplex:
             del self.T[i], self.dens[i]
             del self.basis[i]
             self.m -= 1
-        self.barred |= self.art_cols
 
     def reoptimize(self, weights, sense: Optional[str] = None) -> LpResult:
-        """Optimize sum_k weights[k] * (declared objective k) and re-run.
-
-        The cost row is that weighted sum of the carried reduced-cost rows,
-        at the smallest common scale and over the lcm of their denominators,
-        so the search resumes from the previous optimal vertex.
-        """
-        if not getattr(self, "_feasible_basis", False):
+        """Optimize sum_k weights[k] * (objective k) and re-run from the
+        previous optimal vertex; objective 0 is the program's own, and the
+        declared ones follow it."""
+        if not self._feasible_basis:
             raise InputError("reoptimize needs a solved feasible tableau; call solve() first")
         if len(weights) != len(self.objectives):
             raise InputError(f"reoptimize got {len(weights)} weights for "
-                             f"{len(self.objectives)} declared objectives")
-        sense = sense or self.program.sense
+                             f"{len(self.objectives)} objectives")
+        self.T[self.m], self.dens[self.m] = self._price(weights, sense or self.program.sense)
+        return self._result(self._run())
+
+    def _price(self, weights, sense: str) -> tuple:
+        """Make sum_k weights[k] * (objective k), at `sense`, the objective
+        results report, and return its cost row as (integers, denominator):
+        that weighted sum of the carried reduced-cost rows, at the smallest
+        common scale and over the lcm of their denominators."""
         self.obj_factor = factor = -1 if sense == "max" else 1
         # weight a/b on a row at scale s needs a common scale divisible by b*s/gcd(a, s)
         terms = []
@@ -321,19 +320,18 @@ class Simplex:
                 g = gcd(w.numerator, s)
                 terms.append((k, w.numerator // g, w.denominator * s // g))
                 scale = lcm(scale, terms[-1][2])
-        m = self.m
-        den = lcm(1, *(self.dens[m + 2 + k] for k, _, _ in terms))
+        at = self.m + 1  # carried objective k is row at + k
+        den = lcm(1, *(self.dens[at + k] for k, _, _ in terms))
         cost: dict = {}
         crow = [0] * self.width
         for k, num, per in terms:
             mult = factor * num * (scale // per)
             for j, c in self.objectives[k][1].items():
                 cost[j] = cost.get(j, 0) + mult * c
-            mult *= den // self.dens[m + 2 + k]
-            crow = [a + mult * x for a, x in zip(crow, self.T[m + 2 + k])]
+            mult *= den // self.dens[at + k]
+            crow = [a + mult * x for a, x in zip(crow, self.T[at + k])]
         self.cost_scale, self.cost_int = scale, cost
-        self.T[m], self.dens[m] = crow, den
-        return self._result(self._run(m))
+        return crow, den
 
     # -- results ----------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """LP helpers only the tests use: objectives and programs written with
-Fraction coefficients or variable names, the reader for `--dump-lp` text
-and a distortion-embedding feasibility system built on the full r-round
-LP."""
+Fraction coefficients or variable names, the reader for `--dump-lp` text,
+a distortion-embedding feasibility system built on the full r-round LP,
+and readers of a solution's set masks and pair values."""
 
 from fractions import Fraction
 from math import lcm
@@ -25,6 +25,18 @@ def unscaled(objective: tuple) -> dict:
     """{column: coefficient} of a (scale, {column: int}) objective."""
     scale, ints = objective
     return {j: Fraction(c, scale) for j, c in ints.items()}
+
+
+def mask_of(elems: tuple, subset) -> int:
+    """The mask over elems that picks out subset."""
+    return sum(1 << elems.index(v) for v in subset)
+
+
+def y_value(solution, u, v) -> Fraction:
+    """y_uv of an SaSolution: the mass of the first block holding {u, v}
+    on the sides that separate u and v."""
+    table = solution.block_table((u, v))[1]
+    return table[1] + table[2]
 
 
 def named_program(names, constraints, objective: dict, sense="min", name="lp") -> LpProgram:

@@ -1,26 +1,29 @@
 """Digests of what the pipeline computes, over the acceptance corpus and
-three fractals: the exact derandomization potential traces and the pared
-LPs' shape totals; and the text of the full Sherali-Adams MaxCut LPs the
-gap table solves.
+three fractals: the exact derandomization potential traces, the pared
+LPs' shape totals and the pivots of the corpus ratio searches; and the
+text of the full Sherali-Adams MaxCut LPs the gap table solves.
 
 Run as a script, it prints the potential-trace digest; it needs only the
 standard library and `treecut` on the path:
 
     PYTHONPATH=src python tests/_trace_digest.py
 
-and the MaxCut LP text digest by
+and the MaxCut LP text digest, or the corpus pivot count, by
 
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.maxcut_lp_text_digest())'
+    PYTHONPATH=src:tests python -c \
+        'import _trace_digest; print(_trace_digest.ratio_search_pivots())'
 """
 
 import hashlib
 import os
 import sys
+from unittest import mock
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from treecut import pipeline  # noqa: E402
+from treecut import pipeline, relaxation, simplex  # noqa: E402
 from treecut.decomposition import (balance, exact_decomposition,  # noqa: E402
                                    format_decomposition, parse_decomposition)
 from treecut.generators import MaxCutInstance, building_block, power  # noqa: E402
@@ -68,6 +71,27 @@ def pared_lp_shape_totals() -> tuple:
         cols += len(program.variables)
         nonzeros += sum(len(coeffs) for coeffs, _, _ in program.constraints)
     return rows, cols, nonzeros
+
+
+def ratio_search_solvers() -> list:
+    """The `Simplex` of each ratio search over acceptance_corpus(0, 100),
+    as each search leaves it."""
+    solvers = []
+    init = simplex.Simplex.__init__
+
+    def recorded(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        solvers.append(self)
+
+    with mock.patch.object(simplex.Simplex, "__init__", recorded):
+        for inst in acceptance_corpus(0, 100):
+            relaxation.ratio_search(inst, balance(exact_decomposition(inst)))
+    return solvers
+
+
+def ratio_search_pivots() -> int:
+    """`Simplex.pivots` summed over the corpus ratio searches."""
+    return sum(solver.pivots for solver in ratio_search_solvers())
 
 
 def maxcut_lp_text_digest() -> str:

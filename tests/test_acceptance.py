@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from _lp_fixtures import y_value
 from corpus import acceptance_corpus
 
 from treecut.decomposition import balance, exact_decomposition, validate
@@ -122,12 +123,12 @@ def test_criterion_2_rounding_marginals():
 
     ok = True
     for u, v, _ in inst.supply_edges:
-        y = float(sol.y_value(u, v))
+        y = float(y_value(sol, u, v))
         emp = pair_sep[(u, v)] / n
         sigma = math.sqrt(y * (1 - y) / n)
         ok &= abs(emp - y) <= 3 * sigma + 1e-12
     for u, v, _ in inst.demand_edges:
-        y = float(sol.y_value(u, v))
+        y = float(y_value(sol, u, v))
         emp = pair_sep[(u, v)] / n
         sigma = math.sqrt(max(y * (1 - y), 0.25) / n)
         ok &= emp >= y / 2 - 3 * sigma - 1e-12
@@ -418,12 +419,12 @@ def test_criterion_10_embedding():
     emb = embed_l1(sol, dec, n, seed=0)
     ok = True
     for u, v, _ in inst.supply_edges:
-        y = float(sol.y_value(u, v))
+        y = float(y_value(sol, u, v))
         sigma = math.sqrt(y * (1 - y) / n)
         ok &= abs(float(emb.distance(u, v)) - y) <= 3 * sigma + 1e-12
     family_pairs = [tuple(s) for s in sol.family.sets if len(s) == 2]
     for u, v in family_pairs:
-        y = float(sol.y_value(u, v))
+        y = float(y_value(sol, u, v))
         dist = float(emb.distance(u, v))
         sigma = math.sqrt(max(y * (1 - y), 0.25) / n)
         ok &= y / 2 - 3 * sigma - 1e-12 <= dist <= y + 3 * sigma + 1e-12

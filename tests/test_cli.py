@@ -228,10 +228,24 @@ def test_infeasible_base_solve_is_an_invariant_fault(monkeypatch, capsys):
     assert err.startswith("internal invariant violated: solution is infeasible"), err
 
 
+def test_gap_refuses_an_over_bound_base_before_its_lp(monkeypatch, capsys):
+    # the base's exact MaxCut bound is checked before the base LP is built
+    # and solved, which took minutes for K30 at 2 rounds
+    from treecut import simplex
+
+    def no_solve(program):
+        raise AssertionError("the base LP was solved")
+
+    monkeypatch.setattr(simplex, "solve", no_solve)
+    code, _, err = run(capsys, "gap", "--base", "k30", "--rounds", "2", "--levels", "2")
+    assert code == 3
+    assert err == "budget refusal: maxcut enumeration over 30 vertices exceeds bound 26\n", err
+
+
 # the whole message of the one refusal both column budgets share
 COLUMN_REFUSALS = {
     "pared_columns_c5_levels_3": "pared system needs 392320 variables, budget is 300000",
-    "full_columns_k30_rounds_5": "full 5-round system needs 5032953 variables, budget is 300000",
+    "full_columns_k26_rounds_5": "full 5-round system needs 2366313 variables, budget is 300000",
 }
 
 
@@ -263,13 +277,13 @@ COLUMN_REFUSALS = {
     (["oracle", "{tmp}/coprime.ssc"], 2),
     # the pared LP of the c5 levels-3 fractal, through its .td
     (["solve", "{tmp}/c5.ssc", "--decomposition", "{tmp}/c5.td"], 3),
-    # the full 5-round system over K30, refused before its family is built
-    (["gap", "--base", "k30", "--rounds", "5"], 3),
+    # the full 5-round system over K26, refused before its family is built
+    (["gap", "--base", "k26", "--rounds", "5"], 3),
 ], ids=["power_levels_6000", "gap_levels_6000", "block_k1000", "gadget_labels_1e9",
         "ssc_header_1e12", "ulc_labels_1e6", "random_ulc_gadget_vertices_1e9",
         "ulc_sidecar_labelings", "gadget_edges", "embed_samples_1e9",
         "gadget_alpha_1e100000000", "ssc_weight_1e5000", "ssc_denominators_solve",
-        "ssc_denominators_oracle", "pared_columns_c5_levels_3", "full_columns_k30_rounds_5"])
+        "ssc_denominators_oracle", "pared_columns_c5_levels_3", "full_columns_k26_rounds_5"])
 def test_budget_refusals_never_show_a_traceback(argv, code, tmp_path, capsys, request):
     (tmp_path / "huge.ssc").write_text(f"p ssc {10**12}\ne 1 2 1\nd 1 2 1\n")
     (tmp_path / "pair.ssc").write_text("p ssc 2\ne 1 2 1\nd 1 2 1\n")

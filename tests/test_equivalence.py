@@ -19,7 +19,7 @@ from treecut.relaxation import SaSolution, build_sparsestcut_lp, ratio_search
 from treecut.rounding import _Derandomizer
 from treecut import simplex
 
-from _lp_fixtures import build_distortion_lp, named_program
+from _lp_fixtures import build_distortion_lp, named_program, y_value
 
 
 def literal_program(built, inst, alpha):
@@ -188,8 +188,8 @@ def test_derandomizer_probabilities_match_enumeration():
     inst, dec, sol = star_solution()
     outcomes, unions = enumerate_propagation(sol, dec)
     assert sum(p for _, p in outcomes) == 1
-    lp_star = sum(Fraction(w) * sol.y_value(u, v) for u, v, w in inst.supply_edges)
-    alpha = sum(Fraction(w) * sol.y_value(u, v) for u, v, w in inst.demand_edges)
+    lp_star = sum(Fraction(w) * y_value(sol, u, v) for u, v, w in inst.supply_edges)
+    alpha = sum(Fraction(w) * y_value(sol, u, v) for u, v, w in inst.demand_edges)
     der = _Derandomizer(inst, sol, dec, alpha, lp_star)
 
     pairs = [(u, v) for u, v, _ in inst.supply_edges]

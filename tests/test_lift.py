@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from _lp_fixtures import mask_of
 from _reference_lift import ReferenceLift, extend_set
 from treecut import lift
 from treecut.decomposition import balance
@@ -13,7 +14,7 @@ from treecut.generators import MaxCutInstance
 from treecut.lift import (gap_experiment, lift_distribution, lift_pair_value, lifted_value,
                           make_lift_context)
 from treecut.relaxation import (SaSolution, build_maxcut_lp, build_sparsestcut_lp,
-                                full_family, mask_of, subset_from_mask)
+                                full_family, subset_from_mask)
 from treecut import simplex
 
 

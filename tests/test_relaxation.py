@@ -16,7 +16,7 @@ from treecut.relaxation import (SaSolution, SetFamily, build_maxcut_lp,
                                 restrictions, subset_from_mask)
 from treecut import relaxation, simplex
 
-from _lp_fixtures import build_distortion_lp, parse_lp, unscaled
+from _lp_fixtures import build_distortion_lp, parse_lp, unscaled, y_value
 from _trace_digest import MAXCUT_CONFIGS, maxcut_lp_text_digest
 from _reference_simplex import reference_solve
 from corpus import acceptance_corpus
@@ -115,7 +115,7 @@ def test_pared_lp_single_edge():
     assert res.objective == Fraction(7, 3)
     sol = SaSolution.read(built.program, res.values)
     assert not sol.validate()
-    assert sol.y_value(1, 2) == 1
+    assert y_value(sol, 1, 2) == 1
 
 
 def g1prime_k3():

@@ -15,7 +15,7 @@ from treecut.relaxation import SaSolution, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
 
-from _lp_fixtures import build_distortion_lp
+from _lp_fixtures import build_distortion_lp, y_value
 
 
 def solved_block(H=None):
@@ -118,8 +118,8 @@ def test_derandomized_cut_within_factor_two():
 
 def test_derandomize_on_fractional_solution():
     inst, dec, sol, _ = path_metric_solution()
-    alpha = sol.y_value(1, 4)
-    lp_star = sum(Fraction(w) * sol.y_value(u, v) for u, v, w in inst.supply_edges)
+    alpha = y_value(sol, 1, 4)
+    lp_star = sum(Fraction(w) * y_value(sol, u, v) for u, v, w in inst.supply_edges)
     cut, pot = derandomize(inst, sol, dec, alpha, lp_star)
     sp = evaluate_cut(inst, cut)
     assert pot.trace[0] <= 0

@@ -15,6 +15,7 @@ from treecut.simplex import Simplex, solve
 
 from _lp_fixtures import named_program, scaled, unscaled
 from _reference_simplex import reference_solve
+from _trace_digest import ratio_search_solvers
 from corpus import acceptance_corpus
 
 
@@ -101,23 +102,23 @@ def test_reoptimize_matches_cold_solve():
     prog = build_maxcut_lp(MaxCutInstance.complete(4), 2)
     scale, ints = prog.objective
     new_obj = (scale, {j: -c for j, c in ints.items()})
-    solver = Simplex(prog, objectives=(new_obj, prog.objective))
+    solver = Simplex(prog, objectives=(new_obj,))
     first = solver.solve()
-    warm = solver.reoptimize((1, 0), sense="max")
+    warm = solver.reoptimize((0, 1), sense="max")
     cold = solve(LpProgram(prog.variables, prog.constraints, new_obj, "max"))
     assert warm.objective == cold.objective
-    # and back again
-    again = solver.reoptimize((0, 1), sense="max")
+    # and back again, to the program's own objective
+    again = solver.reoptimize((1, 0), sense="max")
     assert again.objective == first.objective
 
 
 def test_reoptimize_rejects_misuse():
     prog = build_maxcut_lp(MaxCutInstance.complete(3), 2)
-    solver = Simplex(prog, objectives=(prog.objective,))
+    solver = Simplex(prog)
     with pytest.raises(InputError):
         solver.reoptimize((1,))  # before solve()
     assert solver.solve().optimal
-    for weights in ((), (1, 0)):
+    for weights in ((), (1, 0)):  # one weight, for the program's objective
         with pytest.raises(InputError):
             solver.reoptimize(weights)
     with pytest.raises(InputError):  # a column the program does not have
@@ -131,6 +132,31 @@ def test_iteration_limit_status(monkeypatch):
     assert res.status == "iteration-limit"
     assert res.pivots == 3
     assert res.values is not None
+
+
+# Simplex pivots summed over the 100 corpus ratio searches
+# (`_trace_digest.ratio_search_pivots`), and the rows their final tableaux
+# hold in all.
+RATIO_SEARCH_PIVOTS = 4646
+RATIO_SEARCH_ROWS = 2376
+
+
+def test_corpus_ratio_searches_pivot_as_recorded(monkeypatch):
+    def laid_out(method):
+        def checked(self, *args, **kwargs):
+            res = method(self, *args, **kwargs)
+            # the constraint rows, one cost row, then the program's objective
+            # and each declared one
+            assert len(self.T) == len(self.dens) == self.m + 1 + len(self.objectives)
+            return res
+        return checked
+
+    for name in ("solve", "reoptimize"):
+        monkeypatch.setattr(Simplex, name, laid_out(getattr(Simplex, name)))
+    solvers = ratio_search_solvers()
+    assert len(solvers) == 100
+    assert sum(solver.pivots for solver in solvers) == RATIO_SEARCH_PIVOTS
+    assert sum(len(solver.T) for solver in solvers) == RATIO_SEARCH_ROWS
 
 
 @st.composite
@@ -176,7 +202,9 @@ def test_agrees_with_reference_on_random_lps(prog):
 
 
 def dense_tableau(prog):
-    """(T, basis, dual_meta, cost_scale) built the plain way, from dense Fraction rows."""
+    """(T, basis, dual_meta, cost_scale) built the plain way, from dense
+    Fraction rows: the constraint rows, the phase-1 cost row, then the
+    program's objective as the first carried row."""
     nv = len(prog.variables)
     rows = []
     for coeffs, sense, rhs in prog.constraints:
@@ -211,12 +239,6 @@ def dense_tableau(prog):
             art_at += 1
         meta.append((orig, scale, sign) + unit)
         T.append(row)
-    factor = -1 if prog.sense == "max" else 1
-    cost = [Fraction(0)] * nv
-    for j, c in unscaled(prog.objective).items():
-        cost[j] += factor * c
-    cost_scale = lcm(1, *(c.denominator for c in cost))
-    T.append([int(c * cost_scale) for c in cost] + [0] * (width - nv))
     art = range(nv + n_slack, width - 1)
     phase1 = [0] * width
     for i, b in enumerate(basis):
@@ -225,6 +247,11 @@ def dense_tableau(prog):
     for c in art:
         phase1[c] = 0
     T.append(phase1)
+    cost = [Fraction(0)] * nv
+    for j, c in unscaled(prog.objective).items():
+        cost[j] += c
+    cost_scale = lcm(1, *(c.denominator for c in cost))
+    T.append([int(c * cost_scale) for c in cost] + [0] * (width - nv))
     return T, basis, meta, cost_scale
 
 
@@ -307,7 +334,7 @@ def assert_certified(solver, res, prog, objective, sense):
     for i, b in enumerate(solver.basis):
         assert [T[k][b] for k in range(solver.m)] == [dens[k] if k == i else 0
                                                       for k in range(solver.m)]
-        # the cost row, the phase-1 row and every carried row
+        # the cost row and every carried row
         assert all(row[b] == 0 for row in T[solver.m:])
 
 
@@ -315,7 +342,7 @@ def test_solve_and_reoptimize_match_reference(corpus_programs):
     for prog, objective, sense in corpus_programs:
         solver = Simplex(prog, objectives=(scaled(objective),))
         assert_certified(solver, solver.solve(), prog, unscaled(prog.objective), prog.sense)
-        assert_certified(solver, solver.reoptimize((1,), sense=sense),
+        assert_certified(solver, solver.reoptimize((0, 1), sense=sense),
                          prog, objective, sense)
 
 
@@ -329,7 +356,7 @@ def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     if not solver.solve().optimal:
         return
     # every variable is bounded, so a feasible program stays optimal
-    assert_certified(solver, solver.reoptimize((1,), sense=sense), prog, objective, sense)
+    assert_certified(solver, solver.reoptimize((0, 1), sense=sense), prog, objective, sense)
 
 
 def dense_bareiss(T, dens, r, c):
@@ -387,7 +414,7 @@ def test_pivots_match_dense_bareiss(corpus_programs):
         for prog, objective, sense in corpus_programs:
             solver = Simplex(prog, objectives=(scaled(objective),))
             assert solver.solve().optimal
-            assert solver.reoptimize((1,), sense=sense).optimal
+            assert solver.reoptimize((0, 1), sense=sense).optimal
     # the C_5 program pivots on entries above 1
     assert set(kinds) == {"p == 1", "p > 1"}
 
@@ -400,7 +427,7 @@ def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
     with checked_pivots():
         solver = Simplex(prog, objectives=(scaled(objective),))
         if solver.solve().optimal:
-            solver.reoptimize((1,), sense=sense)
+            solver.reoptimize((0, 1), sense=sense)
 
 
 def fraction_result(solver, objective):
@@ -435,7 +462,7 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
     # the feasibility solve, the swap to the second objective, then two
     # Dinkelbach steps on first - lambda * second, as the ratio search runs
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog, objectives=(prog.objective, scaled(objective)))
+        solver = Simplex(prog, objectives=(scaled(objective),))
         assert_fraction_result(solver, solver.solve(), unscaled(prog.objective))
         res = solver.reoptimize((0, 1), sense=sense)
         assert_fraction_result(solver, res, objective)
@@ -490,28 +517,30 @@ def dense_cost_row(solver, objective, sense):
 
 @contextmanager
 def checked_carried_rows():
-    """Check the carried objective rows after every pivot, and each
-    `reoptimize`'s cost row before its first pivot.
+    """Check the carried objective rows after every pivot, and each cost
+    row that `_price` builds, for `solve()` and each `reoptimize` alike.
 
     Every carried row over its denominator must equal `carried_row`, and
-    the cost row over its denominator and `cost_scale` must equal
+    the priced row over its denominator and `cost_scale` must equal
     `dense_cost_row` over its scale for the same weighted objective, with
     `cost_int / cost_scale` its coefficients.  Yields a Counter of the
-    checks made.
+    checks made and of the `reoptimize` calls.
     """
-    init, pivot, reoptimize, run = (Simplex.__init__, Simplex._pivot,
-                                    Simplex.reoptimize, Simplex._run)
+    init, pivot, reoptimize, price = (Simplex.__init__, Simplex._pivot,
+                                      Simplex.reoptimize, Simplex._price)
     checks = Counter()
 
     def assert_carried(self):
+        # the program's objective is carried first, the declared ones after it
+        assert len(self.T) == self.m + 1 + len(self.declared)
         for k, objective in enumerate(self.declared):
-            i = self.m + 2 + k
+            i = self.m + 1 + k
             assert [Fraction(a, self.dens[i]) for a in self.T[i]] == \
                 carried_row(self, objective)
         checks["carried rows"] += 1
 
     def checked_init(self, program, *args, objectives=(), **kwargs):
-        self.declared = list(objectives)
+        self.declared = [program.objective, *objectives]
         init(self, program, *args, objectives=objectives, **kwargs)
         assert_carried(self)
 
@@ -519,40 +548,37 @@ def checked_carried_rows():
         pivot(self, r, c)
         assert_carried(self)
 
-    def checked_reoptimize(self, weights, sense=None):
-        self.pending = (weights, sense or self.program.sense)
-        return reoptimize(self, weights, sense)
+    def counted_reoptimize(self, *args, **kwargs):
+        checks["reoptimize calls"] += 1
+        return reoptimize(self, *args, **kwargs)
 
-    def checked_run(self, cost_row):
-        pending = self.__dict__.pop("pending", None)
-        if pending is not None:
-            weights, sense = pending
-            combined = {}
-            for w, objective in zip(weights, self.declared):
-                for v, c in unscaled(objective).items():
-                    combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
-            old, old_scale = dense_cost_row(self, combined, sense)
-            assert self.cost_scale > 0 and self.dens[self.m] > 0
-            assert [Fraction(a * old_scale, self.dens[self.m]) for a in self.T[self.m]] == \
-                [b * self.cost_scale for b in old]
-            factor = -1 if sense == "max" else 1
-            assert {j: Fraction(c, self.cost_scale) for j, c in self.cost_int.items() if c} == \
-                {v: factor * c for v, c in combined.items() if c}
-            checks["cost rows"] += 1
-        return run(self, cost_row)
+    def checked_price(self, weights, sense):
+        row, den = price(self, weights, sense)
+        combined = {}
+        for w, objective in zip(weights, self.declared):
+            for v, c in unscaled(objective).items():
+                combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
+        old, old_scale = dense_cost_row(self, combined, sense)
+        assert self.cost_scale > 0 and den > 0
+        assert [Fraction(a * old_scale, den) for a in row] == [b * self.cost_scale for b in old]
+        factor = -1 if sense == "max" else 1
+        assert {j: Fraction(c, self.cost_scale) for j, c in self.cost_int.items() if c} == \
+            {v: factor * c for v, c in combined.items() if c}
+        checks["cost rows"] += 1
+        return row, den
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Simplex, "__init__", checked_init)
         mp.setattr(Simplex, "_pivot", checked_pivot)
-        mp.setattr(Simplex, "reoptimize", checked_reoptimize)
-        mp.setattr(Simplex, "_run", checked_run)
+        mp.setattr(Simplex, "reoptimize", counted_reoptimize)
+        mp.setattr(Simplex, "_price", checked_price)
         yield checks
 
 
 def dinkelbach_steps(prog, objective, sense):
     """Solve, swap to objective, then two Dinkelbach steps on
     prog.objective - lambda * objective, as the ratio search runs."""
-    solver = Simplex(prog, objectives=(prog.objective, scaled(objective)))
+    solver = Simplex(prog, objectives=(scaled(objective),))
     if not solver.solve().optimal:
         return
     res = solver.reoptimize((0, 1), sense=sense)
@@ -572,7 +598,10 @@ def test_carried_rows_match_dense_reduced_costs(corpus_programs):
             dinkelbach_steps(prog, objective, sense)
     # the C_5 program pivots on entries above 1 with the rows aboard
     assert kinds["p > 1"] > 0
-    assert checks["cost rows"] == 3 * len(corpus_programs)
+    # per program: the construction, the phase-2 row of solve(), the swap
+    # and two Dinkelbach steps; solve() prices without calling reoptimize
+    assert checks["cost rows"] == 5 * len(corpus_programs)
+    assert checks["reoptimize calls"] == 3 * len(corpus_programs)
 
 
 @given(random_lp(), st.lists(st.integers(-3, 3), min_size=5, max_size=5),
