@@ -9,7 +9,9 @@ output.
 from __future__ import annotations
 
 import argparse
+import csv
 import functools
+import io
 import json
 import sys
 from fractions import Fraction
@@ -53,10 +55,11 @@ def _write(path, text: str):
 def _emit(args, payload: dict, text_lines):
     if args.format == "json":
         _write(getattr(args, "output", None), json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    elif args.format == "csv":
+    elif args.format == "csv":  # quoted where a cell holds a comma
         keys = sorted(payload)
-        _write(getattr(args, "output", None),
-               ",".join(keys) + "\n" + ",".join(str(payload[k]) for k in keys) + "\n")
+        out = io.StringIO()
+        csv.writer(out, lineterminator="\n").writerows([keys, [str(payload[k]) for k in keys]])
+        _write(getattr(args, "output", None), out.getvalue())
     else:
         _write(getattr(args, "output", None), "\n".join(text_lines) + "\n")
 
@@ -72,8 +75,7 @@ def _solve_pipeline(args):
         dec = exact_decomposition(inst, bound=args.budget_vertices)
     res = pipeline.solve(inst, dec)
     if args.dump_lp:
-        built = build_sparsestcut_lp(inst, res.dec, res.lp.alpha)
-        _write(args.dump_lp, format_lp(built.program))
+        _write(args.dump_lp, format_lp(build_sparsestcut_lp(inst, res.dec, res.lp.alpha)))
     return inst, res
 
 

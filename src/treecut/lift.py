@@ -2,12 +2,12 @@
 
 An r-round solution is the same thing as a family of marginally
 consistent local distributions, one per small vertex set: D_S(T) = x(S,T).
-This module reads the base MaxCut distributions off a validated solution
-and pushes them through the powering construction: terminals are pinned
-to opposite sides, the base draw is symmetrized with a fair coin, and cut
-copies recurse while uncut copies ride along with their terminals.
-Distributions are computed exactly by dynamic programming over the
-recursion tree, never sampled.
+This module reads the base MaxCut distributions off the validated
+`SaSolution` its LP produced and pushes them through the powering
+construction: terminals are pinned to opposite sides, the base draw is
+symmetrized with a fair coin, and cut copies recurse while uncut copies
+ride along with their terminals.  Distributions are computed exactly by
+dynamic programming over the recursion tree, never sampled.
 
 The DP runs in integers.  A target set is closed one level at a time:
 its top set (terminals, its base vertices and the base endpoint of each
@@ -16,19 +16,21 @@ is left to the recursive call on the next level down.  A copy vertex
 nested deeper than the levels allow is refused before anything is read:
 the touched copies are closed level by level in edge order, down to the
 first copy found at level 1.  The base draw and each cut copy's inner
-distribution are read as integer numerators over one denominator; a
-branch's selections multiply integers and its denominators multiply; the
-branches are summed over the lcm of their denominators, checked to sum
-to it, and only then turned into one reduced Fraction per entry, and the
-memo keeps those Fraction dicts.
+distribution are read as integer numerators over one denominator, by
+`relaxation.numerators`, the lcm of their nonzero entries' denominators;
+a branch's selections multiply integers and its denominators multiply;
+the branches are summed over the lcm of their denominators, checked to
+sum to it, and only then turned into one reduced Fraction per entry, and
+the memo keeps those Fraction dicts.
 
 Each context also keeps its own read caches, which live and die with it:
 each base draw in integers with its symmetrized selections, keyed by its
-ground set, and per (level, copy, inner set) the copy's endpoints, its
-outer names and, per orientation once a branch cuts it, the inner
-distribution in integers and outer names.  So each of these reads is made
-at most once per context; the recursive call on a cut copy still runs on
-every branch that cuts it.
+ground set and read from the solution's table for that set, and per
+(level, copy, inner set) the copy's endpoints, its outer names and, per
+orientation once a branch cuts it, the inner distribution in integers
+and outer names.  So each of these reads is made at most once per
+context; the recursive call on a cut copy still runs on every branch
+that cuts it.
 """
 
 from __future__ import annotations
@@ -42,7 +44,7 @@ from .errors import InputError, InvariantError
 from .generators import MaxCutInstance, PoweredInstance, building_block, power
 from .instance import SparsestCutInstance
 from .oracle import check_maxcut_bound, exact_maxcut, sparsest_cut_by_elimination
-from .relaxation import SaSolution, build_maxcut_lp, subset_from_mask
+from .relaxation import SaSolution, build_maxcut_lp, certified, numerators, subset_from_mask
 from . import simplex
 
 # powered instances up to this many vertices get phi from the oracle
@@ -60,7 +62,7 @@ class LiftContext:
     base: MaxCutInstance
     rounds: int
     levels: int
-    base_dists: dict  # frozenset S -> {frozenset T: x(S,T)}, S over the MaxCut vertices
+    solution: SaSolution  # the base MaxCut LP's, validated; D_S(T) = x(S,T)
     powered: PoweredInstance
     base_value: Fraction  # total y over the base edges (c*m)
     _memo: dict = field(default_factory=dict, repr=False)
@@ -96,18 +98,14 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     """
     rounds_eff = min(rounds, H.n)
     prog = build_maxcut_lp(H, rounds_eff)
-    res = simplex.solve(prog)
-    if not res.optimal:
-        raise InvariantError(f"base MaxCut solve failed: {res.status}")
+    res = certified(simplex.solve(prog), "base MaxCut")
     solution = SaSolution.read(prog, res.values)
     problems = solution.validate()
     if problems:
         raise InvariantError(f"solution is infeasible: first violation {problems[0]}")
-    dists = {s: {subset_from_mask(elems, m): x for m, x in enumerate(table)}
-             for s, (elems, table) in solution.blocks.items()}
     block, block_dec = building_block(H, include_st_demand=False)
     powered = power(block, levels, block_dec)
-    return LiftContext(H, rounds, levels, dists, powered, res.objective)
+    return LiftContext(H, rounds, levels, solution, powered, res.objective)
 
 
 def _one_level(ctx: LiftContext, T: frozenset, levels: int):
@@ -143,31 +141,22 @@ def _one_level(ctx: LiftContext, T: frozenset, levels: int):
     return frozenset(top), copies
 
 
-def _integer(dist: dict):
-    """(D, {selection: n}): the nonzero entries of an exact distribution
-    as n / D over one denominator D, the lcm of their denominators."""
-    ratios = [(sel, p.as_integer_ratio()) for sel, p in dist.items()]
-    den = lcm(*(d for _, (n, d) in ratios if n))
-    return den, {sel: n * (den // d) for sel, (n, d) in ratios if n}
-
-
 def _base_read(ctx: LiftContext, R: frozenset):
     """(D, [(n, X)]): the base draw over R in integers, read once per
-    context, as its symmetrized branches: each selection Y of numerator n
-    over D gives X = Y + s and X = (R - Y) + s."""
+    context from the solution's table for R, as its symmetrized branches:
+    each selection Y of nonzero numerator n over D, in mask order, gives
+    X = Y + s and X = (R - Y) + s."""
     read = ctx._base_reads.get(R)
     if read is None:
-        if not R:
-            den, base = 1, {frozenset(): 1}
-        else:
-            try:
-                den, base = _integer(ctx.base_dists[R])
-            except KeyError:
-                raise InputError(
-                    f"base round budget too small: the lift needs the distribution "
-                    f"over {len(R)} base vertices") from None
-        read = ctx._base_reads[R] = den, [(n, chosen | {"s"}) for Y, n in base.items()
-                                          for chosen in (Y, R - Y)]
+        try:
+            elems, table = ctx.solution.block_table(R)
+        except KeyError:
+            raise InputError(
+                f"base round budget too small: the lift needs the distribution "
+                f"over {len(R)} base vertices") from None
+        den, nums = numerators(table)
+        draws = [(n, subset_from_mask(elems, m)) for m, n in enumerate(nums) if n]
+        read = ctx._base_reads[R] = den, [(n, X | {"s"}) for n, Y in draws for X in (Y, R - Y)]
     return read
 
 
@@ -190,10 +179,10 @@ def _relabel(ctx: LiftContext, ei: int, sub_T: frozenset, inner: dict, u_in: boo
     """(D, {outer selection: n}): a cut copy's inner distribution in
     integers, renamed into the outer copy ei; selection sets are interned in
     ctx._share, like the memo's."""
-    den, nums = _integer(inner)
+    den, nums = numerators(list(inner.values()))
     intern = ctx._share.setdefault
     part = {}
-    for sel, q in nums.items():
+    for sel, q in zip(inner, nums):
         if not u_in:
             # traversed against orientation: the selection process is
             # complement-symmetric under swapping the terminals, so the

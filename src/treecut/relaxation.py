@@ -28,10 +28,12 @@ their carriers and ties:
 Pair values y_uv are never LP variables: `pair_sum` reads each from the
 first block holding {u, v}, and every objective and the demand row
 substitute those sums, as (scale, {column: int}) with the smallest
-integer scale, the form `simplex.Simplex` takes objectives in.  A
-program carries its family and carriers, so a solution, `SaSolution`, is
-read from the program and its values alone; any other family set's
-table is read on demand as the marginal of the first block holding it.
+integer scale.  A program carries every objective its solver prices,
+the one `solve()` optimizes first: MaxCut its edges, the pared program
+capacity and then demand.  It also carries its family and carriers, so a
+solution, `SaSolution`, is read from the program and its values alone;
+any other family set's table is read on demand as the marginal of the
+first block holding it.
 """
 
 from __future__ import annotations
@@ -129,21 +131,23 @@ def marginal(elems: tuple, table: list, q_elems) -> list:
 
 @dataclass
 class LpProgram:
-    """min/max of a linear objective over nonnegative variables, the
+    """min/max of linear objectives over nonnegative variables, the
     columns in `variables` (a range from 0).
 
     constraints: list of ({column: coefficient}, sense in {"<=", ">=",
     "=="}, rhs), coefficients and right-hand sides int or Fraction.
-    objective: (scale, {column: int}), the objective times a positive
-    integer scale.  A lifted program also carries the family its columns
-    are over, and blocks: the indices of the family sets that carry a
-    block of 2^|S| columns, in column order.  `SaSolution.read` and
-    `format_lp` read the columns through them.
+    objectives: each (scale, {column: int}), an objective times a
+    positive integer scale.  The first is the one `solve()` optimizes at
+    `sense`; the others ride along for `Simplex.reoptimize`, whose
+    weights take them in this order.  A lifted program also carries the
+    family its columns are over, and blocks: the indices of the family
+    sets that carry a block of 2^|S| columns, in column order.
+    `SaSolution.read` and `format_lp` read the columns through them.
     """
 
     variables: range
     constraints: list
-    objective: tuple
+    objectives: tuple
     sense: str = "min"
     name: str = "lp"
     family: Optional[SetFamily] = None
@@ -243,8 +247,8 @@ def build_maxcut_lp(graph, r: int) -> LpProgram:
     family = full_family(graph.vertices, r)
     carriers, ties = every_set_blocks(family)
     offset, constraints = lifted_rows(family, carriers, ties)
-    objective = pair_sum(family, offset, [(u, v, 1) for u, v in graph.edges])
-    return LpProgram(range(count), constraints, objective, sense="max",
+    edges = pair_sum(family, offset, [(u, v, 1) for u, v in graph.edges])
+    return LpProgram(range(count), constraints, (edges,), sense="max",
                      name=f"maxcut_sa_r{r}", family=family, blocks=tuple(carriers))
 
 
@@ -252,17 +256,9 @@ def build_maxcut_lp(graph, r: int) -> LpProgram:
 # Pared sparsest-cut system over a balanced decomposition.
 # ---------------------------------------------------------------------------
 
-@dataclass
-class SparsestCutLp:
-    """The pared program (capacity its objective) and its demand objective."""
-
-    program: LpProgram
-    dem_expr: tuple  # (scale, {column: int}): demand times scale
-
-
-def _numerators(values: list) -> tuple:
-    """(den, numerators by column): the values as integers over the lcm of
-    their denominators."""
+def numerators(values: list) -> tuple:
+    """(den, numerators in order): the values as integers over the lcm of
+    their nonzero entries' denominators."""
     den = lcm(*(x.denominator for x in values if x is not ZERO))
     return den, [0 if x is ZERO else x.numerator * (den // x.denominator) for x in values]
 
@@ -389,9 +385,9 @@ def maximal_blocks(family: SetFamily) -> tuple:
 
 
 def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
-                         alpha=None) -> SparsestCutLp:
+                         alpha=None) -> LpProgram:
     """Pared LP: minimize cut capacity, subject to separated demand >= alpha
-    when alpha is given."""
+    when alpha is given; demand is carried as the second objective."""
     family = pared_family(instance, dec)
     carriers, ties = maximal_blocks(family)
     count = sum(1 << len(family.sets[c]) for c in carriers)
@@ -403,9 +399,8 @@ def build_sparsestcut_lp(instance: SparsestCutInstance, dec: TreeDecomposition,
         scale, dem = dem_expr
         constraints.append(({j: Fraction(c, scale) for j, c in dem.items()}, ">=",
                             as_weight(alpha)))
-    program = LpProgram(range(count), constraints, cap_expr, sense="min",
-                        name="sparsest_cut_pared", family=family, blocks=tuple(carriers))
-    return SparsestCutLp(program, dem_expr)
+    return LpProgram(range(count), constraints, (cap_expr, dem_expr), sense="min",
+                     name="sparsest_cut_pared", family=family, blocks=tuple(carriers))
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +417,7 @@ class RatioSearchResult:
     trace: list
 
 
-def _certified(res: simplex.LpResult, what: str) -> simplex.LpResult:
+def certified(res: simplex.LpResult, what: str) -> simplex.LpResult:
     """res, once it is optimal with an exact duality gap of 0."""
     if not res.optimal:
         raise InvariantError(f"{what} solve failed: {res.status}")
@@ -436,30 +431,29 @@ def ratio_search(instance: SparsestCutInstance, dec: TreeDecomposition) -> Ratio
 
     Runs `instance.dinkelbach` from the max-demand vertex.  Each minimum
     of cap - lambda*dem is a re-solve that warm-restarts the tableau, which
-    carries cap (the program's objective) and dem as reduced-cost rows
+    carries the program's objectives, cap and dem, as reduced-cost rows
     through its pivots, and must end optimal with an exact duality gap of
     0, or InvariantError is raised.
     """
     if instance.total_demand <= 0:
         raise InputError("ratio search needs positive total demand")
-    built = build_sparsestcut_lp(instance, dec)
-    solver = simplex.Simplex(built.program, objectives=(built.dem_expr,))
-    objectives = solver.objectives  # (cap, dem)
-    _certified(solver.solve(), "feasibility")
-    res = _certified(solver.reoptimize((0, 1), "max"), "max-demand")
+    program = build_sparsestcut_lp(instance, dec)
+    solver = simplex.Simplex(program)
+    certified(solver.solve(), "feasibility")
+    res = certified(solver.reoptimize((0, 1), "max"), "max-demand")
 
     def minimize(lam):
-        res = _certified(solver.reoptimize((1, -lam), "min"), "dinkelbach")
+        res = certified(solver.reoptimize((1, -lam), "min"), "dinkelbach")
         return res.objective, res.values
 
     def values_of(values):  # integer dot products over the values' lcm denominator
-        den, nums = _numerators(values)
+        den, nums = numerators(values)
         return tuple(Fraction(sum(c * nums[j] for j, c in ints.items()), scale * den)
-                     for scale, ints in objectives)
+                     for scale, ints in program.objectives)  # (cap, dem)
 
     values, trace = dinkelbach(minimize, values_of, res.values)
     lam, cap, dem = trace[-1]
-    solution = SaSolution.read(built.program, values)
+    solution = SaSolution.read(program, values)
     return RatioSearchResult(dem, solution, cap, lam, len(trace), trace)
 
 
@@ -482,7 +476,7 @@ def format_lp(program: LpProgram) -> str:
 
     lines = [f"\\ {program.name}"]
     lines.append("Maximize" if program.sense == "max" else "Minimize")
-    scale, objective = program.objective
+    scale, objective = program.objectives[0]
     obj = body(objective, scale)
     lines.append(f" obj: {obj if obj else '0 ' + names[0]}")
     lines.append("Subject To")

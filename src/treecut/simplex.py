@@ -26,23 +26,22 @@ as integers over the lcm of the basic rows' denominators, the dual one
 over the cost row's, and only nonzero values and duals become Fractions.
 
 The tableau has one cost row, T[m], below its m constraint rows, and
-pricing reads only that row.  Objectives, the program's own and those
-declared at construction (`objectives=`), come as (scale, {column: int}):
-the objective times a positive integer scale.  Each rides through the
-pivots as one more integer row, objective k at T[m + 1 + k] with the
-program's own first, at its own scale, updated by every pivot like the
+pricing reads only that row.  A program lists every objective it carries
+as (scale, {column: int}): the objective times a positive integer scale.
+Each rides through the pivots as one more integer row, objective k at
+T[m + 1 + k], at its own scale, updated by every pivot like the
 constraint rows, so each such row over its denominator is always scale
 times that objective's reduced costs against the current basis.  Phase 1
 starts with the sum of the artificials' reduced costs in the cost row;
 once it ends, the artificials, the last columns before the right-hand
 side, are no longer priced.  Pricing then writes a weighted sum of the
 carried rows into the cost row as one integer combination, over the lcm
-of their denominators: `solve()` prices the program's objective, and
-`reoptimize(weights, sense)` any weighted sum, resuming from the previous
-optimal vertex, which is what makes exact Dinkelbach ratio searches
-cheap.  The combined row is a positive multiple of the reduced costs, so
-the pivots it picks are the ones a cost row rebuilt from scratch would
-pick.
+of their denominators: `solve()` prices the program's first objective,
+and `reoptimize(weights, sense)` any weighted sum, resuming from the
+previous optimal vertex, which is what makes exact Dinkelbach ratio
+searches cheap.  The combined row is a positive multiple of the reduced
+costs, so the pivots it picks are the ones a cost row rebuilt from
+scratch would pick.
 """
 
 from __future__ import annotations
@@ -97,19 +96,19 @@ class Simplex:
     Standardization: rows scaled to integers, right-hand sides made
     nonnegative, slack/surplus columns appended, artificials for rows
     without a natural basic column.  All variables are nonnegative.
-    The program's objective and each one in `objectives` (scale,
-    {column: int}) are carried as reduced-cost rows for pricing.
+    Each of the program's objectives (scale, {column: int}) is carried
+    as a reduced-cost row for pricing.
     """
 
     # Exact rationals are the only number type.  Kept as an attribute
     # because bench/tracer.py reads it before checking the duality gap.
     mode = "rational"
 
-    def __init__(self, program, objectives=()):
+    def __init__(self, program):
         self.program = program
         self.pivots = 0
         self._feasible_basis = False  # phase 1 has ended feasible
-        self.objectives = [program.objective, *objectives]  # (scale, {column: int}) each
+        self.objectives = program.objectives  # (scale, {column: int}) each, carried in order
         self._build_tableau()
         self.dens = [1] * len(self.T)  # row i stands for T[i] / dens[i]
         self._price((1,), program.sense)  # what results report before phase 2
@@ -294,9 +293,8 @@ class Simplex:
             self.m -= 1
 
     def reoptimize(self, weights, sense: Optional[str] = None) -> LpResult:
-        """Optimize sum_k weights[k] * (objective k) and re-run from the
-        previous optimal vertex; objective 0 is the program's own, and the
-        declared ones follow it."""
+        """Optimize sum_k weights[k] * (the program's objective k) and
+        re-run from the previous optimal vertex."""
         if not self._feasible_basis:
             raise InputError("reoptimize needs a solved feasible tableau; call solve() first")
         if len(weights) != len(self.objectives):

@@ -14,8 +14,8 @@ from treecut.relaxation import (LpProgram, every_set_blocks, full_family, lifted
 
 def scaled(coeffs: dict) -> tuple:
     """(scale, {column: scale * coefficient}) over the nonzero
-    coefficients, with the smallest integer scale: the form LpProgram and
-    Simplex take objectives in."""
+    coefficients, with the smallest integer scale: the form of each of an
+    LpProgram's objectives."""
     coeffs = {j: Fraction(c) for j, c in coeffs.items() if c}
     scale = lcm(1, *(c.denominator for c in coeffs.values()))
     return scale, {j: c.numerator * (scale // c.denominator) for j, c in coeffs.items()}
@@ -40,11 +40,11 @@ def y_value(solution, u, v) -> Fraction:
 
 
 def named_program(names, constraints, objective: dict, sense="min", name="lp") -> LpProgram:
-    """An LpProgram from rows and an objective keyed by variable name; the
-    names become the columns 0, 1, ... in the order given."""
+    """An LpProgram from rows and its one objective keyed by variable name;
+    the names become the columns 0, 1, ... in the order given."""
     col = {v: j for j, v in enumerate(names)}
     rows = [({col[v]: c for v, c in coeffs.items()}, s, rhs) for coeffs, s, rhs in constraints]
-    return LpProgram(range(len(col)), rows, scaled({col[v]: c for v, c in objective.items()}),
+    return LpProgram(range(len(col)), rows, (scaled({col[v]: c for v, c in objective.items()}),),
                      sense=sense, name=name)
 
 
@@ -64,7 +64,7 @@ def build_distortion_lp(vertices, metric: dict, distortion, scale,
         constraints.append((dict(expr), ">=", C * d))
         constraints.append((dict(expr), "<=", D * C * d))
     ncols = sum(1 << len(s) for s in family.sets)
-    return LpProgram(range(ncols), constraints, (1, {}), sense="min",
+    return LpProgram(range(ncols), constraints, ((1, {}),), sense="min",
                      name=f"distortion_{distortion}", family=family, blocks=tuple(carriers))
 
 

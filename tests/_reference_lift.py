@@ -81,7 +81,9 @@ class ReferenceLift:
         R = frozenset(v for v in ext.top if v not in ("s", "t"))
         if R:
             try:
-                base_dist = ctx.base_dists[R]
+                elems, table = ctx.solution.block_table(R)
+                base_dist = {frozenset(v for b, v in enumerate(elems) if m >> b & 1): x
+                             for m, x in enumerate(table)}
             except KeyError:
                 raise InputError(
                     f"base round budget too small: the lift needs the distribution "

@@ -1,22 +1,27 @@
 """Digests of what the pipeline computes, over the acceptance corpus and
 three fractals: the exact derandomization potential traces, the pared
-LPs' shape totals and the pivots of the corpus ratio searches; and the
-text of the full Sherali-Adams MaxCut LPs the gap table solves.
+LPs' shape totals and the pivots of the corpus ratio searches; the text
+of the full Sherali-Adams MaxCut LPs the gap table solves; and the
+lifted distributions of G_3(P_3).
 
 Run as a script, it prints the potential-trace digest; it needs only the
 standard library and `treecut` on the path:
 
     PYTHONPATH=src python tests/_trace_digest.py
 
-and the MaxCut LP text digest, or the corpus pivot count, by
+and the MaxCut LP text digest, the corpus pivot count or the lift
+distribution digest by
 
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.maxcut_lp_text_digest())'
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.ratio_search_pivots())'
+    PYTHONPATH=src:tests python -c \
+        'import _trace_digest; print(_trace_digest.lift_distribution_digest())'
 """
 
 import hashlib
+import itertools
 import os
 import sys
 from unittest import mock
@@ -28,6 +33,7 @@ from treecut.decomposition import (balance, exact_decomposition,  # noqa: E402
                                    format_decomposition, parse_decomposition)
 from treecut.generators import MaxCutInstance, building_block, power  # noqa: E402
 from treecut.instance import format_instance, parse_instance  # noqa: E402
+from treecut.lift import lift_distribution, make_lift_context  # noqa: E402
 from treecut.relaxation import build_maxcut_lp, build_sparsestcut_lp, format_lp  # noqa: E402
 
 from corpus import acceptance_corpus  # noqa: E402
@@ -66,7 +72,7 @@ def pared_lp_shape_totals() -> tuple:
     rows = cols = nonzeros = 0
     for inst in acceptance_corpus(0, 100):
         dec = balance(exact_decomposition(inst))
-        program = build_sparsestcut_lp(inst, dec).program
+        program = build_sparsestcut_lp(inst, dec)
         rows += len(program.constraints)
         cols += len(program.variables)
         nonzeros += sum(len(coeffs) for coeffs, _, _ in program.constraints)
@@ -99,6 +105,24 @@ def maxcut_lp_text_digest() -> str:
     h = hashlib.sha256()
     for name, rounds in MAXCUT_CONFIGS:
         h.update(format_lp(build_maxcut_lp(MaxCutInstance.named(name), rounds)).encode())
+    return h.hexdigest()
+
+
+def small_targets(vertices) -> list:
+    """Every set of one or two vertices: singletons, then pairs, in vertex order."""
+    return [T for k in (1, 2) for T in itertools.combinations(vertices, k)]
+
+
+def lift_distribution_digest() -> str:
+    """sha256 of the sorted `str` form of every |T| <= 2 lifted
+    distribution of G_3(P_3) at rounds 3, one line per set of
+    `small_targets`."""
+    ctx = make_lift_context(MaxCutInstance.path(3), 3, 3)
+    h = hashlib.sha256()
+    for T in small_targets(ctx.powered.instance.vertices):
+        dist = lift_distribution(ctx, T)
+        text = str(sorted((sorted(map(str, sel)), str(p)) for sel, p in dist.items()))
+        h.update(text.encode() + b"\n")
     return h.hexdigest()
 
 

@@ -339,7 +339,7 @@ def test_criterion_7_total_capacity_as_pinned():
 
 def test_criterion_8_lift():
     t0 = time.monotonic()
-    from treecut.relaxation import SaSolution, build_maxcut_lp, subset_from_mask
+    from treecut.relaxation import SaSolution, build_maxcut_lp
 
     ok = True
     # the base distributions are the solved x(S,T), D_S(T) = x(S,T)
@@ -349,10 +349,7 @@ def test_criterion_8_lift():
         res = simplex.solve(prog)
         sol = SaSolution.read(prog, res.values)
         ok &= sol.validate() == []
-        dists = make_lift_context(H, 3, 2).base_dists
-        ok &= all(dists[S][subset_from_mask(elems, m)] == x
-                  for S, (elems, table) in sol.blocks.items()
-                  for m, x in enumerate(table))
+        ok &= make_lift_context(H, 3, 2).solution.blocks == sol.blocks
 
     # exhaustive consistency on G_2(P_3) for all |T| <= 3
     ctx = make_lift_context(MaxCutInstance.path(3), 3, 2)

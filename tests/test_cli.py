@@ -1,4 +1,6 @@
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -83,6 +85,19 @@ def test_gap_json_and_csv(capsys):
     assert code == 0
     header, row = out.strip().split("\n")
     assert len(header.split(",")) == len(row.split(","))
+
+
+def test_csv_reports_read_back_as_one_row_per_header(tmp_path, capsys):
+    # list and dict cells (the cut, the audit's entries) hold commas, so
+    # they are quoted: each report parses to one row of one cell per key
+    inst = tmp_path / "in.ssc"
+    run(capsys, "gen", "block", "--maxcut", "k3", "--st-demand", "-o", str(inst))
+    for argv in (["solve", str(inst)], ["round", str(inst)], ["oracle", str(inst)],
+                 ["verify", str(inst)], ["gap", "--base", "p3"]):
+        code, out, _ = run(capsys, *argv, "--format", "csv")
+        assert code == 0
+        header, *rows = csv.reader(io.StringIO(out))
+        assert len(rows) == 1 and len(rows[0]) == len(header), (argv, out)
 
 
 def test_embed_csv(tmp_path, capsys):
@@ -226,6 +241,23 @@ def test_infeasible_base_solve_is_an_invariant_fault(monkeypatch, capsys):
     code, _, err = run(capsys, "gap", "--base", "p3")
     assert code == 4
     assert err.startswith("internal invariant violated: solution is infeasible"), err
+
+
+def test_base_solve_with_a_duality_gap_is_an_invariant_fault(monkeypatch, capsys):
+    # the base MaxCut solve is certified like the ratio search's solves: an
+    # optimal status with a nonzero duality gap is an internal fault
+    from dataclasses import replace
+    from fractions import Fraction
+    from treecut import simplex
+    solve = simplex.solve
+
+    def gapped(program):
+        return replace(solve(program), duality_gap=Fraction(1))
+
+    monkeypatch.setattr(simplex, "solve", gapped)
+    code, _, err = run(capsys, "gap", "--base", "p3")
+    assert code == 4
+    assert err == "internal invariant violated: base MaxCut solve has duality gap 1\n", err
 
 
 def test_gap_refuses_an_over_bound_base_before_its_lp(monkeypatch, capsys):

@@ -22,9 +22,9 @@ from treecut import simplex
 from _lp_fixtures import build_distortion_lp, named_program, y_value
 
 
-def literal_program(built, inst, alpha):
+def literal_program(program, inst, alpha):
     """The unreduced system over the same family."""
-    family = built.program.family
+    family = program.family
     fsets = family.frozensets()
     variables = []
     constraints = []
@@ -89,25 +89,25 @@ def test_pared_lp_matches_literal_emission():
         inst = SparsestCutInstance.build(range(1, n + 1), sup, dem)
         dec = balance(exact_decomposition(inst))
         alpha = Fraction(1, 2)
-        built = build_sparsestcut_lp(inst, dec, alpha)
-        reduced = simplex.solve(built.program)
-        literal = simplex.solve(literal_program(built, inst, alpha))
+        program = build_sparsestcut_lp(inst, dec, alpha)
+        reduced = simplex.solve(program)
+        literal = simplex.solve(literal_program(program, inst, alpha))
         assert reduced.status == literal.status == "optimal"
         assert reduced.objective == literal.objective
 
         # the materialized reduced solution satisfies the literal system
-        sol = SaSolution.read(built.program, reduced.values)
-        family = built.program.family
+        sol = SaSolution.read(program, reduced.values)
+        family = program.family
         # the literal program's columns are ("f", i, m) in (i, m) order
         lit_values = [x for elems in family.sets for x in sol.block_table(elems)[1]]
         # and every block's table is its LP variables, read back unchanged
         at = 0
-        for i in built.program.blocks:
+        for i in program.blocks:
             elems = family.sets[i]
             width = 1 << len(elems)
             assert sol.block_table(elems) == (elems, reduced.values[at:at + width])
             at += width
-        prog = literal_program(built, inst, alpha)
+        prog = literal_program(program, inst, alpha)
         for coeffs, sense, rhs in prog.constraints:
             lhs = sum(c * lit_values[k] for k, c in coeffs.items())
             if sense == "==":

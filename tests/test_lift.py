@@ -1,4 +1,4 @@
-import hashlib
+import dataclasses
 import itertools
 import random
 from fractions import Fraction
@@ -7,6 +7,7 @@ import pytest
 
 from _lp_fixtures import mask_of
 from _reference_lift import ReferenceLift, extend_set
+from _trace_digest import lift_distribution_digest, small_targets
 from treecut import lift
 from treecut.decomposition import balance
 from treecut.errors import InputError, InvariantError
@@ -177,13 +178,13 @@ def test_lifted_solution_feasible_for_pared_lp():
     powered = ctx.powered
     dec = balance(powered.decomposition)
     lv = lifted_value(ctx)
-    built = build_sparsestcut_lp(powered.instance, dec, lv.demand_value)
-    family = built.program.family
+    program = build_sparsestcut_lp(powered.instance, dec, lv.demand_value)
+    family = program.family
     sol = lifted_family_solution(ctx, family)
     assert sol.validate() == []
     # block variables drawn from the lift satisfy every LP row exactly
-    values = [x for i in built.program.blocks for x in sol.block_table(family.sets[i])[1]]
-    for coeffs, sense, rhs in built.program.constraints:
+    values = [x for i in program.blocks for x in sol.block_table(family.sets[i])[1]]
+    for coeffs, sense, rhs in program.constraints:
         lhs = sum(Fraction(c) * values[j] for j, c in coeffs.items())
         if sense == "==":
             assert lhs == Fraction(rhs)
@@ -192,7 +193,7 @@ def test_lifted_solution_feasible_for_pared_lp():
         else:
             assert lhs <= Fraction(rhs)
     # and the capacity objective evaluates to the lifted capacity value
-    scale, ints = built.program.objective
+    scale, ints = program.objectives[0]
     cap = sum(Fraction(c, scale) * values[j] for j, c in ints.items())
     assert cap == lv.capacity_value == 1
 
@@ -243,28 +244,16 @@ def test_pared_lp_value_bounded_by_lifted_certificate():
     assert rs.ratio <= lv.sparsity == Fraction(1, 2)
 
 
-def _distribution_text(dist):
-    return str(sorted((sorted(map(str, sel)), str(p)) for sel, p in dist.items()))
-
-
-def _small_targets(vertices):
-    return [T for k in (1, 2) for T in itertools.combinations(vertices, k)]
-
-
 # sha256 of the sorted str form of every |T| <= 2 lifted distribution of
 # G_3(P_3) at rounds 3 (8646 sets: singletons, then pairs, in vertex
-# order), recorded before the lift DP moved to integer arithmetic.
+# order; `_trace_digest.lift_distribution_digest`), recorded before the
+# lift DP moved to integer arithmetic.
 G3_P3_DISTRIBUTIONS_DIGEST = "4308049c4ed6a74a5d1c5cb33b21d0c8913e8ac0f9b3997fdfc1081ec11f183a"
 
 
 def test_lift_distributions_match_recorded_digest():
-    ctx = p3_context(levels=3)
-    targets = _small_targets(ctx.powered.instance.vertices)
-    assert len(targets) == 8646
-    h = hashlib.sha256()
-    for T in targets:
-        h.update(_distribution_text(lift_distribution(ctx, T)).encode() + b"\n")
-    assert h.hexdigest() == G3_P3_DISTRIBUTIONS_DIGEST
+    assert len(small_targets(p3_context(levels=3).powered.instance.vertices)) == 8646
+    assert lift_distribution_digest() == G3_P3_DISTRIBUTIONS_DIGEST
 
 
 # (context, target, levels, exception type, message), recorded before the
@@ -312,10 +301,27 @@ def _differential_check(ctx, targets, monkeypatch):
     assert calls[0] == ref.calls
 
 
+@pytest.mark.parametrize("name, rounds", [("p3", 3), ("k3", 3), ("c5", 3), ("k4", 2)])
+def test_lift_reads_smaller_base_sets_as_marginals(name, rounds):
+    # a base solution that keeps only the blocks of the maximal sets, as a
+    # base LP whose blocks sit on the maximal sets alone would give, reads
+    # every smaller set's table as a marginal and lifts the same
+    # distributions as the full context, whose every set is a block
+    full = make_lift_context(MaxCutInstance.named(name), rounds, 2)
+    family = full.solution.family
+    kept = [frozenset(family.sets[i]) for i in family.maximal_indices()]
+    assert len(kept) < len(full.solution.blocks)
+    solution = SaSolution(family, {S: full.solution.blocks[S] for S in kept})
+    pared = dataclasses.replace(full, solution=solution, _memo={}, _share={},
+                                _base_reads={}, _copy_reads={})
+    for T in small_targets(full.powered.instance.vertices):
+        assert lift_distribution(pared, T) == lift_distribution(full, T), T
+
+
 @pytest.mark.parametrize("name", ["p3", "k3", "c5"])
 def test_lift_matches_reference_on_level_two_bases(name, monkeypatch):
     ctx = make_lift_context(MaxCutInstance.named(name), 3, 2)
-    _differential_check(ctx, _small_targets(ctx.powered.instance.vertices), monkeypatch)
+    _differential_check(ctx, small_targets(ctx.powered.instance.vertices), monkeypatch)
 
 
 def test_lift_matches_reference_on_sampled_level_three_pairs(monkeypatch):
@@ -327,13 +333,13 @@ def test_lift_matches_reference_on_sampled_level_three_pairs(monkeypatch):
 def test_lift_rejects_a_distribution_that_does_not_sum_to_one(monkeypatch):
     # reading every distribution over twice its denominator halves each
     # branch's weight, so the summed numerators fall short of the total
-    integer = lift._integer
+    integer = lift.numerators
 
-    def halved(dist):
-        den, nums = integer(dist)
+    def halved(values):
+        den, nums = integer(values)
         return 2 * den, nums
 
-    monkeypatch.setattr(lift, "_integer", halved)
+    monkeypatch.setattr(lift, "numerators", halved)
     with pytest.raises(InvariantError, match="sums to 1/2, not 1"):
         lift_distribution(p3_context(), (1,))
 
@@ -347,8 +353,8 @@ def test_lift_caches_are_per_context_and_independent_of_query_order():
     first, second = p3_context(levels=3), p3_context(levels=3)
     other = make_lift_context(MaxCutInstance.named("k3"), 3, 3)
     assert other.powered.instance.vertices == first.powered.instance.vertices
-    assert other.base_dists != first.base_dists
-    targets = _small_targets(first.powered.instance.vertices)
+    assert other.solution.blocks != first.solution.blocks
+    targets = small_targets(first.powered.instance.vertices)
     shuffled = random.Random(13).sample(targets, len(targets))
     ref, other_ref = ReferenceLift(first), ReferenceLift(other)
     got = {}

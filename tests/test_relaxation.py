@@ -95,7 +95,7 @@ def test_maxcut_lp_values():
     assert simplex.solve(build_maxcut_lp(MaxCutInstance.complete(2), 2)).objective == 1
     k3 = build_maxcut_lp(MaxCutInstance.complete(3), 2)
     mine = simplex.solve(k3)
-    status, ref = reference_solve(k3.variables, k3.constraints, unscaled(k3.objective),
+    status, ref = reference_solve(k3.variables, k3.constraints, unscaled(k3.objectives[0]),
                                   k3.sense)
     assert mine.objective == ref  # dual-implementation agreement
     k4 = simplex.solve(build_maxcut_lp(MaxCutInstance.complete(4), 2))
@@ -110,10 +110,10 @@ def one_edge_instance():
 def test_pared_lp_single_edge():
     inst = one_edge_instance()
     dec = TreeDecomposition.build([{1, 2}], [])
-    built = build_sparsestcut_lp(inst, dec, 1)
-    res = simplex.solve(built.program)
+    program = build_sparsestcut_lp(inst, dec, 1)
+    res = simplex.solve(program)
     assert res.objective == Fraction(7, 3)
-    sol = SaSolution.read(built.program, res.values)
+    sol = SaSolution.read(program, res.values)
     assert not sol.validate()
     assert y_value(sol, 1, 2) == 1
 
@@ -127,8 +127,8 @@ def test_pared_lp_is_a_relaxation_on_block():
     inst, dec = g1prime_k3()
     _, phi = exact_sparsest_cut(inst)
     alpha = Fraction(5, 3)  # demand of the optimal cut
-    built = build_sparsestcut_lp(inst, dec, alpha)
-    res = simplex.solve(built.program)
+    program = build_sparsestcut_lp(inst, dec, alpha)
+    res = simplex.solve(program)
     assert res.optimal
     assert res.objective <= phi.ratio * alpha
 
@@ -184,7 +184,7 @@ def test_triangle_inequality_on_in_family_triples():
 def test_family_monotonicity_extra_sets_never_loosen(monkeypatch):
     inst, dec = g1prime_k3()
     alpha = Fraction(1)
-    base = simplex.solve(build_sparsestcut_lp(inst, dec, alpha).program).objective
+    base = simplex.solve(build_sparsestcut_lp(inst, dec, alpha)).objective
     extra = (("s", "t", 1, 2), ("t", 1, 2, 3))
     pared = relaxation.pared_family
 
@@ -193,7 +193,7 @@ def test_family_monotonicity_extra_sets_never_loosen(monkeypatch):
         return SetFamily.build(family.order, family.sets + extra)
 
     monkeypatch.setattr(relaxation, "pared_family", with_extra_sets)
-    bigger = simplex.solve(build_sparsestcut_lp(inst, dec, alpha).program).objective
+    bigger = simplex.solve(build_sparsestcut_lp(inst, dec, alpha)).objective
     assert bigger >= base
 
 
@@ -238,7 +238,7 @@ def test_ratio_search_matches_cold_solve_at_fixed_demand():
         dec = balance(exact_decomposition(inst))
         rs = ratio_search(inst, dec)
         for alpha in (rs.alpha, rs.alpha / 2):
-            cold = simplex.solve(build_sparsestcut_lp(inst, dec, alpha).program)
+            cold = simplex.solve(build_sparsestcut_lp(inst, dec, alpha))
             assert cold.optimal and cold.duality_gap == 0
             assert cold.objective / alpha == rs.ratio, \
                 f"trial {trial}, alpha {alpha}: {cold.objective / alpha} vs {rs.ratio}"
@@ -246,10 +246,10 @@ def test_ratio_search_matches_cold_solve_at_fixed_demand():
 
 def test_lp_dump_round_trip():
     inst, dec = g1prime_k3()
-    built = build_sparsestcut_lp(inst, dec, 1)
-    text = format_lp(built.program)
+    program = build_sparsestcut_lp(inst, dec, 1)
+    text = format_lp(program)
     parsed = parse_lp(text)
-    a = simplex.solve(built.program)
+    a = simplex.solve(program)
     b = simplex.solve(parsed)
     assert a.objective == b.objective
 
@@ -287,10 +287,10 @@ def test_lp_text_matches_recorded_digests(tmp_path, capsys):
     digests = {name: hashlib.sha256() for name in LP_TEXT_DIGESTS}
     for i, inst in enumerate(acceptance_corpus(0, 20)):
         dec = balance(exact_decomposition(inst))
-        built = build_sparsestcut_lp(inst, dec)
-        digests["without_demand_row"].update(format_lp(built.program).encode())
-        built = build_sparsestcut_lp(inst, dec, inst.total_demand / 3)
-        digests["with_demand_row"].update(format_lp(built.program).encode())
+        program = build_sparsestcut_lp(inst, dec)
+        digests["without_demand_row"].update(format_lp(program).encode())
+        program = build_sparsestcut_lp(inst, dec, inst.total_demand / 3)
+        digests["with_demand_row"].update(format_lp(program).encode())
         path, dump = tmp_path / f"c{i}.ssc", tmp_path / f"c{i}.lp"
         path.write_text(format_instance(inst))
         assert main(["solve", str(path), "--dump-lp", str(dump)]) == 0

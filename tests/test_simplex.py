@@ -1,5 +1,6 @@
 from collections import Counter
 from contextlib import contextmanager
+from dataclasses import replace
 from fractions import Fraction
 from math import lcm
 
@@ -21,6 +22,12 @@ from corpus import acceptance_corpus
 
 def lp(variables, constraints, objective, sense="min"):
     return named_program(variables, constraints, objective, sense=sense)
+
+
+def carrying(prog, objective: dict) -> LpProgram:
+    """prog with its first objective and then objective ({column:
+    coefficient}) as its second, the one `reoptimize((0, 1))` prices."""
+    return replace(prog, objectives=(prog.objectives[0], scaled(objective)))
 
 
 def test_single_bound():
@@ -57,7 +64,7 @@ def test_maxcut_sa_k5_matches_reference():
     prog = build_maxcut_lp(MaxCutInstance.complete(5), 2)
     res = solve(prog)
     status, ref = reference_solve(prog.variables, prog.constraints,
-                                  unscaled(prog.objective), prog.sense)
+                                  unscaled(prog.objectives[0]), prog.sense)
     assert status == "optimal"
     assert res.objective == ref == 10
 
@@ -73,7 +80,7 @@ def test_strong_duality_on_sa_programs():
         for (coeffs, sense, rhs), y in zip(prog.constraints, res.duals):
             for v, c in coeffs.items():
                 colsum[v] += Fraction(c) * y
-        objective = unscaled(prog.objective)
+        objective = unscaled(prog.objectives[0])
         for v in prog.variables:
             assert colsum[v] >= objective.get(v, 0)
 
@@ -93,19 +100,19 @@ def test_bland_rule_terminates_on_degenerate_programs(monkeypatch):
                            for name in ("k3", "k4")]:
         res = solve(prog)
         status, ref = reference_solve(prog.variables, prog.constraints,
-                                      unscaled(prog.objective), prog.sense)
+                                      unscaled(prog.objectives[0]), prog.sense)
         assert res.optimal and status == "optimal" and res.objective == ref
         assert res.duality_gap == 0
 
 
 def test_reoptimize_matches_cold_solve():
     prog = build_maxcut_lp(MaxCutInstance.complete(4), 2)
-    scale, ints = prog.objective
+    scale, ints = prog.objectives[0]
     new_obj = (scale, {j: -c for j, c in ints.items()})
-    solver = Simplex(prog, objectives=(new_obj,))
+    solver = Simplex(replace(prog, objectives=(*prog.objectives, new_obj)))
     first = solver.solve()
     warm = solver.reoptimize((0, 1), sense="max")
-    cold = solve(LpProgram(prog.variables, prog.constraints, new_obj, "max"))
+    cold = solve(LpProgram(prog.variables, prog.constraints, (new_obj,), "max"))
     assert warm.objective == cold.objective
     # and back again, to the program's own objective
     again = solver.reoptimize((1, 0), sense="max")
@@ -118,11 +125,11 @@ def test_reoptimize_rejects_misuse():
     with pytest.raises(InputError):
         solver.reoptimize((1,))  # before solve()
     assert solver.solve().optimal
-    for weights in ((), (1, 0)):  # one weight, for the program's objective
+    for weights in ((), (1, 0)):  # one weight, for the program's one objective
         with pytest.raises(InputError):
             solver.reoptimize(weights)
     with pytest.raises(InputError):  # a column the program does not have
-        Simplex(prog, objectives=((1, {len(prog.variables): 1}),))
+        Simplex(replace(prog, objectives=(*prog.objectives, (1, {len(prog.variables): 1}))))
 
 
 def test_iteration_limit_status(monkeypatch):
@@ -145,9 +152,8 @@ def test_corpus_ratio_searches_pivot_as_recorded(monkeypatch):
     def laid_out(method):
         def checked(self, *args, **kwargs):
             res = method(self, *args, **kwargs)
-            # the constraint rows, one cost row, then the program's objective
-            # and each declared one
-            assert len(self.T) == len(self.dens) == self.m + 1 + len(self.objectives)
+            # the constraint rows, one cost row, then the program's objectives
+            assert len(self.T) == len(self.dens) == self.m + 1 + len(self.program.objectives)
             return res
         return checked
 
@@ -178,7 +184,7 @@ def random_lp(draw):
         constraints.append(({v: Fraction(1)}, "<=", Fraction(10)))
     objective = {v: Fraction(draw(st.integers(-3, 3))) for v in variables}
     sense = draw(st.sampled_from(["min", "max"]))
-    return LpProgram(variables, constraints, scaled(objective), sense=sense)
+    return LpProgram(variables, constraints, (scaled(objective),), sense=sense)
 
 
 @given(random_lp())
@@ -186,7 +192,7 @@ def random_lp(draw):
 def test_agrees_with_reference_on_random_lps(prog):
     mine = solve(prog)
     status, ref = reference_solve(prog.variables, prog.constraints,
-                                  unscaled(prog.objective), prog.sense)
+                                  unscaled(prog.objectives[0]), prog.sense)
     assert mine.status == status
     if status == "optimal":
         assert mine.objective == ref
@@ -204,7 +210,7 @@ def test_agrees_with_reference_on_random_lps(prog):
 def dense_tableau(prog):
     """(T, basis, dual_meta, cost_scale) built the plain way, from dense
     Fraction rows: the constraint rows, the phase-1 cost row, then the
-    program's objective as the first carried row."""
+    program's objectives as the carried rows, the first at cost_scale."""
     nv = len(prog.variables)
     rows = []
     for coeffs, sense, rhs in prog.constraints:
@@ -247,12 +253,14 @@ def dense_tableau(prog):
     for c in art:
         phase1[c] = 0
     T.append(phase1)
-    cost = [Fraction(0)] * nv
-    for j, c in unscaled(prog.objective).items():
-        cost[j] += c
-    cost_scale = lcm(1, *(c.denominator for c in cost))
-    T.append([int(c * cost_scale) for c in cost] + [0] * (width - nv))
-    return T, basis, meta, cost_scale
+    scales = []
+    for objective in prog.objectives:
+        cost = [Fraction(0)] * nv
+        for j, c in unscaled(objective).items():
+            cost[j] += c
+        scales.append(lcm(1, *(c.denominator for c in cost)))
+        T.append([int(c * scales[-1]) for c in cost] + [0] * (width - nv))
+    return T, basis, meta, scales[0]
 
 
 def assert_same_tableau(prog):
@@ -270,16 +278,19 @@ def corpus_programs():
     """(program, objective to reoptimize for, its sense) over production-shaped LPs.
 
     The ratio search's program (no demand row) over the first 20 corpus
-    instances, re-solved for maximum separated demand as the search does,
-    plus the full Sherali-Adams MaxCut LP of C_5, which pivots on
-    entries above 1.
+    instances, re-solved for maximum separated demand, its second
+    objective, as the search does, plus the full Sherali-Adams MaxCut LP
+    of C_5, which pivots on entries above 1.  The tests solve
+    `carrying(prog, objective)`, which for the first 20 is the ratio
+    search's own program.
     """
     out = []
     for inst in acceptance_corpus(0, 20):
-        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)))
-        out.append((built.program, unscaled(built.dem_expr), "max"))
+        prog = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)))
+        out.append((prog, unscaled(prog.objectives[1]), "max"))
     sa = build_maxcut_lp(MaxCutInstance.named("c5"), 2)
-    weighted = {j: (k % 3 + 1) * c for k, (j, c) in enumerate(unscaled(sa.objective).items())}
+    weighted = {j: (k % 3 + 1) * c
+                for k, (j, c) in enumerate(unscaled(sa.objectives[0]).items())}
     out.append((sa, weighted, "max"))
     return out
 
@@ -287,16 +298,16 @@ def corpus_programs():
 def test_tableau_matches_dense_construction(corpus_programs):
     for prog, objective, _ in corpus_programs:
         assert_same_tableau(prog)
-        # a declared objective only appends its row, over denominator 1
-        carried = Simplex(prog, objectives=(scaled(objective),))
-        assert carried.T[:-1] == Simplex(prog).T
+        # a second objective only appends its row, over denominator 1
+        first = replace(prog, objectives=prog.objectives[:1])
+        carried = Simplex(carrying(prog, objective))
+        assert carried.T[:-1] == Simplex(first).T
         assert carried.dens == [1] * len(carried.T)
-        assert carried.T[-1] == carried_row(Simplex(prog), scaled(objective))
+        assert carried.T[-1] == carried_row(Simplex(first), scaled(objective))
     # the same instances with the demand row (a fractional ">=" right-hand side)
     for inst in acceptance_corpus(0, 20):
-        built = build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
-                                     inst.total_demand / 3)
-        assert_same_tableau(built.program)
+        assert_same_tableau(build_sparsestcut_lp(inst, balance(exact_decomposition(inst)),
+                                                 inst.total_demand / 3))
 
 
 @given(random_lp())
@@ -340,8 +351,8 @@ def assert_certified(solver, res, prog, objective, sense):
 
 def test_solve_and_reoptimize_match_reference(corpus_programs):
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog, objectives=(scaled(objective),))
-        assert_certified(solver, solver.solve(), prog, unscaled(prog.objective), prog.sense)
+        solver = Simplex(carrying(prog, objective))
+        assert_certified(solver, solver.solve(), prog, unscaled(prog.objectives[0]), prog.sense)
         assert_certified(solver, solver.reoptimize((0, 1), sense=sense),
                          prog, objective, sense)
 
@@ -352,7 +363,7 @@ def test_solve_and_reoptimize_match_reference(corpus_programs):
 def test_reoptimize_agrees_with_reference_on_random_lps(prog, weights, sense):
     # fractional rows move row denominators off 1 before the swap
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
-    solver = Simplex(prog, objectives=(scaled(objective),))
+    solver = Simplex(carrying(prog, objective))
     if not solver.solve().optimal:
         return
     # every variable is bounded, so a feasible program stays optimal
@@ -412,7 +423,7 @@ def checked_pivots():
 def test_pivots_match_dense_bareiss(corpus_programs):
     with checked_pivots() as kinds:
         for prog, objective, sense in corpus_programs:
-            solver = Simplex(prog, objectives=(scaled(objective),))
+            solver = Simplex(carrying(prog, objective))
             assert solver.solve().optimal
             assert solver.reoptimize((0, 1), sense=sense).optimal
     # the C_5 program pivots on entries above 1
@@ -425,7 +436,7 @@ def test_pivots_match_dense_bareiss(corpus_programs):
 def test_pivots_match_dense_bareiss_on_random_lps(prog, weights, sense):
     objective = {v: Fraction(w) for v, w in zip(prog.variables, weights)}
     with checked_pivots():
-        solver = Simplex(prog, objectives=(scaled(objective),))
+        solver = Simplex(carrying(prog, objective))
         if solver.solve().optimal:
             solver.reoptimize((0, 1), sense=sense)
 
@@ -462,15 +473,15 @@ def test_integer_certificate_matches_fraction_recomputation(corpus_programs):
     # the feasibility solve, the swap to the second objective, then two
     # Dinkelbach steps on first - lambda * second, as the ratio search runs
     for prog, objective, sense in corpus_programs:
-        solver = Simplex(prog, objectives=(scaled(objective),))
-        assert_fraction_result(solver, solver.solve(), unscaled(prog.objective))
+        solver = Simplex(carrying(prog, objective))
+        assert_fraction_result(solver, solver.solve(), unscaled(prog.objectives[0]))
         res = solver.reoptimize((0, 1), sense=sense)
         assert_fraction_result(solver, res, objective)
         for _ in range(2):
-            first = sum(c * res.values[v] for v, c in unscaled(prog.objective).items())
+            first = sum(c * res.values[v] for v, c in unscaled(prog.objectives[0]).items())
             second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
             lam = first / second
-            step = unscaled(prog.objective)
+            step = unscaled(prog.objectives[0])
             for v, c in objective.items():
                 step[v] = step.get(v, Fraction(0)) - lam * c
             res = solver.reoptimize((1, -lam), sense="min")
@@ -531,17 +542,16 @@ def checked_carried_rows():
     checks = Counter()
 
     def assert_carried(self):
-        # the program's objective is carried first, the declared ones after it
-        assert len(self.T) == self.m + 1 + len(self.declared)
-        for k, objective in enumerate(self.declared):
+        # the program's objectives, in order, below the cost row
+        assert len(self.T) == self.m + 1 + len(self.program.objectives)
+        for k, objective in enumerate(self.program.objectives):
             i = self.m + 1 + k
             assert [Fraction(a, self.dens[i]) for a in self.T[i]] == \
                 carried_row(self, objective)
         checks["carried rows"] += 1
 
-    def checked_init(self, program, *args, objectives=(), **kwargs):
-        self.declared = [program.objective, *objectives]
-        init(self, program, *args, objectives=objectives, **kwargs)
+    def checked_init(self, program):
+        init(self, program)
         assert_carried(self)
 
     def checked_pivot(self, r, c):
@@ -555,7 +565,7 @@ def checked_carried_rows():
     def checked_price(self, weights, sense):
         row, den = price(self, weights, sense)
         combined = {}
-        for w, objective in zip(weights, self.declared):
+        for w, objective in zip(weights, self.program.objectives):
             for v, c in unscaled(objective).items():
                 combined[v] = combined.get(v, Fraction(0)) + Fraction(w) * Fraction(c)
         old, old_scale = dense_cost_row(self, combined, sense)
@@ -577,15 +587,15 @@ def checked_carried_rows():
 
 def dinkelbach_steps(prog, objective, sense):
     """Solve, swap to objective, then two Dinkelbach steps on
-    prog.objective - lambda * objective, as the ratio search runs."""
-    solver = Simplex(prog, objectives=(scaled(objective),))
+    prog's first objective - lambda * objective, as the ratio search runs."""
+    solver = Simplex(carrying(prog, objective))
     if not solver.solve().optimal:
         return
     res = solver.reoptimize((0, 1), sense=sense)
     for _ in range(2):
         if not res.optimal:
             return
-        first = sum(c * res.values[v] for v, c in unscaled(prog.objective).items())
+        first = sum(c * res.values[v] for v, c in unscaled(prog.objectives[0]).items())
         second = sum(Fraction(c) * res.values[v] for v, c in objective.items())
         if not second:
             return
