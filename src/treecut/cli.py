@@ -25,7 +25,7 @@ from .generators import (MaxCutInstance, UlcInstance, building_block, check_gadg
                          ulc_to_json_dict)
 from .instance import as_weight, evaluate_cut, format_instance, parse_instance
 from .lift import gap_experiment
-from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, exact_maxcut,
+from .oracle import (DEFAULT_ENUM_BOUND, audit_cuts, check_maxcut_bound, exact_maxcut,
                      sparsest_cut_by_elimination)
 from .relaxation import build_sparsestcut_lp, format_lp
 from .rounding import check_sample_budget, embed_l1, sample_cut
@@ -166,34 +166,36 @@ def triangle_ulc(d: int = 2) -> UlcInstance:
 
 def cmd_gen(args) -> int:
     sidecar = {}
-    if args.what == "block":
+    if args.what in ("block", "power"):
         H = MaxCutInstance.named(args.maxcut)
-        _, mc = exact_maxcut(H)
+        check_maxcut_bound(H.n)  # the sidecar's exact MaxCut, refused with or without one
         inst, dec = building_block(H, include_st_demand=args.st_demand)
-        sidecar = {
-            "kind": "block",
-            "maxcut": args.maxcut,
-            "st_demand": args.st_demand,
-            "m": H.m,
-            "maxcut_size": mc,
-            "predicted_sparsity": str(Fraction(H.m, H.m + mc)) if args.st_demand else None,
-        }
-    elif args.what == "power":
-        H = MaxCutInstance.named(args.maxcut)
-        _, mc = exact_maxcut(H)
-        base, base_dec = building_block(H, include_st_demand=args.st_demand)
-        powered = power(base, args.levels, base_dec)
-        inst, dec = powered.instance, powered.decomposition
-        s = Fraction(mc, H.m)
-        sidecar = {
-            "kind": "power",
-            "maxcut": args.maxcut,
-            "levels": args.levels,
-            "capacity_edges": len(inst.supply_edges),
-            "predicted_capacity_edges": (2 * H.n) ** args.levels,
-            "vertices": len(inst.vertices),
-            "soundness_sparsity_lower_bound": str(1 / (1 + (args.levels - 1) * s)),
-        }
+        if args.what == "power":
+            powered = power(inst, args.levels, dec)
+            inst, dec = powered.instance, powered.decomposition
+        if args.sidecar:
+            _, mc = exact_maxcut(H)
+            if args.what == "block":
+                sidecar = {
+                    "kind": "block",
+                    "maxcut": args.maxcut,
+                    "st_demand": args.st_demand,
+                    "m": H.m,
+                    "maxcut_size": mc,
+                    "predicted_sparsity":
+                        str(Fraction(H.m, H.m + mc)) if args.st_demand else None,
+                }
+            else:
+                sidecar = {
+                    "kind": "power",
+                    "maxcut": args.maxcut,
+                    "levels": args.levels,
+                    "capacity_edges": len(inst.supply_edges),
+                    "predicted_capacity_edges": (2 * H.n) ** args.levels,
+                    "vertices": len(inst.vertices),
+                    "soundness_sparsity_lower_bound":
+                        str(1 / (1 + (args.levels - 1) * Fraction(mc, H.m))),
+                }
     elif args.what == "gadget":
         if args.random_ulc or not args.ulc:
             check_gadget_dimension(args.labels)

@@ -6,7 +6,9 @@ contains both terminals, which is what lets the powering operation stitch
 copy decompositions together without growing the width.
 
 Naming: powered instances use path-encoded vertex ids ("e", edge_index,
-inner_id), so provenance is stable across runs.
+inner_id), so provenance is stable across runs.  The names are powering's
+only copy record: a copy vertex's nesting depth is its level, and
+`lift_cut` reads each vertex's side off its name.
 """
 
 from __future__ import annotations
@@ -153,12 +155,13 @@ def building_block(H: MaxCutInstance, include_st_demand: bool):
 
 @dataclass(frozen=True)
 class PoweredInstance:
+    """`base` powered `levels` times; vertex ("e", i, x) is x in the copy
+    that replaced base supply edge i."""
+
     base: SparsestCutInstance
     levels: int
     instance: SparsestCutInstance
     decomposition: TreeDecomposition
-    supply_provenance: tuple  # per composed supply edge: base-edge index path
-    demand_levels: tuple  # per composed demand edge: level that introduced it
 
 
 def _ensure_terminal_root(dec: TreeDecomposition, s, t) -> TreeDecomposition:
@@ -192,35 +195,27 @@ def power(base: SparsestCutInstance, levels: int,
     base_dec = _ensure_terminal_root(base_decomposition, s, t)
 
     inst, dec = base, base_dec
-    prov = tuple((i,) for i in range(m))
-    dem_levels = tuple(1 for _ in base.demand_edges)
     for _ in range(levels - 1):
-        inst, dec, prov, dem_levels = _compose(base, base_dec, inst, dec, prov, dem_levels)
+        inst, dec = _compose(base, base_dec, inst, dec)
     if len(inst.supply_edges) != m ** levels:
         raise InvariantError("capacity edge count mismatch after powering")
-    return PoweredInstance(base, levels, inst, dec, prov, dem_levels)
+    return PoweredInstance(base, levels, inst, dec)
 
 
-def _compose(outer, outer_dec, inner, inner_dec, inner_prov, inner_dem_levels):
+def _compose(outer, outer_dec, inner, inner_dec):
     """One powering step: outer with each capacity edge replaced by inner."""
     s, t = outer.terminals
     verts = list(outer.vertices)
     supply = []
-    demand = []
-    prov = []
-    dem_levels = []
+    demand = list(outer.demand_edges)
     bags = list(outer_dec.bags)
     tree_edges = list(outer_dec.tree_edges)
-    level = max(inner_dem_levels, default=0) + 1
 
     outer_bag_with = {}
     for bi, bag in enumerate(outer_dec.bags):
         for u, v, _ in outer.supply_edges:
             if u in bag and v in bag and (u, v) not in outer_bag_with:
                 outer_bag_with[(u, v)] = bi
-
-    demand.extend(outer.demand_edges)
-    dem_levels.extend(level for _ in outer.demand_edges)
 
     ins, int_ = inner.terminals
     for ei, (u, v, cap) in enumerate(outer.supply_edges):
@@ -234,12 +229,10 @@ def _compose(outer, outer_dec, inner, inner_dec, inner_prov, inner_dem_levels):
         for x in inner.vertices:
             if x not in (ins, int_):
                 verts.append(("e", ei, x))
-        for k, (a, b, w) in enumerate(inner.supply_edges):
+        for a, b, w in inner.supply_edges:
             supply.append((rename(a), rename(b), cap * w))
-            prov.append((ei,) + inner_prov[k])
-        for k, (a, b, w) in enumerate(inner.demand_edges):
+        for a, b, w in inner.demand_edges:
             demand.append((rename(a), rename(b), cap * w))
-            dem_levels.append(inner_dem_levels[k])
         # attach the copy's decomposition under a bag covering (u, v)
         offset = len(bags)
         for bag in inner_dec.bags:
@@ -250,52 +243,31 @@ def _compose(outer, outer_dec, inner, inner_dec, inner_prov, inner_dem_levels):
 
     inst = SparsestCutInstance(tuple(verts), tuple(supply), tuple(demand), (s, t))
     dec = TreeDecomposition.build(bags, tree_edges, root=outer_dec.root)
-    return inst, dec, tuple(prov), tuple(dem_levels)
+    return inst, dec
 
 
 def lift_cut(powered: PoweredInstance, base_cut: Cut) -> Cut:
-    """The recursively composed cut of an admissible base cut.
-
-    Uncut copies follow their terminals onto one side; cut copies are
-    split by the level-below lifted cut, complemented when the copy is
-    traversed against its s-t orientation.
-    """
+    """The recursively composed cut of an admissible base cut, each vertex's
+    side read off its name.  A base vertex keeps its side; a copy vertex
+    ("e", i, x) of an uncut base edge follows the edge's endpoints, and in a
+    cut copy follows x's lifted side, complemented when the copy runs
+    against its s-t orientation (edge i's first endpoint carries its s)."""
     base = powered.base
     s, t = base.terminals
     if (s in base_cut.side_a) == (t in base_cut.side_a):
         raise InputError("lift_cut needs an admissible base cut")
-    side = base_cut.side_a if s in base_cut.side_a else \
-        frozenset(base.vertices) - base_cut.side_a
+    base_vertices = frozenset(base.vertices)
+    side = base_cut.side_a if s in base_cut.side_a else base_vertices - base_cut.side_a
 
-    def lift(levels: int) -> frozenset:
-        if levels == 1:
-            return side
-        inner_cut = lift(levels - 1)
-        interior = [x for x in _level_vertices(base, levels - 1) if x not in (s, t)]
-        out = set(side)
-        for ei, (u, v, _) in enumerate(base.supply_edges):
-            u_in, v_in = u in side, v in side
-            if u_in and v_in:
-                out.update(("e", ei, x) for x in interior)
-            elif u_in and not v_in:
-                out.update(("e", ei, x) for x in interior if x in inner_cut)
-            elif v_in and not u_in:
-                out.update(("e", ei, x) for x in interior if x not in inner_cut)
-        return frozenset(out)
+    def lifted(x) -> bool:
+        if x in base_vertices:
+            return x in side
+        u, v, _ = base.supply_edges[x[1]]
+        if (u in side) == (v in side):
+            return u in side
+        return lifted(x[2]) == (u in side)
 
-    return Cut(lift(powered.levels))
-
-
-def _level_vertices(base, levels: int):
-    """Vertex list of the level-`levels` power, in _compose's naming."""
-    if levels == 1:
-        return list(base.vertices)
-    inner = _level_vertices(base, levels - 1)
-    s, t = base.terminals
-    out = list(base.vertices)
-    for ei in range(len(base.supply_edges)):
-        out.extend(("e", ei, x) for x in inner if x not in (s, t))
-    return out
+    return Cut(frozenset(filter(lifted, powered.instance.vertices)))
 
 
 # ---------------------------------------------------------------------------

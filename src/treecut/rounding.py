@@ -2,8 +2,9 @@
 
 Sampling walks the balanced decomposition top-down, drawing each bag's
 assignment from the solution's conditional distribution given the parent
-assignment.  The derandomization fixes bag assignments greedily to keep
-the conditional potential
+assignment; a draw is placed by integer comparison with the cumulative
+weights, so it is exact at interval boundaries too.  The derandomization
+fixes bag assignments greedily to keep the conditional potential
 
     W = (capacity cut)/lp_star - 2 (demand cut)/alpha
 
@@ -17,14 +18,16 @@ paths meet; until g is fixed, the lowest fixed bag above g conditions both.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd
 
 from .decomposition import TreeDecomposition, least_bags
 from .errors import BudgetError, InputError, InvariantError
 from .instance import Cut, SparsestCutInstance
-from .relaxation import SaSolution, subset_from_mask
+from .relaxation import SaSolution, numerators, subset_from_mask
 
 EMBED_SAMPLE_BUDGET = 100_000  # samples in one embedding
 
@@ -61,7 +64,9 @@ def _extensions(elems, table, sub_elems, sub_mask: int):
 
 
 class PropagationSampler:
-    """Draws cuts from the propagation distribution of an LP solution."""
+    """Draws cuts from the propagation distribution of an LP solution.
+    Each conditional is cached as its masks, their cumulative integer
+    weights times 2^53 and the total weight."""
 
     def __init__(self, solution: SaSolution, dec: TreeDecomposition):
         self.solution = solution
@@ -80,34 +85,25 @@ class PropagationSampler:
         elems, table = self._blocks[a]
         b = self.parent[a]
         pelems = self._blocks[b][0] if b is not None else ()
-        masks, weights = [], []
-        for m, w in _extensions(elems, table, pelems, parent_mask_bits[0]):
-            masks.append(m)
-            weights.append(float(w))
-        if not masks:
+        pairs = list(_extensions(elems, table, pelems, parent_mask_bits[0]))
+        if not pairs:
             raise InvariantError("conditioning event has probability zero")
-        total = sum(weights)
-        cum = []
-        acc = 0.0
-        for w in weights:
-            acc += w / total
-            cum.append(acc)
-        cum[-1] = 1.0
-        out = (elems, masks, cum)
+        masks, weights = zip(*pairs)
+        _, nums = numerators(weights)
+        out = (masks, list(accumulate(n << 53 for n in nums)), sum(nums))
         self._choices[key] = out
         return out
 
     def sample_masks(self, rng: random.Random) -> dict:
+        """One mask per bag.  A draw r = rng.random() is exactly k / 2^53,
+        so mask i is drawn for the first cumulative weight above r * total,
+        compared in integers."""
         chosen: dict = {}
         for a in self.dec.top_down:
             b = self.parent[a]
             pkey = (chosen[b],) if b is not None else (0,)
-            elems, masks, cum = self._conditional(a, pkey)
-            r = rng.random()
-            lo = 0
-            while cum[lo] <= r:
-                lo += 1
-            chosen[a] = masks[lo]
+            masks, bounds, total = self._conditional(a, pkey)
+            chosen[a] = masks[bisect_right(bounds, int(rng.random() * 2**53) * total)]
         return chosen
 
 

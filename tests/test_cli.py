@@ -59,6 +59,25 @@ def test_emitted_instances_round_trip_losslessly(tmp_path, capsys):
     assert format_instance(inst) == text
 
 
+@pytest.mark.parametrize("what", ["block", "power"])
+def test_gen_runs_the_exact_maxcut_only_for_a_sidecar(what, monkeypatch, tmp_path, capsys):
+    argv = ["gen", what, "--maxcut", "k4", "--st-demand", "--td-out", str(tmp_path / "a.td")]
+    assert run(capsys, *argv, "-o", str(tmp_path / "a.ssc")) == (0, "", "")
+    from treecut import cli
+    from treecut.errors import InvariantError
+
+    def no_maxcut(graph):
+        raise InvariantError("the exact MaxCut ran")
+
+    monkeypatch.setattr(cli, "exact_maxcut", no_maxcut)
+    argv[-1] = str(tmp_path / "b.td")
+    assert run(capsys, *argv, "-o", str(tmp_path / "b.ssc")) == (0, "", "")
+    for ext in ("ssc", "td"):
+        assert (tmp_path / f"a.{ext}").read_bytes() == (tmp_path / f"b.{ext}").read_bytes()
+    code, _, err = run(capsys, *argv, "--sidecar", str(tmp_path / "b.json"))
+    assert code == 4 and err == "internal invariant violated: the exact MaxCut ran\n", err
+
+
 def test_gen_gadget_with_sidecar(tmp_path, capsys):
     out_file = tmp_path / "gadget.ssc"
     sidecar = tmp_path / "gadget.json"
@@ -285,7 +304,8 @@ COLUMN_REFUSALS = {
     # 6^6000 supply edges, refused without computing the power
     (["gen", "power", "--maxcut", "p3", "--levels", "6000"], 3),
     (["gap", "--base", "p3", "--levels", "6000"], 3),
-    # exact MaxCut refuses 1000 vertices before the block is built
+    # the MaxCut bound refuses 1000 vertices before the block is built,
+    # with or without a sidecar
     (["gen", "block", "--maxcut", "k1000"], 3),
     # 2^(10^9) cube nodes, refused before the ULC is built
     (["gen", "gadget", "--labels", str(10**9)], 3),

@@ -75,9 +75,6 @@ def test_power_counts_and_decomposition():
     assert len(powered.instance.vertices) == 5 + 6 * 3
     assert validate(powered.instance, powered.decomposition).ok
     assert powered.decomposition.width == dec.width
-    assert all(len(p) == 2 for p in powered.supply_provenance)
-    # level tags: 6 demands brought up from copies per level-1, 3 fresh
-    assert sorted(set(powered.demand_levels)) == [1, 2]
 
 
 def test_power_treewidth_preserved_exactly():
@@ -101,19 +98,22 @@ def test_lift_cut_identity_and_values():
     assert ev.ratio == Fraction(1, 2)
 
 
-def test_lift_cut_capacity_power_law():
-    base, dec = building_block(MaxCutInstance.complete(3), include_st_demand=False)
-    p2 = power(base, 2, dec)
+@pytest.mark.parametrize("name", ["k3", "c5"])
+@pytest.mark.parametrize("levels", [2, 3])
+def test_lift_cut_capacity_power_law(name, levels):
+    H = MaxCutInstance.named(name)
+    base, dec = building_block(H, include_st_demand=False)
+    powered = power(base, levels, dec)
     rng = random.Random(5)
     for _ in range(20):
-        side = {"s"} | {i for i in (1, 2, 3) if rng.random() < 0.5}
+        side = {"s"} | {i for i in H.vertices if rng.random() < 0.5}
         base_cut = Cut.of(side)
         cap = evaluate_cut(base, base_cut).cut_capacity
         dem = evaluate_cut(base, base_cut).cut_demand
-        lifted = lift_cut(p2, base_cut)
-        ev = evaluate_cut(p2.instance, lifted)
-        assert ev.cut_capacity == cap ** 2
-        assert ev.cut_demand == dem * (1 + cap)
+        lifted = lift_cut(powered, base_cut)
+        ev = evaluate_cut(powered.instance, lifted)
+        assert ev.cut_capacity == cap ** levels
+        assert ev.cut_demand == dem * sum(cap ** k for k in range(levels))
 
 
 def test_lift_cut_rejects_inadmissible():

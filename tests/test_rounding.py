@@ -11,7 +11,7 @@ from treecut.errors import InputError
 from treecut.generators import MaxCutInstance, building_block
 from treecut.instance import SparsestCutInstance, evaluate_cut
 from treecut.oracle import exact_sparsest_cut
-from treecut.relaxation import SaSolution, ratio_search
+from treecut.relaxation import SaSolution, SetFamily, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
 
@@ -57,6 +57,21 @@ def test_seed_determinism():
     r1 = [sampler.sample_masks(random.Random(5)) for _ in range(4)]
     r2 = [sampler.sample_masks(random.Random(5)) for _ in range(4)]
     assert r1 == r2
+
+
+def test_draw_at_an_interval_boundary_is_read_exactly():
+    # 1/3 as a double lies just below 1/3, so it falls in the first of
+    # three 1/3 intervals; float cumulative sums put it in the second
+    family = SetFamily.build((1, 2), [(1, 2)])
+    third = Fraction(1, 3)
+    sol = SaSolution(family, {frozenset({1, 2}): ((1, 2), [third, third, third, Fraction(0)])})
+    sampler = PropagationSampler(sol, TreeDecomposition.build([{1, 2}], []))
+
+    class Draw:
+        def random(self):
+            return 1 / 3
+
+    assert sampler.sample_masks(Draw()) == {0: 0}
 
 
 def test_fractional_marginals_match_lemma_bounds():
