@@ -164,11 +164,19 @@ def triangle_ulc(d: int = 2) -> UlcInstance:
     return UlcInstance((1, 2, 3), edges, d, ((0,), (1,), (2,)))
 
 
+def _maxcut_base(name: str) -> MaxCutInstance:
+    """The named MaxCut instance, whose size is checked against the exact
+    MaxCut bound before any edge of it is built."""
+    build, n = MaxCutInstance.parse_name(name)
+    check_maxcut_bound(n)
+    return build(n)
+
+
 def cmd_gen(args) -> int:
     sidecar = {}
     if args.what in ("block", "power"):
-        H = MaxCutInstance.named(args.maxcut)
-        check_maxcut_bound(H.n)  # the sidecar's exact MaxCut, refused with or without one
+        # the sidecar's exact MaxCut, refused with or without one
+        H = _maxcut_base(args.maxcut)
         inst, dec = building_block(H, include_st_demand=args.st_demand)
         if args.what == "power":
             powered = power(inst, args.levels, dec)
@@ -233,7 +241,7 @@ def cmd_gen(args) -> int:
 
 
 def cmd_gap(args) -> int:
-    H = MaxCutInstance.named(args.base)
+    H = _maxcut_base(args.base)
     payload = gap_experiment(H, args.rounds, args.levels, name=args.base).to_dict()
     _emit(args, payload, [f"{k:18} {v}" for k, v in sorted(payload.items())])
     return 0

@@ -100,18 +100,22 @@ class MaxCutInstance:
                               tuple((i, i % n + 1) for i in range(1, n + 1)))
 
     @staticmethod
-    def named(name: str) -> "MaxCutInstance":
+    def parse_name(name: str):
+        """(constructor, n) for a name k<n>, p<n> or c<n>; nothing is built."""
         try:
             kind, n = name[0].lower(), int(name[1:])
         except (IndexError, ValueError) as exc:
             raise InputError(f"bad maxcut instance name {name!r} (use k5/p3/c5)") from exc
-        if kind == "k":
-            return MaxCutInstance.complete(n)
-        if kind == "p":
-            return MaxCutInstance.path(n)
-        if kind == "c":
-            return MaxCutInstance.cycle(n)
-        raise InputError(f"unknown maxcut instance name {name!r} (use k5/p3/c5)")
+        kinds = {"k": MaxCutInstance.complete, "p": MaxCutInstance.path,
+                 "c": MaxCutInstance.cycle}
+        if kind not in kinds:
+            raise InputError(f"unknown maxcut instance name {name!r} (use k5/p3/c5)")
+        return kinds[kind], n
+
+    @staticmethod
+    def named(name: str) -> "MaxCutInstance":
+        build, n = MaxCutInstance.parse_name(name)
+        return build(n)
 
 
 # ---------------------------------------------------------------------------

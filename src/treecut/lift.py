@@ -9,35 +9,42 @@ symmetrized with a fair coin, and cut copies recurse while uncut copies
 ride along with their terminals.  Distributions are computed exactly by
 dynamic programming over the recursion tree, never sampled.
 
-The DP runs in integers.  A target set is closed one level at a time:
-its top set (terminals, its base vertices and the base endpoint of each
-copy it touches) picks the base draw, and each touched copy's inner set
-is left to the recursive call on the next level down.  A copy vertex
-nested deeper than the levels allow is refused before anything is read:
-the touched copies are closed level by level in edge order, down to the
-first copy found at level 1.  The base draw and each cut copy's inner
-distribution are read as integer numerators over one denominator, by
-`relaxation.numerators`, the lcm of their nonzero entries' denominators;
-a branch's selections multiply integers and its denominators multiply;
-the branches are summed over the lcm of their denominators, checked to
-sum to it, and only then turned into one reduced Fraction per entry, and
-the memo keeps those Fraction dicts.
+The DP runs in integers.  A target set T is closed one level at a time:
+its members outside every copy and the copies it touches pick the base
+draw over R, T's base vertices and each touched copy's base endpoint, and
+each touched copy's inner set is left to the recursive call on the next
+level down.  A copy vertex nested deeper than the levels allow is refused
+before anything is read: the touched copies are closed level by level in
+edge order, down to the first copy found at level 1.  The base draw and
+each cut copy's inner distribution are read as integer numerators over
+one denominator, by `relaxation.numerators`, the lcm of their nonzero
+entries' denominators, and a copy's outer names are T's own members in
+it.  Each branch adds its selections straight into one sum, whose
+denominator grows to the lcm of the branches' denominators; only a
+branch that cuts two or more copies first multiplies their parts.  The sum is checked to reach that
+denominator and only then turned into one reduced Fraction per entry,
+shared by (numerator, denominator), and the memo keeps those Fraction
+dicts.
 
-Each context also keeps its own read caches, which live and die with it:
-each base draw in integers with its symmetrized selections, keyed by its
-ground set and read from the solution's table for that set, and per
-(level, copy, inner set) the copy's endpoints, its outer names and, per
-orientation once a branch cuts it, the inner distribution in integers
-and outer names.  So each of these reads is made at most once per
-context; the recursive call on a cut copy still runs on every branch
-that cuts it.
+Each context also keeps its own caches, which live and die with it, and
+caches only the reads that a later miss uses again: per (T's members
+outside the copies, touched copies) its skeleton, R and the base draw
+over R in integers with, per symmetrized branch, its selection among
+those members and the copies it carries whole or cuts, in which
+orientation; per (level, inner set) the inner distribution in integers
+for both orientations, which every copy holding that set shares; and per
+(level, copy, inner set) of a copy that holds part of T, the copy's
+members and, per orientation once a branch cuts it, its part under outer
+names.  A copy that holds all of T is read for T alone, whose
+distribution is memoised, so that read is not kept.  The recursive call
+on a cut copy still runs on every branch that cuts it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 from typing import Optional
 
 from .errors import InputError, InvariantError
@@ -65,16 +72,15 @@ class LiftContext:
     solution: SaSolution  # the base MaxCut LP's, validated; D_S(T) = x(S,T)
     powered: PoweredInstance
     base_value: Fraction  # total y over the base edges (c*m)
-    _memo: dict = field(default_factory=dict, repr=False)
-    # one shared object per distinct selection set and probability across
-    # the memoised distributions and the cut copies' parts, which keeps
-    # their memory down
-    _share: dict = field(default_factory=dict, repr=False)
-    # the DP's reads, each made once per context: R -> the base draw over R
-    # (`_base_read`), and (levels, edge index, inner set) -> one copy
-    # (`_copy_read`)
-    _base_reads: dict = field(default_factory=dict, repr=False)
-    _copy_reads: dict = field(default_factory=dict, repr=False)
+    # the caches (see the module docstring); `_share` holds one object per
+    # distinct selection set and probability, which keeps the memo's memory
+    # down.  No cache is an init field, so `dataclasses.replace(ctx,
+    # solution=...)` starts with every one empty.
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+    _share: dict = field(default_factory=dict, init=False, repr=False)
+    _skeletons: dict = field(default_factory=dict, init=False, repr=False)
+    _copy_reads: dict = field(default_factory=dict, init=False, repr=False)
+    _inner_reads: dict = field(default_factory=dict, init=False, repr=False)
 
     @property
     def block(self) -> SparsestCutInstance:
@@ -108,98 +114,97 @@ def make_lift_context(H: MaxCutInstance, rounds: int, levels: int) -> LiftContex
     return LiftContext(H, rounds, levels, solution, powered, res.objective)
 
 
-def _one_level(ctx: LiftContext, T: frozenset, levels: int):
-    """T's closure at this level only: the top set (terminals, T's base
-    vertices and the base endpoint of every copy T touches) and
-    [(edge index, inner set)] per touched copy, in edge order.  Each inner
-    set is closed by its own lift call.  A copy vertex nested deeper than
-    the levels allow raises InputError for the first such copy in edge
-    order, depth first."""
-    top = {"s", "t"}
+def _closure(T: frozenset, levels: int):
+    """(tops, eis, names): T's members outside every copy, the copies T
+    touches in edge order, and per touched copy {inner name: T's member}.
+    A copy vertex nested deeper than the levels allow raises InputError for
+    the first such copy in edge order, depth first."""
+    tops = []
     touched: dict = {}
     deepest = 0
     for v in T:
         if isinstance(v, tuple) and v and v[0] == "e":
-            touched.setdefault(v[1], set()).add(v[2])
-            depth = 0
-            while isinstance(v, tuple) and v and v[0] == "e":
-                v, depth = v[2], depth + 1
-            deepest = max(deepest, depth)
+            _, ei, inner = v
+            if ei in touched:
+                touched[ei][inner] = v
+            else:
+                touched[ei] = {inner: v}
+            depth = 1
+            while isinstance(inner, tuple) and inner and inner[0] == "e":
+                inner, depth = inner[2], depth + 1
+            if depth > deepest:
+                deepest = depth
         else:
-            top.add(v)
-    copies = [(ei, frozenset(inner)) for ei, inner in sorted(touched.items())]
+            tops.append(v)
+    eis = tuple(sorted(touched))
     if deepest >= levels:
-        for ei, inner in copies:
+        for ei in eis:
             if levels < 2:
-                raise InputError(f"copy vertex at level 1: {sorted(map(str, inner))}")
-            _one_level(ctx, inner, levels - 1)
-    for ei, _ in copies:
-        top.add(ctx.edge_endpoint(ei)[1])
-    # each pulled-in base vertex charges to a distinct T-member inside a copy
-    if len(top) - 2 > len(T):
-        raise InvariantError("extension grew beyond its charging bound")
-    return frozenset(top), copies
+                raise InputError(f"copy vertex at level 1: {sorted(map(str, touched[ei]))}")
+            _closure(frozenset(touched[ei]), levels - 1)
+    return frozenset(tops), eis, [touched[ei] for ei in eis]
 
 
-def _base_read(ctx: LiftContext, R: frozenset):
-    """(D, [(n, X)]): the base draw over R in integers, read once per
-    context from the solution's table for R, as its symmetrized branches:
-    each selection Y of nonzero numerator n over D, in mask order, gives
-    X = Y + s and X = (R - Y) + s."""
-    read = ctx._base_reads.get(R)
-    if read is None:
-        try:
-            elems, table = ctx.solution.block_table(R)
-        except KeyError:
-            raise InputError(
-                f"base round budget too small: the lift needs the distribution "
-                f"over {len(R)} base vertices") from None
-        den, nums = numerators(table)
-        draws = [(n, subset_from_mask(elems, m)) for m, n in enumerate(nums) if n]
-        read = ctx._base_reads[R] = den, [(n, X | {"s"}) for n, Y in draws for X in (Y, R - Y)]
-    return read
+def _skeleton(ctx: LiftContext, tops: frozenset, eis: tuple):
+    """(|R|, D, branches) for every target whose members outside the copies
+    are `tops` and who touches the copies `eis`, made once per context.  R
+    is the top set less the terminals: T's base vertices and each touched
+    copy's base endpoint.  The base draw over R is read in integers over D
+    from the solution's table for R, and each selection Y of nonzero
+    numerator n, in mask order, gives the symmetrized branches X = Y + s
+    and X = (R - Y) + s, each kept as (n, X & tops, positions in eis of the
+    copies with both endpoints in X, [(position, whether u is in X)] for
+    the copies with one endpoint in X), where u, the supply edge's first
+    endpoint, carries the copy's inner s."""
+    R = (tops | {ctx.edge_endpoint(ei)[1] for ei in eis}) - {"s", "t"}
+    try:
+        elems, table = ctx.solution.block_table(R)
+    except KeyError:
+        raise InputError(
+            f"base round budget too small: the lift needs the distribution "
+            f"over {len(R)} base vertices") from None
+    edges = [ctx.block.supply_edges[ei][:2] for ei in eis]
+    den, nums = numerators(table)
+    branches = []
+    for m, n in enumerate(nums):
+        if not n:
+            continue
+        Y = subset_from_mask(elems, m)
+        for X in (Y | {"s"}, (R - Y) | {"s"}):
+            whole, cut = [], []
+            for pos, (u, v) in enumerate(edges):
+                if u in X and v in X:
+                    whole.append(pos)
+                elif u in X or v in X:
+                    cut.append((pos, u in X))
+            branches.append((n, X & tops, whole, cut))
+    skeleton = ctx._skeletons[tops, eis] = (len(R), den, branches)
+    return skeleton
 
 
-def _copy_read(ctx: LiftContext, levels: int, ei: int, sub_T: frozenset):
-    """(ei, sub_T, u, v, whole, parts) for copy ei with inner set sub_T, made
-    once per context: the supply edge's endpoints (u carries the inner s
-    role), the copy's outer names `whole`, and `parts`, which holds per
-    orientation (indexed by whether u carries the s role) the cut copy's
-    inner distribution in integers and outer names once it is read."""
-    key = (levels, ei, sub_T)
-    read = ctx._copy_reads.get(key)
-    if read is None:
-        u, v, _ = ctx.block.supply_edges[ei]
-        whole = frozenset(("e", ei, x) for x in sub_T)
-        read = ctx._copy_reads[key] = (ei, sub_T, u, v, whole, [None, None])
-    return read
-
-
-def _relabel(ctx: LiftContext, ei: int, sub_T: frozenset, inner: dict, u_in: bool):
-    """(D, {outer selection: n}): a cut copy's inner distribution in
-    integers, renamed into the outer copy ei; selection sets are interned in
-    ctx._share, like the memo's."""
-    den, nums = numerators(list(inner.values()))
+def _relabel(ctx: LiftContext, levels: int, read: list, inner: dict, u_in: bool):
+    """(D, [(outer selection, n)]): a cut copy's inner distribution, the
+    lift of sub_T at `levels`, in integers under the copy's outer names;
+    selection sets are interned in ctx._share, like the memo's.  The
+    integer form of both orientations is read once per inner set, which
+    every copy holding it shares."""
+    sub_T, names = read[0], read[1]
+    key = (levels, sub_T)
+    ints = ctx._inner_reads.get(key)
+    if ints is None:
+        den, nums = numerators(list(inner.values()))
+        # traversed against orientation, the selection process is
+        # complement-symmetric under swapping the terminals, so the
+        # reversed copy contributes the complement within sub_T
+        ints = ctx._inner_reads[key] = (den, [(sub_T - sel, q) for sel, q in zip(inner, nums)],
+                                        list(zip(inner, nums)))
+    rename = names.__getitem__
     intern = ctx._share.setdefault
-    part = {}
-    for sel, q in zip(inner, nums):
-        if not u_in:
-            # traversed against orientation: the selection process is
-            # complement-symmetric under swapping the terminals, so the
-            # reversed copy contributes the complement within T
-            sel = sub_T - sel
-        outer = frozenset(("e", ei, x) for x in sel)
-        part[intern(outer, outer)] = q
-    return den, part
-
-
-def _convolve(dist_a: dict, dist_b: dict) -> dict:
-    out: dict = {}
-    for xa, pa in dist_a.items():
-        for xb, pb in dist_b.items():
-            key = xa | xb
-            out[key] = out.get(key, 0) + pa * pb
-    return out
+    part = []
+    for sel, q in ints[1 + u_in]:
+        outer = frozenset(map(rename, sel))
+        part.append((intern(outer, outer), q))
+    return ints[0], part
 
 
 def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict:
@@ -216,63 +221,102 @@ def lift_distribution(ctx: LiftContext, T, levels: Optional[int] = None) -> dict
     hit = ctx._memo.get(memo_key)
     if hit is not None:
         return hit
-    top, copies = _one_level(ctx, T, levels)
-    R = top - {"s", "t"}
-    base_den, draws = _base_read(ctx, R)
-    copies = [_copy_read(ctx, levels, ei, sub_T) for ei, sub_T in copies]
-    branches = []  # (base numerator, denominator, {selection: numerator})
-    for n, x1 in draws:
-        # x1 always holds s and never t
-        key = x1 & T
-        den = 1
-        cut = []
-        for ei, sub_T, u, v, whole, parts in copies:
-            u_in = u in x1  # u carries the inner s role
-            v_in = v in x1
-            if u_in and v_in:
-                key |= whole
-            elif u_in or v_in:
-                inner = lift_distribution(ctx, sub_T, levels - 1)
-                part = parts[u_in]
-                if part is None:
-                    part = parts[u_in] = _relabel(ctx, ei, sub_T, inner, u_in)
-                den *= part[0]
-                cut.append(part[1])
-        result = {key: 1}
-        for part in cut:
-            result = _convolve(result, part)
-        branches.append((n, den, result))
-    # each branch weighs n / (2 * base_den) and its result is over den
-    common = lcm(*(den for _, den, _ in branches))
+    tops, eis, names = _closure(T, levels)
+    size, base_den, branches = ctx._skeletons.get((tops, eis)) or _skeleton(ctx, tops, eis)
+    # each pulled-in base vertex charges to a distinct T-member inside a copy
+    if size > len(T):
+        raise InvariantError("extension grew beyond its charging bound")
+    # per touched copy [sub_T, names, its members, part if u is out, part if
+    # u is in]; a copy holding all of T is read for T alone, so not cached
+    reads = []
+    for ei, copy_names in zip(eis, names):
+        sub_T = frozenset(copy_names)
+        if len(sub_T) == len(T):
+            reads.append([sub_T, copy_names, T, None, None])
+            continue
+        key = (levels, ei, sub_T)
+        read = ctx._copy_reads.get(key)
+        if read is None:
+            read = ctx._copy_reads[key] = [sub_T, copy_names, frozenset(copy_names.values()),
+                                           None, None]
+        reads.append(read)
+    # each branch weighs n / (2 * base_den) and its selections are over
+    # den; out holds numerators over common, the lcm of the dens so far.
+    # The copies' outer names are disjoint, so a branch's selections are
+    # distinct.
     out: dict = {}
-    for n, den, result in branches:
+    get = out.get
+    common = 1
+    for n, key, whole, cut in branches:
+        for pos in whole:
+            members = reads[pos][2]
+            key = key | members if key else members
+        den, part = 1, None
+        for pos, u_in in cut:
+            read = reads[pos]
+            inner = lift_distribution(ctx, read[0], levels - 1)
+            cut_part = read[3 + u_in]
+            if cut_part is None:
+                cut_part = read[3 + u_in] = _relabel(ctx, levels - 1, read, inner, u_in)
+            den *= cut_part[0]
+            part = cut_part[1] if part is None else [
+                (xa | xb, qa * qb) for xa, qa in part for xb, qb in cut_part[1]]
+        if common % den:
+            grow = den // gcd(common, den)
+            common *= grow
+            for sel in out:
+                out[sel] *= grow
         scale = n * (common // den)
-        for sel, q in result.items():
-            out[sel] = out.get(sel, 0) + scale * q
+        if part is None:
+            out[key] = get(key, 0) + scale
+            continue
+        for sel, q in part:
+            if key:
+                sel = key | sel
+            out[sel] = get(sel, 0) + scale * q
     total = 2 * base_den * common
     mass = sum(out.values())
     if mass != total:
         raise InvariantError(f"lifted distribution over {sorted(map(str, T))} sums to "
                              f"{Fraction(mass, total)}, not 1")
-    # probabilities are shared by (numerator, denominator): hashing a
-    # Fraction itself costs a modular inverse per call
+    # probabilities are shared by (numerator, denominator), reduced or not:
+    # hashing a Fraction itself costs a modular inverse per call, and a
+    # pair seen before needs no gcd
     share = ctx._share
     intern = share.setdefault
     shared = {}
     for sel, num in out.items():
-        g = gcd(num, total)
-        pair = (num // g, total // g)
-        p = share.get(pair)
+        p = share.get((num, total))
         if p is None:
-            p = share[pair] = Fraction(*pair)
+            g = gcd(num, total)
+            pair = (num // g, total // g)
+            p = share.get(pair)
+            if p is None:
+                p = share[pair] = Fraction(*pair)
+            share[num, total] = p
         shared[intern(sel, sel)] = p
     ctx._memo[memo_key] = shared
     return shared
 
 
+def _cut_value(ctx: LiftContext, edges) -> Fraction:
+    """sum of w * P(the lift separates u and v) over the edges (u, v, w),
+    as one integer numerator over a running denominator."""
+    num, den = 0, 1
+    for u, v, w in edges:
+        wn, wd = w.numerator, w.denominator
+        for sel, p in lift_distribution(ctx, (u, v)).items():
+            if len(sel) == 1:
+                d = wd * p.denominator
+                if den % d:
+                    grow = d // gcd(den, d)
+                    num, den = num * grow, den * grow
+                num += wn * p.numerator * (den // d)
+    return Fraction(num, den)
+
+
 def lift_pair_value(ctx: LiftContext, u, v) -> Fraction:
-    dist = lift_distribution(ctx, (u, v))
-    return sum((p for sel, p in dist.items() if len(sel) == 1), Fraction(0))
+    return _cut_value(ctx, [(u, v, 1)])
 
 
 @dataclass
@@ -285,12 +329,8 @@ class LiftedValue:
 def lifted_value(ctx: LiftContext) -> LiftedValue:
     """Exact objective values of the lifted solution on the powered instance."""
     inst = ctx.powered.instance
-    cap = Fraction(0)
-    for u, v, w in inst.supply_edges:
-        cap += w * lift_pair_value(ctx, u, v)
-    dem = Fraction(0)
-    for u, v, w in inst.demand_edges:
-        dem += w * lift_pair_value(ctx, u, v)
+    cap = _cut_value(ctx, inst.supply_edges)
+    dem = _cut_value(ctx, inst.demand_edges)
     if dem <= 0:
         raise InvariantError("lifted solution separates no demand")
     return LiftedValue(cap, dem, cap / dem)

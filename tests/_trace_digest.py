@@ -2,15 +2,15 @@
 three fractals: the exact derandomization potential traces, the pared
 LPs' shape totals and the pivots of the corpus ratio searches; the text
 of the full Sherali-Adams MaxCut LPs the gap table solves; and the
-lifted distributions of G_3(P_3).
+lifted distributions of G_3(P_3) and the lift calls they take.
 
 Run as a script, it prints the potential-trace digest; it needs only the
 standard library and `treecut` on the path:
 
     PYTHONPATH=src python tests/_trace_digest.py
 
-and the MaxCut LP text digest, the corpus pivot count or the lift
-distribution digest by
+and the MaxCut LP text digest, the corpus pivot count, the lift
+distribution digest or the lift's call count by
 
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.maxcut_lp_text_digest())'
@@ -18,6 +18,8 @@ distribution digest by
         'import _trace_digest; print(_trace_digest.ratio_search_pivots())'
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.lift_distribution_digest())'
+    PYTHONPATH=src:tests python -c \
+        'import _trace_digest; print(_trace_digest.lift_call_count())'
 """
 
 import hashlib
@@ -28,7 +30,7 @@ from unittest import mock
 
 sys.path.insert(0, os.path.dirname(__file__))
 
-from treecut import pipeline, relaxation, simplex  # noqa: E402
+from treecut import lift, pipeline, relaxation, simplex  # noqa: E402
 from treecut.decomposition import (balance, exact_decomposition,  # noqa: E402
                                    format_decomposition, parse_decomposition)
 from treecut.generators import MaxCutInstance, building_block, power  # noqa: E402
@@ -124,6 +126,22 @@ def lift_distribution_digest() -> str:
         text = str(sorted((sorted(map(str, sel)), str(p)) for sel, p in dist.items()))
         h.update(text.encode() + b"\n")
     return h.hexdigest()
+
+
+def lift_call_count() -> int:
+    """lift_distribution calls, the recursive ones included, for the
+    targets of `lift_distribution_digest`."""
+    ctx = make_lift_context(MaxCutInstance.path(3), 3, 3)
+    call, calls = lift.lift_distribution, [0]
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return call(*args, **kwargs)
+
+    with mock.patch.object(lift, "lift_distribution", counted):
+        for T in small_targets(ctx.powered.instance.vertices):
+            lift.lift_distribution(ctx, T)
+    return calls[0]
 
 
 if __name__ == "__main__":

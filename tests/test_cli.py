@@ -293,6 +293,26 @@ def test_gap_refuses_an_over_bound_base_before_its_lp(monkeypatch, capsys):
     assert err == "budget refusal: maxcut enumeration over 30 vertices exceeds bound 26\n", err
 
 
+@pytest.mark.parametrize("argv", [["gen", "block", "--maxcut", "k1000"],
+                                  ["gen", "power", "--maxcut", "k1000", "--levels", "2"],
+                                  ["gap", "--base", "k1000"]],
+                         ids=["gen_block", "gen_power", "gap"])
+def test_an_over_bound_named_base_is_refused_before_it_is_built(argv, monkeypatch, capsys,
+                                                                tmp_path):
+    # K1000's 499,500 edges took 0.3 s and 97 MB to build before the
+    # bound refused them
+    from treecut.generators import MaxCutInstance
+
+    def no_build(n):
+        raise AssertionError("the complete graph was built")
+
+    monkeypatch.setattr(MaxCutInstance, "complete", staticmethod(no_build))
+    code, _, err = run(capsys, *argv, "-o", str(tmp_path / "out"))
+    assert code == 3
+    assert err == "budget refusal: maxcut enumeration over 1000 vertices exceeds bound 26\n", err
+    assert not (tmp_path / "out").exists()
+
+
 # the whole message of the one refusal both column budgets share
 COLUMN_REFUSALS = {
     "pared_columns_c5_levels_3": "pared system needs 392320 variables, budget is 300000",

@@ -7,7 +7,7 @@ import pytest
 
 from _lp_fixtures import mask_of
 from _reference_lift import ReferenceLift, extend_set
-from _trace_digest import lift_distribution_digest, small_targets
+from _trace_digest import lift_call_count, lift_distribution_digest, small_targets
 from treecut import lift
 from treecut.decomposition import balance
 from treecut.errors import InputError, InvariantError
@@ -256,6 +256,30 @@ def test_lift_distributions_match_recorded_digest():
     assert lift_distribution_digest() == G3_P3_DISTRIBUTIONS_DIGEST
 
 
+# lift_distribution calls, the recursive ones included, for the targets of
+# G3_P3_DISTRIBUTIONS_DIGEST in their order (`_trace_digest.lift_call_count`):
+# one per target plus one per branch that cuts a copy.
+LIFT_CALLS = 24252
+
+
+def test_lift_call_count_matches_recorded_count():
+    assert lift_call_count() == LIFT_CALLS
+
+
+def test_lift_memo_shares_every_selection_and_probability():
+    # sharing one object per distinct selection set and per probability
+    # keeps the lift's caches for G_3(P_3)'s small targets near 5 MB
+    # (tracemalloc), so certify's peak_rss_mb within its bound
+    ctx = p3_context(levels=3)
+    for T in small_targets(ctx.powered.instance.vertices):
+        lift_distribution(ctx, T)
+    probabilities = {}
+    for dist in ctx._memo.values():
+        for sel, p in dist.items():
+            assert ctx._share[sel] is sel
+            assert probabilities.setdefault(p, p) is p
+
+
 # (context, target, levels, exception type, message), recorded before the
 # lift DP moved to integer arithmetic.
 INVALID_TARGETS = [
@@ -312,10 +336,16 @@ def test_lift_reads_smaller_base_sets_as_marginals(name, rounds):
     kept = [frozenset(family.sets[i]) for i in family.maximal_indices()]
     assert len(kept) < len(full.solution.blocks)
     solution = SaSolution(family, {S: full.solution.blocks[S] for S in kept})
-    pared = dataclasses.replace(full, solution=solution, _memo={}, _share={},
-                                _base_reads={}, _copy_reads={})
-    for T in small_targets(full.powered.instance.vertices):
-        assert lift_distribution(pared, T) == lift_distribution(full, T), T
+    targets = small_targets(full.powered.instance.vertices)
+    expected = [lift_distribution(full, T) for T in targets]
+    pared = dataclasses.replace(full, solution=solution)
+    # a cache shared with full would compare full's reads with themselves
+    caches = [f.name for f in dataclasses.fields(lift.LiftContext) if not f.init]
+    assert caches and all(getattr(full, name) for name in caches)
+    for name in caches:
+        assert getattr(pared, name) == {} and getattr(pared, name) is not getattr(full, name)
+    for T, dist in zip(targets, expected):
+        assert lift_distribution(pared, T) == dist, T
 
 
 @pytest.mark.parametrize("name", ["p3", "k3", "c5"])
