@@ -291,7 +291,6 @@ def make_parser() -> argparse.ArgumentParser:
                             help="PACE-style tree decomposition file")
             sp.add_argument("--root", type=int, default=1,
                             help="1-based root bag index for supplied decompositions")
-            sp.add_argument("--seed", type=int, default=0)
             sp.add_argument("--dump-lp", default=None)
 
     sp = sub.add_parser("decompose", help="exact balanced tree decomposition")
@@ -306,6 +305,7 @@ def make_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("round", help="sample one cut from the LP distribution")
     sp.add_argument("instance")
+    sp.add_argument("--seed", type=int, default=0)
     common(sp, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_round)
 
@@ -344,6 +344,7 @@ def make_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("embed", help="Monte-Carlo cut embedding (CSV)")
     sp.add_argument("instance")
     sp.add_argument("--samples", type=int, default=1000)
+    sp.add_argument("--seed", type=int, default=0)
     common(sp, formats=False, budget=DEFAULT_EXACT_BOUND)
     sp.set_defaults(func=cmd_embed)
 

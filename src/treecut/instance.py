@@ -301,6 +301,10 @@ def format_instance(instance: SparsestCutInstance) -> str:
     return "\n".join(lines) + "\n"
 
 
+# fields per record: `p ssc <n>`, `e|d <u> <v> <weight>`, `t <s> <t>`
+RECORD_FIELDS = {"p": 3, "e": 4, "d": 4, "t": 3}
+
+
 def parse_instance(text: str) -> SparsestCutInstance:
     n = None
     supply, demand = [], []
@@ -310,6 +314,9 @@ def parse_instance(text: str) -> SparsestCutInstance:
         if not line or line.startswith("c"):
             continue
         parts = line.split()
+        if len(parts) != RECORD_FIELDS.get(parts[0], len(parts)):
+            raise InputError(f"line {lineno}: `{parts[0]}` takes "
+                             f"{RECORD_FIELDS[parts[0]]} fields: {raw!r}")
         try:
             if parts[0] == "p":
                 if parts[1] != "ssc" or n is not None:
@@ -324,6 +331,8 @@ def parse_instance(text: str) -> SparsestCutInstance:
             elif parts[0] == "d":
                 demand.append((int(parts[1]), int(parts[2]), as_weight(parts[3])))
             elif parts[0] == "t":
+                if terminals is not None:
+                    raise InputError(f"line {lineno}: a second `t` line: {raw!r}")
                 terminals = (int(parts[1]), int(parts[2]))
             else:
                 raise InputError(f"line {lineno}: unknown record {parts[0]!r}")

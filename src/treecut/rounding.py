@@ -10,9 +10,11 @@ fixes bag assignments greedily to keep the conditional potential
 
 nonpositive; every conditional expectation is evaluated as an exact Fraction,
 so greedy comparisons can never be flipped by roundoff.  Each candidate's
-E[W] is summed as one integer numerator over a running denominator.  A
-pair's endpoints are independent given V_g, g where their least bags' root
-paths meet; until g is fixed, the lowest fixed bag above g conditions both.
+E[W] is summed as one integer numerator over a running denominator; a bag
+whose parent's assignment leaves it one extension is fixed unpriced, as
+E[W] cannot move.  A pair's endpoints are independent given V_g, g where
+their least bags' root paths meet; until g is fixed, the sum runs over
+V_g's extensions of the deepest fixed bag above g.
 """
 
 from __future__ import annotations
@@ -169,32 +171,33 @@ class _Derandomizer:
         for u, v, w in instance.demand_edges:
             c = Fraction(-2) * Fraction(w) / alpha
             self.pairs.append((u, v, c.numerator, c.denominator))
-        # v -> (b(v), v's bit in V_b(v)'s elements)
-        self.bit = {v: (b, 1 << self._union_elems(b).index(v)) for v, b in self.least.items()}
-        # (u, v) -> (g, deep): g is the bag where the root paths of b(u) and
-        # b(v) meet, and deep the deeper of the two when g is one of them
+        # (u, v) -> g, the bag where the root paths of b(u) and b(v) meet
         self.meet = {}
         for u, v, _, _ in self.pairs:
-            pu, pv = sorted((self.paths[self.least[u]], self.paths[self.least[v]]), key=len)
-            k = len(pu) - 1
+            pu, pv = self.paths[self.least[u]], self.paths[self.least[v]]
+            k = min(len(pu), len(pv)) - 1
             while pu[k] != pv[k]:  # root paths part once, so scan up from the shorter's end
                 k -= 1
-            self.meet[u, v] = (pu[k], pv[-1] if k == len(pu) - 1 else None)
+            self.meet[u, v] = pu[k]
         self._psep_memo: dict = {}
 
     # -- helpers ----------------------------------------------------------
 
     def _lowest_labeled(self, a: int, labels: dict) -> int:
+        """The deepest labeled bag on a's root path, a itself included."""
         path, k = self.paths[a], 0
-        while path[k] in labels:  # a itself is unlabeled
+        while k < len(path) and path[k] in labels:
             k += 1
         return path[k - 1]
 
     def _union_elems(self, a: int):
         return self.sol.block_table(self.unions[a])[0]
 
-    def _prob_in(self, v, ell: int, ell_mask: int) -> Fraction:
-        """P[v in A | assignment of V_ell], via the chain block at b(v)."""
+    def _prob_in(self, v, ell: int, ell_mask: int):
+        """P[v in A | assignment of V_ell]: v's bit when v is in V_ell, else
+        via the chain block at b(v)."""
+        if v in self.unions[ell]:
+            return (ell_mask >> self._union_elems(ell).index(v)) & 1
         target = self.unions[ell] | {v}
         q_elems, agg = self.sol.aggregate(self.unions[self.least[v]], target)
         vbit = 1 << q_elems.index(v)
@@ -203,17 +206,6 @@ class _Derandomizer:
         if denom == 0:
             raise InvariantError("conditioning event has probability zero")
         return agg[m | vbit] / denom
-
-    def _psep_joint(self, u, v, deep: int, ell: int, ell_mask: int) -> Fraction:
-        """P[u, v separated | assignment of V_ell], u and v on deep's root path."""
-        target = self.unions[ell] | {u, v}
-        q_elems, agg = self.sol.aggregate(self.unions[deep], target)
-        ubit, vbit = 1 << q_elems.index(u), 1 << q_elems.index(v)
-        m = _remap(ell_mask, self._union_elems(ell), q_elems) & ~(ubit | vbit)
-        denom = agg[m] + agg[m | ubit] + agg[m | vbit] + agg[m | ubit | vbit]
-        if denom == 0:
-            raise InvariantError("conditioning event has probability zero")
-        return (agg[m | ubit] + agg[m | vbit]) / denom
 
     def _cached(self, fn, *args) -> Fraction:
         key = (fn.__name__, *args)
@@ -226,21 +218,17 @@ class _Derandomizer:
 
     def _prob(self, v, labels: dict):
         """P[v in A | labels]; v's bit once b(v) is labeled."""
-        b, bit = self.bit[v]
-        if b in labels:
-            return 1 if labels[b] & bit else 0
-        ell = self._lowest_labeled(b, labels)
+        ell = self._lowest_labeled(self.least[v], labels)
         return self._cached(self._prob_in, v, ell, labels[ell])
 
     def psep(self, u, v, labels: dict):
         """P[u, v separated | labels].  Given V_g, u and v are independent;
-        while g is unlabeled, the lowest labeled bag above it conditions."""
-        g, deep = self.meet[u, v]
-        if g not in labels:
-            ell = self._lowest_labeled(g, labels)
-            if deep is None:
-                return self._cached(self._psep_via_lca, u, v, g, ell, labels[ell])
-            return self._cached(self._psep_joint, u, v, deep, ell, labels[ell])
+        while g is unlabeled, sum over V_g's extensions of the assignment
+        of ell, the deepest labeled bag above g."""
+        g = self.meet[u, v]
+        ell = self._lowest_labeled(g, labels)
+        if ell != g:
+            return self._cached(self._psep_via_lca, u, v, g, ell, labels[ell])
         pu, pv = self._prob(u, labels), self._prob(v, labels)
         if pv in (0, 1):  # a fixed endpoint
             pu, pv = pv, pu
@@ -250,8 +238,7 @@ class _Derandomizer:
 
     def _psep_via_lca(self, u, v, anc: int, ell: int, ell_mask: int) -> Fraction:
         a_elems, a_table = self.sol.block_table(self.unions[anc])
-        total = Fraction(0)
-        acc = Fraction(0)
+        total = acc = Fraction(0)
         for m, w in _extensions(a_elems, a_table, self._union_elems(ell), ell_mask):
             total += w
             pu = self._prob_in(u, anc, m)
@@ -285,11 +272,17 @@ class _Derandomizer:
             elems, table = self.sol.block_table(self.unions[a])
             parent = self.dec.parents[a]
             pelems = self._union_elems(parent) if parent is not None else ()
-            best_mask = None
-            best_val = None
-            weighted = Fraction(0)
-            weight_total = Fraction(0)
-            for m, w in _extensions(elems, table, pelems, labels.get(parent, 0)):
+            choices = list(_extensions(elems, table, pelems, labels.get(parent, 0)))
+            if not choices:
+                raise InvariantError("no extension with positive probability")
+            if parent is not None and len(choices) == 1:
+                # a forced bag: its one extension has conditional probability 1
+                labels[a] = choices[0][0]
+                trace.append(trace[-1])
+                continue
+            best_mask = best_val = None
+            weighted = weight_total = Fraction(0)
+            for m, w in choices:
                 trial = dict(labels)
                 trial[a] = m
                 val = self.expected_w(trial)
@@ -297,8 +290,6 @@ class _Derandomizer:
                 weight_total += w
                 if best_val is None or val < best_val or (val == best_val and m < best_mask):
                     best_val, best_mask = val, m
-            if best_mask is None:
-                raise InvariantError("no extension with positive probability")
             if parent is None:
                 trace.append(weighted / weight_total)
             labels[a] = best_mask

@@ -1,5 +1,5 @@
 """Digests of what the pipeline computes, over the acceptance corpus and
-three fractals: the exact derandomization potential traces, the pared
+four fractals: the exact derandomization potential traces, the pared
 LPs' shape totals and the pivots of the corpus ratio searches; the text
 of the full Sherali-Adams MaxCut LPs the gap table solves; and the
 lifted distributions of G_3(P_3) and the lift calls they take.
@@ -9,9 +9,11 @@ standard library and `treecut` on the path:
 
     PYTHONPATH=src python tests/_trace_digest.py
 
-and the MaxCut LP text digest, the corpus pivot count, the lift
-distribution digest or the lift's call count by
+and the k5 branching-trace digest, the MaxCut LP text digest, the corpus
+pivot count, the lift distribution digest or the lift's call count by
 
+    PYTHONPATH=src:tests python -c \
+        'import _trace_digest; print(_trace_digest.branching_trace_digest())'
     PYTHONPATH=src:tests python -c \
         'import _trace_digest; print(_trace_digest.maxcut_lp_text_digest())'
     PYTHONPATH=src:tests python -c \
@@ -66,6 +68,16 @@ def potential_trace_digest() -> str:
         trace = pipeline.solve(inst, dec).potential.trace
         h.update((" ".join(map(str, trace)) + "\n").encode())
     return h.hexdigest()
+
+
+def branching_trace_digest() -> str:
+    """sha256 of the `str` of each entry of the k5 levels-2 fractal's
+    potential trace, one line.  Unlike the runs of
+    `potential_trace_digest`, where every non-root bag has one extension,
+    some of its bags branch, so the greedy choice is priced."""
+    inst, dec = fractal("k5")
+    trace = pipeline.solve(inst, dec).potential.trace
+    return hashlib.sha256((" ".join(map(str, trace)) + "\n").encode()).hexdigest()
 
 
 def pared_lp_shape_totals() -> tuple:

@@ -43,8 +43,8 @@ def test_gen_oracle_solve_round_trip(tmp_path, capsys):
 def test_byte_identical_reruns(tmp_path, capsys):
     inst = tmp_path / "in.ssc"
     run(capsys, "gen", "block", "--maxcut", "p3", "--st-demand", "-o", str(inst))
-    _, out1, _ = run(capsys, "solve", str(inst), "--format", "json", "--seed", "0")
-    _, out2, _ = run(capsys, "solve", str(inst), "--format", "json", "--seed", "0")
+    _, out1, _ = run(capsys, "solve", str(inst), "--format", "json")
+    _, out2, _ = run(capsys, "solve", str(inst), "--format", "json")
     assert out1 == out2
 
 
@@ -434,6 +434,8 @@ def _triangle_ulc_json(d=2, cliques=([0], [1], [2])):
 
 # A valid two-bag decomposition of the K_3 block has the tree-edge line "1 2".
 TWO_BAG_TD = "s td 2 4 5\nb 1 1 2 3 4\nb 2 1 2 5\n{}\n"
+# A valid instance: the path 1-2-3 with demand between its ends.
+TWO_EDGE_SSC = "p ssc 3\ne 1 2 1\ne 2 3 1\nd 1 3 1\n"
 BAD_FILES = {
     "edge_out_of_range.td": TWO_BAG_TD.format("1 3"),
     "edge_negative.td": TWO_BAG_TD.format("1 -5"),
@@ -450,6 +452,11 @@ BAD_FILES = {
     "clique_bool.json": _triangle_ulc_json(cliques=([0], [True], [2])),
     "fractional_d.json": _triangle_ulc_json(d=2.7),
     "huge_d.json": _triangle_ulc_json(d=10**7),
+    "edge_extra_field.ssc": TWO_EDGE_SSC.replace("e 1 2 1", "e 1 2 1 7"),
+    "demand_extra_field.ssc": TWO_EDGE_SSC.replace("d 1 3 1", "d 1 3 1 junk"),
+    "header_extra_field.ssc": TWO_EDGE_SSC.replace("p ssc 3", "p ssc 3 9"),
+    "terminals_extra_field.ssc": TWO_EDGE_SSC + "t 1 3 2\n",
+    "terminals_repeated.ssc": TWO_EDGE_SSC + "t 1 3\nt 1 2\n",
 }
 
 # Each case exits 2 (input error) without a traceback: an unwritable
@@ -458,7 +465,9 @@ BAD_FILES = {
 # given twice, a header whose largest-bag size or vertex count does not
 # match, a ULC clique entry that is not an edge index, a fractional label
 # count or one that no constraint's permutation has (checked before a
-# range of that size is built), and the removed LP-mode flags.
+# range of that size is built), an `.ssc` record with a field too many or
+# a second `t` line, the removed LP-mode flags, and `--seed` on the
+# commands that draw nothing.
 BAD_INPUTS = {
     "unwritable_output": ["solve", "{inst}", "-o", "{tmp}/missing/x.json"],
     "bad_alpha": ["gen", "gadget", "--alpha", "abc"],
@@ -468,6 +477,8 @@ BAD_INPUTS = {
                              "--root", "9"],
     "removed_arith_flag": ["solve", "{inst}", "--arith", "float"],
     "removed_alpha_mode_flag": ["solve", "{inst}", "--alpha-mode", "grid"],
+    "solve_seed_flag": ["solve", "{inst}", "--seed", "0"],
+    "verify_seed_flag": ["verify", "{inst}", "--seed", "0"],
     "gadget_zero_labels": ["gen", "gadget", "--labels", "0", "-o", "{tmp}/g.ssc"],
     "gadget_negative_labels": ["gen", "gadget", "--labels", "-1", "-o", "{tmp}/g.ssc"],
     "random_ulc_gadget_zero_labels": ["gen", "gadget", "--random-ulc", "--labels", "0",
@@ -477,6 +488,8 @@ BAD_INPUTS = {
        for name in BAD_FILES if name.endswith(".td")},
     **{f"ulc_{name[:-5]}": ["gen", "gadget", "--ulc", "{tmp}/" + name, "-o", "{tmp}/g.ssc"]
        for name in BAD_FILES if name.endswith(".json")},
+    **{f"ssc_{name[:-4]}": ["solve", "{tmp}/" + name]
+       for name in BAD_FILES if name.endswith(".ssc")},
 }
 
 

@@ -109,3 +109,33 @@ def test_potential_traces_and_lp_shapes_match_recorded_digests():
     from _trace_digest import pared_lp_shape_totals, potential_trace_digest
     assert potential_trace_digest() == POTENTIAL_TRACE_DIGEST
     assert pared_lp_shape_totals() == PARED_LP_SHAPE_TOTALS
+
+
+# Recorded at 39365c9, before forced bags went unpriced: the k5 levels-2
+# fractal's potential trace (`_trace_digest.branching_trace_digest`), where
+# 6 of 63 bags have more than one extension of their parent's assignment;
+# CI recomputes it on Python 3.10.  Only the root and those bags are priced,
+# each extension by one `expected_w` call: 13 on k5 (69 when every bag was
+# priced) and 100 over acceptance_corpus(0, 100), where every non-root bag
+# is forced (530).
+BRANCHING_TRACE_DIGEST = "561e14620392c6b7cd19d82f34c4612edbe9340832111cd6f827f2bd98115c1c"
+
+
+def test_derandomizer_prices_only_bags_with_a_choice(monkeypatch):
+    from _trace_digest import branching_trace_digest
+    from corpus import acceptance_corpus
+    from treecut import rounding
+    calls = [0]
+    expected_w = rounding._Derandomizer.expected_w
+
+    def counted(self, labels):
+        calls[0] += 1
+        return expected_w(self, labels)
+
+    monkeypatch.setattr(rounding._Derandomizer, "expected_w", counted)
+    assert branching_trace_digest() == BRANCHING_TRACE_DIGEST
+    assert calls[0] == 13
+    calls[0] = 0
+    for inst in acceptance_corpus(0, 100):
+        pipeline.solve(inst)
+    assert calls[0] == 100
