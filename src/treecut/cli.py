@@ -99,7 +99,7 @@ def cmd_solve(args) -> int:
         "cut_demand": str(sp.cut_demand),
         "cut_sparsity": str(sp.ratio),
         "within_factor_two": res.guarantees()["sparsity_within_2lp"],
-        "final_potential": str(trace[-1]) if trace else None,
+        "final_potential": str(trace[-1]),
     }
     _emit(args, payload, [
         f"lp ratio        {rs.ratio}",

@@ -510,6 +510,9 @@ def parse_decomposition(text: str, instance: SparsestCutInstance,
             if parts[0] == "s":
                 if header is not None:
                     raise InputError(f"line {lineno}: a second `s td` header: {raw!r}")
+                if len(parts) != 5 or parts[1] != "td":
+                    raise InputError(f"line {lineno}: the header is `s td <bags> <maxbag> <n>`: "
+                                     f"{raw!r}")
                 header = (int(parts[2]), int(parts[3]), int(parts[4]))
             elif parts[0] == "b":
                 ids = [int(p) for p in parts[2:]]

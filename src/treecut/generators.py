@@ -280,9 +280,7 @@ def lift_cut(powered: PoweredInstance, base_cut: Cut) -> Cut:
 
 def apply_sigma(sigma: tuple, x: int, d: int) -> int:
     """Permute cube coordinates: output bit i is input bit sigma^{-1}(i)."""
-    inv = [0] * d
-    for j, img in enumerate(sigma):
-        inv[img] = j
+    inv = invert_sigma(sigma)
     y = 0
     for i in range(d):
         if (x >> inv[i]) & 1:

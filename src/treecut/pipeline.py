@@ -27,11 +27,10 @@ class PipelineResult:
 
     def guarantees(self) -> dict:
         """The paper's run-time guarantees, each as an exact comparison."""
-        trace = self.potential.trace
         ratio = self.sparsity.ratio
         return {
             "potential_trace_monotone": self.potential.nonincreasing(),
-            "final_potential_nonpositive": not trace or trace[-1] <= 0,
+            "final_potential_nonpositive": self.potential.trace[-1] <= 0,
             "sparsity_within_2lp": ratio is not None and ratio <= 2 * self.lp.ratio,
         }
 
@@ -49,8 +48,7 @@ def solve(instance: SparsestCutInstance,
     result = PipelineResult(dec, lp, cut, potential, evaluate_cut(instance, cut))
     failed = [name for name, ok in result.guarantees().items() if not ok]
     if failed:
-        final = potential.trace[-1] if potential.trace else None
         raise InvariantError(f"guarantee failed: {', '.join(failed)} (cut sparsity "
                              f"{result.sparsity.ratio}, lp ratio {lp.ratio}, "
-                             f"final potential {final})")
+                             f"final potential {potential.trace[-1]})")
     return result

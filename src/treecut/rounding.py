@@ -4,17 +4,20 @@ Sampling walks the balanced decomposition top-down, drawing each bag's
 assignment from the solution's conditional distribution given the parent
 assignment; a draw is placed by integer comparison with the cumulative
 weights, so it is exact at interval boundaries too.  The derandomization
-fixes bag assignments greedily to keep the conditional potential
+walks the same cached conditionals, fixing bag assignments greedily to keep
+the conditional potential
 
     W = (capacity cut)/lp_star - 2 (demand cut)/alpha
 
-nonpositive; every conditional expectation is evaluated as an exact Fraction,
-so greedy comparisons can never be flipped by roundoff.  Each candidate's
-E[W] is summed as one integer numerator over a running denominator; a bag
-whose parent's assignment leaves it one extension is fixed unpriced, as
-E[W] cannot move.  A pair's endpoints are independent given V_g, g where
-their least bags' root paths meet; until g is fixed, the sum runs over
-V_g's extensions of the deepest fixed bag above g.
+nonpositive; at lp_star 0 the capacity term is dropped, since no cut the
+walk reaches cuts an edge of positive capacity, and E[W] <= -1 then forces
+a cut that separates demand.  Every conditional expectation is evaluated as
+an exact Fraction, so greedy comparisons can never be flipped by roundoff.
+Each candidate's E[W] is summed as one integer numerator over a running
+denominator; a bag whose parent's assignment leaves it one extension is
+fixed unpriced, as E[W] cannot move.  A pair's endpoints are independent
+given V_g, g where their least bags' root paths meet; until g is fixed, the
+sum runs over V_g's extensions of the deepest fixed bag above g.
 """
 
 from __future__ import annotations
@@ -67,34 +70,40 @@ def _extensions(elems, table, sub_elems, sub_mask: int):
 
 class PropagationSampler:
     """Draws cuts from the propagation distribution of an LP solution.
-    Each conditional is cached as its masks, their cumulative integer
-    weights times 2^53 and the total weight."""
+
+    Bag a's conditional given its parent's assignment is cached per
+    (a, parent mask); the derandomizer reads the same conditionals."""
 
     def __init__(self, solution: SaSolution, dec: TreeDecomposition):
-        self.solution = solution
         self.dec = dec
         self.parent = dec.parents
         self._choices: dict = {}
-        self._blocks = {}
-        for a in dec.top_down:
-            self._blocks[a] = solution.block_table(dec.unions[a])
+        self.blocks = {a: solution.block_table(dec.unions[a]) for a in dec.top_down}
 
-    def _conditional(self, a: int, parent_mask_bits: tuple):
-        key = (a, parent_mask_bits)
+    def conditional(self, a: int, parent_mask: int):
+        """(masks, weights, bounds, total) for bag a given its parent's mask
+        (0 at the root): the positive-weight extensions in `_extensions`'
+        order, their weights as integers over one denominator, the
+        cumulative weights times 2^53, and the weights' sum."""
+        key = (a, parent_mask)
         cached = self._choices.get(key)
         if cached is not None:
             return cached
-        elems, table = self._blocks[a]
+        elems, table = self.blocks[a]
         b = self.parent[a]
-        pelems = self._blocks[b][0] if b is not None else ()
-        pairs = list(_extensions(elems, table, pelems, parent_mask_bits[0]))
+        pelems = self.blocks[b][0] if b is not None else ()
+        pairs = list(_extensions(elems, table, pelems, parent_mask))
         if not pairs:
             raise InvariantError("conditioning event has probability zero")
         masks, weights = zip(*pairs)
         _, nums = numerators(weights)
-        out = (masks, list(accumulate(n << 53 for n in nums)), sum(nums))
+        out = (masks, nums, list(accumulate(n << 53 for n in nums)), sum(nums))
         self._choices[key] = out
         return out
+
+    def assignments(self, masks: dict) -> dict:
+        """bag -> the vertices its mask puts on side A."""
+        return {a: subset_from_mask(self.blocks[a][0], m) for a, m in masks.items()}
 
     def sample_masks(self, rng: random.Random) -> dict:
         """One mask per bag.  A draw r = rng.random() is exactly k / 2^53,
@@ -103,8 +112,7 @@ class PropagationSampler:
         chosen: dict = {}
         for a in self.dec.top_down:
             b = self.parent[a]
-            pkey = (chosen[b],) if b is not None else (0,)
-            masks, bounds, total = self._conditional(a, pkey)
+            masks, _, bounds, total = self.conditional(a, chosen[b] if b is not None else 0)
             chosen[a] = masks[bisect_right(bounds, int(rng.random() * 2**53) * total)]
         return chosen
 
@@ -131,8 +139,7 @@ class RoundingState:
 def sample_state(solution: SaSolution, dec: TreeDecomposition, seed: int = 0) -> RoundingState:
     """One full propagation walk with its per-bag assignments kept."""
     sampler = PropagationSampler(solution, dec)
-    masks = sampler.sample_masks(random.Random(seed))
-    assignments = {a: subset_from_mask(sampler._blocks[a][0], mask) for a, mask in masks.items()}
+    assignments = sampler.assignments(sampler.sample_masks(random.Random(seed)))
     return RoundingState(assignments, Cut(frozenset().union(*assignments.values())), seed)
 
 
@@ -147,8 +154,6 @@ def sample_cut(solution: SaSolution, dec: TreeDecomposition, seed: int = 0) -> C
 
 @dataclass
 class DerandPotential:
-    lp_star: Fraction
-    alpha: Fraction
     trace: list  # conditional E[W] after each greedy fixing; trace[0] is E[W]
 
     def nonincreasing(self) -> bool:
@@ -159,13 +164,16 @@ class _Derandomizer:
     def __init__(self, instance: SparsestCutInstance, solution: SaSolution,
                  dec: TreeDecomposition, alpha: Fraction, lp_star: Fraction):
         self.sol = solution
+        self.sampler = PropagationSampler(solution, dec)
         self.dec = dec
         self.unions = dec.unions
         self.least = least_bags(dec, instance.vertices)
         self.paths = dec.paths
-        # (u, v, numerator, denominator) of each pair's coefficient in W
+        # (u, v, numerator, denominator) of each pair's coefficient in W.  At
+        # lp_star 0 every positive-capacity edge has y = 0, so no cut the walk
+        # reaches cuts one, and W = -2 (demand cut)/alpha exactly.
         self.pairs = []
-        for u, v, w in instance.supply_edges:
+        for u, v, w in (instance.supply_edges if lp_star else ()):
             c = Fraction(w) / lp_star
             self.pairs.append((u, v, c.numerator, c.denominator))
         for u, v, w in instance.demand_edges:
@@ -191,7 +199,7 @@ class _Derandomizer:
         return path[k - 1]
 
     def _union_elems(self, a: int):
-        return self.sol.block_table(self.unions[a])[0]
+        return self.sampler.blocks[a][0]
 
     def _prob_in(self, v, ell: int, ell_mask: int):
         """P[v in A | assignment of V_ell]: v's bit when v is in V_ell, else
@@ -237,7 +245,7 @@ class _Derandomizer:
         return pu * (1 - pv) + (1 - pu) * pv
 
     def _psep_via_lca(self, u, v, anc: int, ell: int, ell_mask: int) -> Fraction:
-        a_elems, a_table = self.sol.block_table(self.unions[anc])
+        a_elems, a_table = self.sampler.blocks[anc]
         total = acc = Fraction(0)
         for m, w in _extensions(a_elems, a_table, self._union_elems(ell), ell_mask):
             total += w
@@ -269,33 +277,27 @@ class _Derandomizer:
         trace = []
         labels: dict = {}
         for a in self.dec.top_down:
-            elems, table = self.sol.block_table(self.unions[a])
             parent = self.dec.parents[a]
-            pelems = self._union_elems(parent) if parent is not None else ()
-            choices = list(_extensions(elems, table, pelems, labels.get(parent, 0)))
-            if not choices:
-                raise InvariantError("no extension with positive probability")
-            if parent is not None and len(choices) == 1:
+            masks, weights, _, total = self.sampler.conditional(a, labels.get(parent, 0))
+            if parent is not None and len(masks) == 1:
                 # a forced bag: its one extension has conditional probability 1
-                labels[a] = choices[0][0]
+                labels[a] = masks[0]
                 trace.append(trace[-1])
                 continue
             best_mask = best_val = None
-            weighted = weight_total = Fraction(0)
-            for m, w in choices:
+            weighted = 0
+            for m, w in zip(masks, weights):
                 trial = dict(labels)
                 trial[a] = m
                 val = self.expected_w(trial)
                 weighted += w * val
-                weight_total += w
                 if best_val is None or val < best_val or (val == best_val and m < best_mask):
                     best_val, best_mask = val, m
             if parent is None:
-                trace.append(weighted / weight_total)
+                trace.append(weighted / total)
             labels[a] = best_mask
             trace.append(best_val)
-        side = frozenset().union(*(subset_from_mask(self._union_elems(a), mask)
-                                   for a, mask in labels.items()))
+        side = frozenset().union(*self.sampler.assignments(labels).values())
         return Cut(side), trace
 
 
@@ -307,14 +309,8 @@ def derandomize(instance: SparsestCutInstance, solution: SaSolution,
     DerandPotential); the potential trace is exact and ends at the
     realized W of the output cut.
     """
-    alpha = Fraction(alpha)
-    lp_star = Fraction(lp_star)
-    if lp_star <= 0:
-        # Zero LP capacity: any cut that separates demand is free; sample one.
-        return sample_cut(solution, dec, 0), DerandPotential(lp_star, alpha, [])
-    der = _Derandomizer(instance, solution, dec, alpha, lp_star)
-    cut, trace = der.run()
-    return cut, DerandPotential(lp_star, alpha, trace)
+    cut, trace = _Derandomizer(instance, solution, dec, Fraction(alpha), Fraction(lp_star)).run()
+    return cut, DerandPotential(trace)
 
 
 # ---------------------------------------------------------------------------
@@ -369,6 +365,6 @@ def embed_l1(solution: SaSolution, dec: TreeDecomposition, num_samples: int,
             seen.append(masks[a])
     membership = {}
     for v, a in least.items():
-        bit = 1 << sampler._blocks[a][0].index(v)
+        bit = 1 << sampler.blocks[a][0].index(v)
         membership[v] = int("".join("1" if m & bit else "0" for m in reversed(drawn[a])), 2)
     return Embedding(vertices, num_samples, membership)

@@ -11,6 +11,21 @@ from fractions import Fraction
 from treecut.instance import SparsestCutInstance
 
 
+# A valid instance whose LP capacity is 0: vertex 9 has no supply edge and
+# two demand pairs, so the cut {9} has sparsity 0.  The one positive-
+# capacity edge, 2-4, must get y = 0.
+ZERO_CAPACITY_SSC = """p ssc 10
+e 2 4 2
+e 3 8 0
+e 4 5 0
+e 5 6 0
+d 5 3 3
+d 9 6 3
+d 3 9 1
+d 3 9 3
+"""
+
+
 def random_rational(rng, max_num=8, max_den=6) -> Fraction:
     return Fraction(rng.randint(1, max_num), rng.randint(1, max_den))
 

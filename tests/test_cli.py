@@ -5,10 +5,11 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
-from corpus import acceptance_corpus
+from corpus import ZERO_CAPACITY_SSC, acceptance_corpus
 from treecut.cli import main, make_parser
 from treecut.instance import format_instance, parse_instance
 
@@ -426,6 +427,19 @@ def test_round_subcommand(tmp_path, capsys):
     assert payload["cut_sparsity"] is not None
 
 
+def test_zero_capacity_lp_gives_a_cut_under_every_pipeline_command(tmp_path, capsys):
+    inst = tmp_path / "zero.ssc"
+    inst.write_text(ZERO_CAPACITY_SSC)
+    for command in ("solve", "verify", "round", "embed"):
+        code, _, err = run(capsys, command, str(inst), "-o", str(tmp_path / command))
+        assert code == 0, (command, err)
+    code, out, _ = run(capsys, "solve", str(inst), "--format", "json")
+    payload = json.loads(out)
+    assert code == 0 and payload["lp_capacity_value"] == "0"
+    assert payload["cut_capacity"] == "0" and Fraction(payload["cut_demand"]) > 0
+    assert Fraction(payload["final_potential"]) <= -1
+
+
 def _triangle_ulc_json(d=2, cliques=([0], [1], [2])):
     edges = [[1, 2, [0, 1]], [2, 3, [0, 1]], [1, 3, [0, 1]]]
     return json.dumps({"vertices": [1, 2, 3], "d": d, "edges": edges,
@@ -445,6 +459,8 @@ BAD_FILES = {
     "header_repeated.td": "s td 2 4 5\n" + TWO_BAG_TD.format("1 2"),
     "header_n_mismatch.td": TWO_BAG_TD.replace("s td 2 4 5", "s td 2 4 99").format("1 2"),
     "header_maxbag_mismatch.td": TWO_BAG_TD.replace("s td 2 4 5", "s td 2 3 5").format("1 2"),
+    "header_extra_field.td": TWO_BAG_TD.replace("s td 2 4 5", "s td 2 4 5 junk").format("1 2"),
+    "header_not_td.td": TWO_BAG_TD.replace("s td 2 4 5", "s xx 2 4 5").format("1 2"),
     "clique_out_of_range.json": _triangle_ulc_json(cliques=([0], [1], [5])),
     "clique_negative.json": _triangle_ulc_json(cliques=([0], [1], [-1])),
     "clique_string.json": _triangle_ulc_json(cliques=([0], [1], ["2"])),
@@ -462,10 +478,11 @@ BAD_FILES = {
 # Each case exits 2 (input error) without a traceback: an unwritable
 # output path, a malformed rational, too few SA rounds, a `.td` bag member,
 # tree edge or root bag outside the 1-based range, a `.td` bag or header
-# given twice, a header whose largest-bag size or vertex count does not
-# match, a ULC clique entry that is not an edge index, a fractional label
-# count or one that no constraint's permutation has (checked before a
-# range of that size is built), an `.ssc` record with a field too many or
+# given twice, a header that is not exactly `s td <bags> <maxbag> <n>` or
+# whose largest-bag size or vertex count does not match, a ULC clique entry
+# that is not an edge index, a fractional label count or one that no
+# constraint's permutation has (checked before a range of that size is
+# built), an `.ssc` record with a field too many or
 # a second `t` line, the removed LP-mode flags, and `--seed` on the
 # commands that draw nothing.
 BAD_INPUTS = {

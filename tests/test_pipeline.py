@@ -1,5 +1,6 @@
 """treecut.pipeline.solve: the one production chain and its run-time checks."""
 
+import random
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,7 @@ from treecut.cli import main
 from treecut.decomposition import balance, exact_decomposition
 from treecut.errors import InvariantError
 from treecut.generators import MaxCutInstance, building_block
-from treecut.instance import Cut, evaluate_cut
+from treecut.instance import Cut, SparsestCutInstance, evaluate_cut
 from treecut.relaxation import ratio_search
 from treecut.rounding import DerandPotential, derandomize
 
@@ -27,7 +28,7 @@ def no_demand_cut(inst, solution, dec, alpha, lp_star):
 def rising_trace(inst, solution, dec, alpha, lp_star):
     cut, pot = derandomize(inst, solution, dec, alpha, lp_star)
     trace = [pot.trace[0] - 1] + pot.trace  # one step up, still ending <= 0
-    return cut, DerandPotential(pot.lp_star, pot.alpha, trace)
+    return cut, DerandPotential(trace)
 
 
 BROKEN = {
@@ -58,6 +59,33 @@ def test_solve_refuses_a_broken_guarantee(case, monkeypatch):
     monkeypatch.setattr(pipeline, "derandomize", fake)
     with pytest.raises(InvariantError, match=failed):
         pipeline.solve(k3_block())
+
+
+def zero_capacity_sweep():
+    """700 seeded instances with zero capacities and often disconnected
+    supply, which the acceptance corpus, the soak and the bench corpus
+    never draw: n in 5..10, 1..n+2 random supply pairs with capacities
+    from {0, 0, 1, 2} drawn in sorted pair order, then 1..5 demand pairs
+    with weights 1..3."""
+    rng = random.Random(7)
+    for _ in range(700):
+        n = rng.randint(5, 10)
+        pairs = set()
+        for _ in range(rng.randint(1, n + 2)):
+            u, v = rng.sample(range(1, n + 1), 2)
+            pairs.add((min(u, v), max(u, v)))
+        supply = [(u, v, rng.choice((0, 0, 1, 2))) for u, v in sorted(pairs)]
+        demand = [(*rng.sample(range(1, n + 1), 2), rng.randint(1, 3))
+                  for _ in range(rng.randint(1, 5))]
+        yield SparsestCutInstance.build(range(1, n + 1), supply, demand)
+
+
+def test_solve_keeps_the_factor_two_on_zero_capacities_and_disconnected_supply():
+    # Instance #644 has LP capacity 0, and its seed-0 propagation sample
+    # separates no demand: only the derandomizer's walk finds a cut.
+    for index, inst in enumerate(zero_capacity_sweep()):
+        res = pipeline.solve(inst)
+        assert res.sparsity.ratio <= 2 * res.lp.ratio, index
 
 
 @pytest.mark.parametrize("command", ["solve", "round", "embed", "verify"])

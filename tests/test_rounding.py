@@ -9,13 +9,14 @@ import pytest
 from treecut.decomposition import TreeDecomposition, balance, exact_decomposition
 from treecut.errors import InputError
 from treecut.generators import MaxCutInstance, building_block
-from treecut.instance import SparsestCutInstance, evaluate_cut
+from treecut.instance import SparsestCutInstance, evaluate_cut, parse_instance
 from treecut.oracle import exact_sparsest_cut
 from treecut.relaxation import SaSolution, SetFamily, ratio_search
 from treecut.rounding import (PropagationSampler, derandomize, embed_l1, sample_cut)
 from treecut import simplex
 
 from _lp_fixtures import build_distortion_lp, y_value
+from corpus import ZERO_CAPACITY_SSC
 
 
 def solved_block(H=None):
@@ -140,6 +141,17 @@ def test_derandomize_on_fractional_solution():
     assert pot.trace[0] <= 0
     assert pot.nonincreasing()
     assert sp.ratio is not None and sp.ratio <= 2 * lp_star / alpha
+
+
+def test_derandomize_at_zero_lp_capacity_separates_demand_for_free():
+    inst = parse_instance(ZERO_CAPACITY_SSC)
+    dec = balance(exact_decomposition(inst))
+    rs = ratio_search(inst, dec)
+    assert rs.lp_value == 0
+    cut, pot = derandomize(inst, rs.solution, dec, rs.alpha, rs.lp_value)
+    sp = evaluate_cut(inst, cut)
+    assert sp.cut_capacity == 0 and sp.cut_demand > 0
+    assert pot.trace and pot.nonincreasing() and pot.trace[-1] <= -1
 
 
 def test_derandomize_integral_matches_sample():
